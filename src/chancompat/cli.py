@@ -83,7 +83,7 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     _add_grid_args(p)
     p.add_argument("--dr", type=float, default=DR, help="robustness grid step")
     p.add_argument("--noise", choices=("generic", "cd", "both"), default="both")
-    p.add_argument("--refine", action="store_true", help="bisect each grid bracket to 1e-5")
+    p.add_argument("--refine", action="store_true", help="report the solver's r instead of rounding it up to the dr grid")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", "-o", help="CSV path (default: stdout)")
 
@@ -179,9 +179,9 @@ def _run_sweep(args, map1, map2, teleport_map=None) -> int:
         workers=args.workers,
     )
     _write_lines(args.output, _sweep_to_csv(records, args.noise, teleport_map))
-    bad = [rec.t for rec in records if rec.extras.get("indeterminate")]
+    bad = [rec.t for rec in records if rec.indeterminate]
     if bad:
-        print(f"indeterminate solver probes at t = {bad}", file=sys.stderr)
+        print(f"indeterminate solves at t = {bad}", file=sys.stderr)
         return 1
     return 0
 

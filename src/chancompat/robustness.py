@@ -1,25 +1,26 @@
 """Incompatibility robustness of channel and measurement pairs, and time sweeps.
 
-The feasibility probe at mixing weight r is the optimization
+The noisy pair (C_i + r * C_noise_i) / (1 + r) is compatible when a joint
+Choi matrix has it as marginals. In the scaled variables J = (1 + r) * joint
+and N_i = r * C_noise_i every constraint is linear in r:
 
-    max q   s.t.  C_joint >= q * 1,
-                  Tr_out2(C_joint) = (C_1 + r * C_noise1) / (1 + r),
-                  Tr_out1(C_joint) = (C_2 + r * C_noise2) / (1 + r),
-                  C_noise_i a CPTP Choi matrix (generic noise) or
-                  1 (x) eta_i with eta_i a density matrix (CD noise).
+    Tr_out2(J) + q * d_2 * 1 - N_1 = C_1,
+    Tr_out1(J) + q * d_1 * 1 - N_2 = C_2,
+    J >= 0,  N_i >= 0,  Tr_out(N_i) = r * 1          (generic noise), or
+                        N_i = 1 (x) eta_i, Tr(eta_i) = r   (CD noise),
 
-q >= 0 exactly when the noisy pair is compatible, and q is non-decreasing in
-r (the compatibility range is upward closed), so the smallest feasible grid
-multiple of dr can be located by monotone bisection over the grid; the plain
-linear scan from r = 0 is available as scan="linear" and returns the same
-value. All probes reuse the previous solution as a warm start.
+where the slack q lifts the joint matrix by q * 1. The robustness is one SDP:
+minimize r with q = 0. It is always feasible, as every pair is compatible at
+r = 1. feasibility_q pins r instead and maximizes q; q / (1 + r) is the
+margin of the unscaled joint matrix, nonnegative exactly when the noisy pair
+is compatible. Measurement pairs get the same program over joint POVMs.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -31,14 +32,8 @@ from .channels import Channel, DynamicalMap, Povm, apply
 from .linalg import partial_trace, trace_distance
 
 MAX_MIXING = 1.0          # any pair is compatible at r = 1 for both noise classes
-REFINE_WIDTH = 1e-5
-RETRY_FACTOR = 4
-PROBE_EPS = 1e-6          # first-pass probe accuracy
-TIGHT_EPS = sdp.DEFAULT_EPS
-SIGN_GUARD = 1e-4         # |q| below this is re-solved at TIGHT_EPS before signing
-FEAS_TOL = 1e-7           # q >= -FEAS_TOL counts as compatible: exactly-boundary
-                          # pairs (e.g. a channel with a CD channel) have true
-                          # optimum q = 0 and land within solver noise of it
+R_TOL = 1e-6              # solver accuracy of r: a value this close above a grid
+                          # point belongs to it, and a refined value below it is 0
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -61,15 +56,15 @@ def parse_noise(value) -> NoiseClass:
 
 @dataclass(frozen=True)
 class RobustnessResult:
+    """r_star is trustworthy only when indeterminate is False, i.e. the
+    solve reached its optimality tolerance."""
+
     r_star: float
-    q_at_r_star: float
-    search_trace: tuple[tuple[float, float], ...]
-    method: str
-    indeterminate: tuple[float, ...] = ()
+    indeterminate: bool = False
 
     def __post_init__(self):
-        if self.q_at_r_star < -FEAS_TOL:
-            raise ValueError("r_star must be a feasible mixing weight (q >= 0)")
+        if not 0 <= self.r_star <= MAX_MIXING:
+            raise ValueError(f"r_star {self.r_star} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ class SweepRecord:
     r_generic: float | None
     r_cd: float | None
     trace_distance: float
-    extras: dict[str, float] = field(default_factory=dict)
+    indeterminate: bool = False
 
     def __post_init__(self):
         for r in (self.r_generic, self.r_cd):
@@ -120,18 +115,21 @@ def _is_real(*mats: np.ndarray) -> bool:
 
 
 def channel_feasibility_problem(
-    ch1: Channel, ch2: Channel, r: float, noise: NoiseClass, real: bool | None = None
+    ch1: Channel, ch2: Channel, r: float | None, noise: NoiseClass, real: bool | None = None
 ) -> sdp.SdpProblem:
-    """Compile the probe SDP for a channel pair at mixing weight r."""
+    """Compile the scaled compatibility SDP for a channel pair.
+
+    r=None pins q = 0 and minimizes r (the robustness); a number pins r and
+    maximizes q (the feasibility margin, scaled by 1 + r).
+    """
     if ch1.din != ch2.din:
         raise ValueError("channels must share the input dimension")
-    if r < 0:
+    if r is not None and r < 0:
         raise ValueError(f"mixing weight must be nonnegative, got {r}")
     din, d1, d2 = ch1.din, ch1.dout, ch2.dout
     if real is None:
         real = _is_real(ch1.choi, ch2.choi)
     cd = noise is NoiseClass.COMPLETELY_DEPOLARIZING
-    mix = r / (1 + r)
 
     p = sdp.SdpProblem()
     p.add_psd_block("joint", din * d1 * d2, real=real)
@@ -142,42 +140,46 @@ def channel_feasibility_problem(
         p.add_psd_block("noise1", din * d1, real=real)
         p.add_psd_block("noise2", din * d2, real=real)
     p.add_scalar("q")
-    p.set_objective("max", scalar_coeffs={"q": 1.0})
+    p.add_scalar("r")
 
     t1, t2 = _marginal_ops(din, d1, d2, real)
     for which, (top, ch, dother) in enumerate([(t1, ch1, d2), (t2, ch2, d1)], start=1):
         name = f"noise{which}"
-        noise_op = -mix * _cd_embed_op(din, ch.dout, real) if cd else -mix
+        noise_op = -_cd_embed_op(din, ch.dout, real) if cd else -1.0
         p.add_matrix_equality(
             block_ops={"joint": top, name: noise_op},
             scalar_mats={"q": dother * np.eye(din * ch.dout)},
-            rhs=(ch.choi.real if real else ch.choi) / (1 + r),
+            rhs=ch.choi.real if real else ch.choi,
         )
     if cd:
         for which, d in ((1, d1), (2, d2)):
-            p.add_scalar_equality(block_mats={f"noise{which}": np.eye(d)}, rhs=1.0)
+            p.add_scalar_equality(block_mats={f"noise{which}": np.eye(d)}, scalar_coeffs={"r": -1.0})
     else:
         for which, d in ((1, d1), (2, d2)):
             p.add_matrix_equality(
                 block_ops={f"noise{which}": _tp_op(din, d, real)},
-                rhs=np.eye(din),
+                scalar_mats={"r": -np.eye(din)},
+                rhs=np.zeros((din, din)),
             )
+    if r is None:
+        p.add_scalar_equality(scalar_coeffs={"q": 1.0}, rhs=0.0)
+        p.set_objective("min", scalar_coeffs={"r": 1.0})
+    else:
+        p.add_scalar_equality(scalar_coeffs={"r": 1.0}, rhs=r)
+        p.set_objective("max", scalar_coeffs={"q": 1.0})
     return p
 
 
-def measurement_feasibility_problem(
-    m1: Povm, m2: Povm, r: float, real: bool | None = None
-) -> sdp.SdpProblem:
-    """Probe SDP for a measurement pair: joint POVM with noisy marginals."""
+def measurement_feasibility_problem(m1: Povm, m2: Povm, real: bool | None = None) -> sdp.SdpProblem:
+    """Robustness SDP for a measurement pair: minimize r such that a joint
+    POVM J_ij has marginals E_i + Na_i and F_j + Nb_j with noise POVMs
+    summing to r * 1."""
     if m1.dimension != m2.dimension:
         raise ValueError("measurements must act on the same dimension")
-    if r < 0:
-        raise ValueError(f"mixing weight must be nonnegative, got {r}")
     d = m1.dimension
     n1, n2 = len(m1), len(m2)
     if real is None:
         real = _is_real(*m1.effects, *m2.effects)
-    mix = r / (1 + r)
     eye_op = sdp.linear_map_matrix(lambda x: x, d, d, real)
 
     p = sdp.SdpProblem()
@@ -188,144 +190,52 @@ def measurement_feasibility_problem(
         p.add_psd_block(f"na{i}", d, real=real)
     for j in range(n2):
         p.add_psd_block(f"nb{j}", d, real=real)
-    p.add_scalar("q")
-    p.set_objective("max", scalar_coeffs={"q": 1.0})
+    p.add_scalar("r")
+    p.set_objective("min", scalar_coeffs={"r": 1.0})
 
     for i, effect in enumerate(m1.effects):
         ops = {f"joint{i}{j}": eye_op for j in range(n2)}
-        ops[f"na{i}"] = -mix
-        p.add_matrix_equality(
-            block_ops=ops,
-            scalar_mats={"q": n2 * np.eye(d)},
-            rhs=(effect.real if real else effect) / (1 + r),
-        )
+        ops[f"na{i}"] = -1.0
+        p.add_matrix_equality(block_ops=ops, rhs=effect.real if real else effect)
     for j, effect in enumerate(m2.effects):
         ops = {f"joint{i}{j}": eye_op for i in range(n1)}
-        ops[f"nb{j}"] = -mix
+        ops[f"nb{j}"] = -1.0
+        p.add_matrix_equality(block_ops=ops, rhs=effect.real if real else effect)
+    for prefix, count in (("na", n1), ("nb", n2)):
         p.add_matrix_equality(
-            block_ops=ops,
-            scalar_mats={"q": n1 * np.eye(d)},
-            rhs=(effect.real if real else effect) / (1 + r),
+            block_ops={f"{prefix}{k}": eye_op for k in range(count)},
+            scalar_mats={"r": -np.eye(d)},
+            rhs=np.zeros((d, d)),
         )
-    p.add_matrix_equality(block_ops={f"na{i}": eye_op for i in range(n1)}, rhs=np.eye(d))
-    p.add_matrix_equality(block_ops={f"nb{j}": eye_op for j in range(n2)}, rhs=np.eye(d))
     return p
 
 
 # ---------------------------------------------------------------------------
-# Probing and search
+# Robustness values
 # ---------------------------------------------------------------------------
 
-class _Prober:
-    """Feasibility oracle over r with warm starting and a stall retry.
-
-    Probes run at a relaxed tolerance; any probe whose q lands inside the
-    sign guard band is re-solved at the tight tolerance before its sign is
-    trusted. A probe that hits the iteration cap is retried once with a 4x
-    budget, then flagged indeterminate.
-    """
-
-    def __init__(self, build, eps: float = PROBE_EPS, tight_eps: float = TIGHT_EPS):
-        self.build = build
-        self.eps = eps
-        self.tight_eps = tight_eps
-        self.warm = None
-        self.trace: list[tuple[float, float]] = []
-        self.indeterminate: list[float] = []
-
-    def _solve(self, problem, eps: float, warm) -> sdp.SdpSolution:
-        sol = sdp.solve(problem, eps_abs=eps, eps_rel=eps, warm_start=warm)
-        if sol.status == "max_iterations":
-            sol = sdp.solve(
-                problem,
-                max_iters=RETRY_FACTOR * sdp._max_iters_default(),
-                eps_abs=eps,
-                eps_rel=eps,
-                warm_start=sol.warm_state,
-            )
-        return sol
-
-    def q(self, r: float) -> float | None:
-        problem = self.build(r)
-        sol = self._solve(problem, self.eps, self.warm)
-        if (
-            sol.status == "optimal"
-            and abs(sol.scalar_values["q"]) < SIGN_GUARD
-            and self.tight_eps < self.eps
-        ):
-            sol = self._solve(problem, self.tight_eps, sol.warm_state)
-        self.warm = sol.warm_state
-        if sol.status != "optimal":
-            self.indeterminate.append(r)
-            self.trace.append((r, math.nan))
-            return None
-        q = sol.scalar_values["q"]
-        self.trace.append((r, q))
-        return q
-
-    def feasible(self, r: float) -> bool:
-        q = self.q(r)
-        return q is not None and q >= -FEAS_TOL
-
-
-def _search(prober: _Prober, dr: float, refine: bool, scan: str) -> RobustnessResult:
+def _robustness_value(problem: sdp.SdpProblem, dr: float, refine: bool) -> RobustnessResult:
+    """Solve a direct program once and report r, or its grid value: the
+    smallest multiple of dr at or above r - R_TOL, capped at 1."""
     if dr <= 0:
         raise ValueError(f"grid step dr must be positive, got {dr}")
-    n_top = max(1, math.ceil(MAX_MIXING / dr - 1e-9))
-    grid = [min(k * dr, MAX_MIXING) for k in range(n_top + 1)]
-
-    if prober.feasible(grid[0]):
-        lo, hi = None, 0
-    elif scan == "linear":
-        hi = None
-        for k in range(1, n_top + 1):
-            if prober.feasible(grid[k]):
-                lo, hi = k - 1, k
-                break
-        if hi is None:
-            raise RuntimeError("pair not compatible at mixing weight 1; probe inconclusive")
+    sol = sdp.solve(problem)
+    r = min(max(sol.scalar_values["r"], 0.0), MAX_MIXING)
+    if refine:
+        r_star = 0.0 if r <= R_TOL else r
     else:
-        if not prober.feasible(grid[n_top]):
-            raise RuntimeError("pair not compatible at mixing weight 1; probe inconclusive")
-        lo, hi = 0, n_top
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if prober.feasible(grid[mid]):
-                hi = mid
-            else:
-                lo = mid
-
-    r_star = grid[hi]
-    method = "grid"
-    if refine and lo is not None:
-        a, b = grid[lo], grid[hi]
-        while b - a > REFINE_WIDTH:
-            mid = 0.5 * (a + b)
-            if prober.feasible(mid):
-                b = mid
-            else:
-                a = mid
-        r_star = b
-        method = "grid_plus_bisection"
-
-    q_star = next(q for r, q in reversed(prober.trace) if r == r_star and not math.isnan(q))
-    return RobustnessResult(
-        r_star=r_star,
-        q_at_r_star=q_star,
-        search_trace=tuple(prober.trace),
-        method=method,
-        indeterminate=tuple(prober.indeterminate),
-    )
+        r_star = min(max(math.ceil((r - R_TOL) / dr), 0) * dr, MAX_MIXING)
+    return RobustnessResult(r_star=r_star, indeterminate=sol.status != "optimal")
 
 
 def feasibility_q(ch1: Channel, ch2: Channel, r: float, noise: NoiseClass) -> float:
-    """Optimal q of the probe SDP; q >= 0 iff the noisy pair is compatible."""
-    noise = parse_noise(noise)
-    prober = _Prober(lambda rr: channel_feasibility_problem(ch1, ch2, rr, noise))
-    q = prober.q(r)
-    if q is None:
-        raise RuntimeError(f"solver did not converge for probe at r={r}")
-    return q
+    """Compatibility margin at mixing weight r: the largest q with
+    joint - q * 1 >= 0; q >= 0 iff the noisy pair is compatible."""
+    problem = channel_feasibility_problem(ch1, ch2, r, parse_noise(noise))
+    sol = sdp.solve(problem)
+    if sol.status != "optimal":
+        raise RuntimeError(f"solver did not converge for probe at r={r} ({sol.status})")
+    return sol.scalar_values["q"] / (1 + r)
 
 
 def robustness(
@@ -334,32 +244,18 @@ def robustness(
     noise: NoiseClass = NoiseClass.GENERIC,
     dr: float = 0.005,
     refine: bool = False,
-    scan: str = "lattice",
 ) -> RobustnessResult:
-    """Smallest grid multiple of dr at which the noisy pair turns compatible.
-
-    scan="lattice" bisects the dr-grid using upward closure of the
-    compatibility range; scan="linear" steps r = 0, dr, 2*dr, ... as in the
-    reference procedure. Both return the same grid point. With refine=True
-    the bracketing interval is narrowed to width 1e-5.
-    """
-    noise = parse_noise(noise)
-    if scan not in ("lattice", "linear"):
-        raise ValueError(f"scan must be 'lattice' or 'linear', got {scan!r}")
-    prober = _Prober(lambda rr: channel_feasibility_problem(ch1, ch2, rr, noise))
-    return _search(prober, dr, refine, scan)
+    """Smallest grid multiple of dr at which the noisy pair turns compatible,
+    or with refine=True the solver's r itself."""
+    problem = channel_feasibility_problem(ch1, ch2, None, parse_noise(noise))
+    return _robustness_value(problem, dr, refine)
 
 
 def measurement_robustness(
-    m1: Povm,
-    m2: Povm,
-    dr: float = 0.005,
-    refine: bool = True,
-    scan: str = "lattice",
+    m1: Povm, m2: Povm, dr: float = 0.005, refine: bool = True
 ) -> RobustnessResult:
     """Incompatibility robustness of two measurements under generic noise."""
-    prober = _Prober(lambda rr: measurement_feasibility_problem(m1, m2, rr))
-    return _search(prober, dr, refine, scan)
+    return _robustness_value(measurement_feasibility_problem(m1, m2), dr, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +263,13 @@ def measurement_robustness(
 # ---------------------------------------------------------------------------
 
 def _sweep_point(args) -> SweepRecord:
-    map1, map2, t, classes, dr, refine, scan, states = args
+    map1, map2, t, classes, dr, refine, states = args
     ch1, ch2 = map1.evaluate(t), map2.evaluate(t)
     results: dict[NoiseClass, RobustnessResult] = {
-        nc: robustness(ch1, ch2, nc, dr=dr, refine=refine, scan=scan) for nc in classes
+        nc: robustness(ch1, ch2, nc, dr=dr, refine=refine) for nc in classes
     }
     rho1, rho2 = states
     dist = trace_distance(apply(ch2, rho1), apply(ch2, rho2))
-    extras = {}
-    if any(res.indeterminate for res in results.values()):
-        extras["indeterminate"] = 1.0
     gen = results.get(NoiseClass.GENERIC)
     cd = results.get(NoiseClass.COMPLETELY_DEPOLARIZING)
     return SweepRecord(
@@ -384,7 +277,7 @@ def _sweep_point(args) -> SweepRecord:
         r_generic=None if gen is None else gen.r_star,
         r_cd=None if cd is None else cd.r_star,
         trace_distance=dist,
-        extras=extras,
+        indeterminate=any(res.indeterminate for res in results.values()),
     )
 
 
@@ -401,7 +294,6 @@ def sweep(
     noise="both",
     dr: float = 0.005,
     refine: bool = False,
-    scan: str = "lattice",
     workers: int = 1,
     states: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SweepRecord]:
@@ -420,7 +312,7 @@ def sweep(
         raise ValueError(f"worker count must be >= 1, got {workers}")
     classes = _noise_classes(noise)
     states = (KET0, KET1) if states is None else states
-    jobs = [(map1, map2, t, classes, dr, refine, scan, states) for t in t_grid]
+    jobs = [(map1, map2, t, classes, dr, refine, states) for t in t_grid]
     if workers == 1:
         return [_sweep_point(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -13,11 +13,12 @@ matrix equality contributes d(d+1)/2 real-part and d(d-1)/2 imaginary-part
 rows. Blocks declared real use the symmetric restriction of the same
 coordinates.
 
-The solver alternates projection onto the affine subspace (through a cached
-factorization of the regularized KKT system, with linearly dependent rows
-removed up front) and projection onto the PSD cone (eigenvalue clipping),
-with over-relaxation. Iteration order is fixed, so identical problems replay
-bitwise identically.
+The solver alternates projection onto the affine subspace (through an
+orthonormal basis of the constraint rows from one pivoted QR, which also
+drops linearly dependent rows) and projection onto the PSD cone (eigenvalue
+clipping), with over-relaxation. The penalty rho enters no factorization, so
+it is rebalanced between the primal and dual residuals as the iteration runs.
+Iteration order is fixed, so identical problems replay bitwise identically.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .linalg import is_hermitian
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_EPS = 1e-8
 OVER_RELAXATION = 1.5
-RHO = 0.1
+RHO = 0.1                 # initial penalty; rebalanced while iterating
+RHO_MIN, RHO_MAX = 1e-6, 1e6
+RHO_BALANCE = 10.0        # residual ratio that triggers a 2x penalty change
 CHECK_EVERY = 25
 STALL_RESIDUAL = 1e-4
 STALL_ITERS = 5_000
@@ -349,7 +352,9 @@ def solve(
 
     Termination: consensus and dual residuals below eps_abs plus a relative
     term. Stagnating iterates with a primal residual stuck above 1e-4 for
-    5000 consecutive iterations are declared infeasible.
+    5000 consecutive iterations are declared infeasible. Every CHECK_EVERY
+    iterations rho is doubled or halved when one residual exceeds the other
+    tenfold. warm_state holds the last z and the unscaled dual rho * u.
     """
     if max_iters is None:
         max_iters = _max_iters_default()
@@ -362,37 +367,34 @@ def solve(
     n = problem.n_vars
     c_min = -c if sense == "max" else c
 
-    # row normalization, then removal of linearly dependent rows
+    # row normalization, then an orthonormal basis q of the row space from a
+    # pivoted QR: the independent rows satisfy a_n[piv] = r^T q^T, so
+    # a_n x = b_n is q^T x = b_hat and dependent rows drop out
     norms = np.linalg.norm(a_full, axis=1)
     norms[norms == 0] = 1.0
     a_n = a_full / norms[:, None]
     b_n = b_full / norms
+    q, b_hat = np.zeros((n, 0)), np.zeros(0)
     if a_n.shape[0]:
-        _, r, piv = sla.qr(a_n.T, mode="economic", pivoting=True)
+        q, r, piv = sla.qr(a_n.T, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
         rank = int(np.sum(diag > max(a_n.shape) * 1e-12 * diag[0])) if diag.size else 0
-        keep = np.sort(piv[:rank])
-        a, b = a_n[keep], b_n[keep]
-    else:
-        a, b = a_n, b_n
-    m = a.shape[0]
+        q = q[:, :rank]
+        b_hat = sla.solve_triangular(r[:rank, :rank], b_n[piv[:rank]], trans="T")
 
-    # the equality-constrained proximal step is an affine map of z - u
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = RHO * np.eye(n)
-    kkt[:n, n:] = a.T
-    kkt[n:, :n] = a
-    kkt_inv = np.linalg.inv(kkt) if m else np.eye(n) / RHO
-    proj_lin = RHO * kkt_inv[:n, :n]
-    proj_const = kkt_inv[:n, n:] @ b - kkt_inv[:n, :n] @ c_min
+    # the equality-constrained proximal step projects z - u - c/rho onto the
+    # affine set; the objective enters through its part orthogonal to the rows
+    offset = q @ b_hat
+    c_perp = c_min - q @ (q.T @ c_min)
 
     blocks = list(problem._blocks.values())
     spans = [
         (blk.offset, blk.offset + blk.size, blk.dim, _coord_map(blk.dim, blk.real))
         for blk in blocks
     ]
+    rho = RHO
     if warm_start is not None and len(warm_start[0]) == n:
-        z, u = warm_start[0].copy(), warm_start[1].copy()
+        z, u = warm_start[0].copy(), warm_start[1] / rho
     else:
         z, u = np.zeros(n), np.zeros(n)
 
@@ -403,7 +405,8 @@ def solve(
     x = z
 
     for it in range(1, max_iters + 1):
-        x = proj_lin @ (z - u) + proj_const
+        zu = z - u
+        x = zu - q @ (q.T @ zu) + offset - c_perp / rho
         xh = OVER_RELAXATION * x + (1 - OVER_RELAXATION) * z
         z_prev = z
         v = xh + u
@@ -420,9 +423,9 @@ def solve(
 
         if it % CHECK_EVERY == 0:
             rp = np.linalg.norm(x - z)
-            rd = RHO * np.linalg.norm(z - z_prev)
+            rd = rho * np.linalg.norm(z - z_prev)
             ep = eps_abs + eps_rel * max(np.linalg.norm(x), np.linalg.norm(z))
-            ed = eps_abs + eps_rel * RHO * np.linalg.norm(u)
+            ed = eps_abs + eps_rel * rho * np.linalg.norm(u)
             if rp <= ep and rd <= ed:
                 status, iterations, dual_res = "optimal", it, rd
                 break
@@ -433,6 +436,11 @@ def solve(
                     break
             else:
                 stall_count = 0
+            # residual balancing; u is the dual scaled by 1/rho
+            if rp > RHO_BALANCE * rd or rd > RHO_BALANCE * rp:
+                new_rho = min(max(rho * (2.0 if rp > rd else 0.5), RHO_MIN), RHO_MAX)
+                u *= rho / new_rho
+                rho = new_rho
 
     block_values = {
         blk.name: unpack(z[blk.offset : blk.offset + blk.size], blk.dim, blk.real)
@@ -452,5 +460,5 @@ def solve(
         primal_residual=primal,
         dual_residual=float(dual_res),
         iterations=iterations,
-        warm_state=(z, u),
+        warm_state=(z, rho * u),
     )

@@ -202,16 +202,20 @@ def check_noise_dominance_cap() -> CheckResult:
     worst_gap = -math.inf
     highest = -math.inf
     lowest = math.inf
+    flagged = []
     for fig in range(1, 8):
         for rec in _figure_records(fig):
+            if rec.indeterminate:
+                flagged.append((fig, rec.t))
             worst_gap = max(worst_gap, rec.r_generic - rec.r_cd)
             highest = max(highest, rec.r_cd, rec.r_generic)
             lowest = min(lowest, rec.r_cd, rec.r_generic)
-    ok = worst_gap <= 1e-12 and highest <= 1 + 1e-6 and lowest >= 0
+    ok = worst_gap <= 1e-12 and highest <= 1 + 1e-6 and lowest >= 0 and not flagged
     return CheckResult(
         "noise_dominance_cap",
         ok,
-        f"max(r_generic - r_cd) = {worst_gap:.2e}, robustness range [{lowest:.4f}, {highest:.4f}]",
+        f"max(r_generic - r_cd) = {worst_gap:.2e}, robustness range [{lowest:.4f}, {highest:.4f}];"
+        f" indeterminate (figure, t): {flagged or 'none'}",
     )
 
 

@@ -11,6 +11,7 @@ from chancompat.channels import (
     identity_map,
     projective_povm,
 )
+from chancompat.figures import DR, LAM, OMEGA
 from chancompat.robustness import (
     NoiseClass,
     RobustnessResult,
@@ -21,6 +22,7 @@ from chancompat.robustness import (
     robustness,
     sweep,
 )
+from chancompat.validation import _figure_records
 from conftest import random_channel
 
 CD = NoiseClass.COMPLETELY_DEPOLARIZING
@@ -72,7 +74,6 @@ class TestChannelRobustness:
     def test_identity_pair_cd(self):
         res = robustness(IDENT, IDENT, CD, refine=True)
         assert abs(res.r_star - 0.5) <= 0.005
-        assert res.method == "grid_plus_bisection"
 
     def test_identity_pair_generic(self):
         res = robustness(IDENT, IDENT, GEN, refine=True)
@@ -81,22 +82,17 @@ class TestChannelRobustness:
     def test_cd_channel_compatible_with_anything(self, rng):
         res = robustness(CD_CHANNEL, random_channel(rng), GEN)
         assert res.r_star == 0.0
-        assert len(res.search_trace) == 1
 
-    def test_grid_bracketing_probe(self):
-        res = robustness(IDENT, IDENT, CD)
-        assert res.r_star == 0.5
-        below = dict(res.search_trace)[res.r_star - 0.005]
-        assert below < 0
-
-    def test_linear_scan_agrees_with_lattice(self):
-        ch = depolarizing_choi(0.75)
-        lat = robustness(ch, ch, CD, dr=0.01)
-        lin = robustness(ch, ch, CD, dr=0.01, scan="linear")
-        assert lat.r_star == lin.r_star
-        assert lin.search_trace[0][0] == 0.0
-        with pytest.raises(ValueError):
-            robustness(ch, ch, CD, scan="newton")
+    @pytest.mark.parametrize(
+        "ch, dr, expect",
+        [(IDENT, 0.005, 0.5), (depolarizing_choi(0.75), 0.01, 0.13)],
+        ids=["identity", "depolarizing"],
+    )
+    def test_grid_bracketing_probe(self, ch, dr, expect):
+        # the grid value is the first multiple of dr at which the pair is compatible
+        r_star = robustness(ch, ch, CD, dr=dr).r_star
+        assert r_star == expect
+        assert feasibility_q(ch, ch, r_star, CD) >= 0 > feasibility_q(ch, ch, r_star - dr, CD)
 
     def test_symmetry(self, rng):
         ch1, ch2 = random_channel(rng), random_channel(rng)
@@ -133,7 +129,6 @@ class TestMeasurementRobustness:
         x = projective_povm(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         res = measurement_robustness(z, x)
         assert abs(res.r_star - (3 - 2 * math.sqrt(2))) < 2e-4
-        assert res.method == "grid_plus_bisection"
 
     def test_dimension_mismatch(self):
         m2 = projective_povm(np.eye(2))
@@ -165,6 +160,12 @@ class TestSweep:
         one = sweep(depolarizing_map(0.5), depolarizing_map(0.5), grid, noise="cd", dr=0.05)
         two = sweep(depolarizing_map(0.5), depolarizing_map(0.5), grid, noise="cd", dr=0.05, workers=2)
         assert [r.r_cd for r in one] == [r.r_cd for r in two]
+
+    def test_unconverged_solve_is_flagged(self, monkeypatch):
+        monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+        assert robustness(IDENT, IDENT, CD).indeterminate
+        (rec,) = sweep(identity_map(), identity_map(), [0.0], noise="both", dr=0.05)
+        assert rec.indeterminate
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -201,4 +202,33 @@ class TestRecords:
 
     def test_robustness_result_validation(self):
         with pytest.raises(ValueError):
-            RobustnessResult(r_star=0.1, q_at_r_star=-0.5, search_trace=(), method="grid")
+            RobustnessResult(r_star=-0.1)
+        with pytest.raises(ValueError):
+            RobustnessResult(r_star=1.5)
+
+
+def _w_div(t):
+    return math.exp(-LAM * t)
+
+
+def _w_osc(t):
+    return math.exp(-LAM * t) * math.cos(OMEGA * t) ** 2
+
+
+# shrink factors (w1, w2) of the two depolarizing maps of figures 1-4
+FIGURE_WEIGHTS = {
+    1: lambda t: (_w_div(t), _w_div(t)),
+    2: lambda t: (_w_osc(t), _w_osc(t)),
+    3: lambda t: (_w_div(t), _w_osc(t)),
+    4: lambda t: (1.0, _w_osc(t)),
+}
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURE_WEIGHTS))
+def test_depolarizing_figures_match_closed_form(fig):
+    # asymmetric cloning region: compatible iff w1^2 + w2^2 + w1 w2 <= w1 + w2
+    for rec in _figure_records(fig):
+        w1, w2 = FIGURE_WEIGHTS[fig](rec.t)
+        r_cf = max(0.0, (w1 * w1 + w2 * w2 + w1 * w2) / (w1 + w2) - 1.0)
+        expect = min(math.ceil((r_cf - 1e-6) / DR) * DR, 1.0)
+        assert abs(rec.r_cd - expect) <= 1e-9, (rec.t, rec.r_cd, expect)
