@@ -1,4 +1,4 @@
-"""Quantum channels as Choi matrices, plus the built-in dynamical-map families.
+"""Quantum channels as Choi matrices, and dynamical maps t -> channel.
 
 Choi convention: C = sum_ij |i><j| (x) L(|i><j|), unnormalized (Tr C = din),
 with subsystem order input (x) output. Complete positivity is C >= 0 and trace
@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -20,8 +21,6 @@ CP_EIG_FLOOR = -1e-9
 TP_TOL = 1e-9
 POVM_EIG_FLOOR = -1e-10
 POVM_SUM_TOL = 1e-10
-
-FAMILIES = ("depolarizing", "amplitude_damping", "eternal", "identity")
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,6 @@ class Channel:
         marg = partial_trace(self.choi, [self.din, self.dout], keep={0})
         if np.max(np.abs(marg - np.eye(self.din))) > TP_TOL:
             raise ValueError("Tr_out(choi) != identity: map is not trace preserving")
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return apply(self, rho)
 
 
 def choi_from_map(fn: Callable[[np.ndarray], np.ndarray], din: int) -> np.ndarray:
@@ -140,80 +136,72 @@ def eternal_choi(t: float) -> Channel:
 
 @dataclass(frozen=True)
 class DynamicalMap:
-    """Named time-parametrized channel family t -> Channel.
+    """Time-parametrized channel family t -> channel_at(t).
 
-    families and parameters:
-      depolarizing      w(t) = exp(-lam t), or exp(-lam t) cos^2(omega t)
-                        when omega is given
-      amplitude_damping w(t) = 1 - exp(-alpha t) cos^2(omega t)
-      eternal           fixed rates, no parameters
-      identity          identity channel for all t
+    label names the map in reports; period, when set, is the oscillation
+    period that a time grid must resolve. The factories below build maps
+    from module-level functions so that maps pickle for worker processes.
     """
 
-    family: str
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        object.__setattr__(self, "params", dict(self.params))
+    label: str
+    channel_at: Callable[[float], Channel]
+    period: float | None = None
 
     def evaluate(self, t: float) -> Channel:
-        """Channel at time t >= 0; t = 0 is the identity for every family."""
+        """Channel at time t >= 0."""
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        p = self.params
-        if self.family == "identity":
-            return identity_channel(2)
-        if self.family == "depolarizing":
-            w = math.exp(-p["lam"] * t)
-            if "omega" in p:
-                w *= math.cos(p["omega"] * t) ** 2
-            return depolarizing_choi(w)
-        if self.family == "amplitude_damping":
-            w = 1 - math.exp(-p["alpha"] * t) * math.cos(p["omega"] * t) ** 2
-            return amplitude_damping_choi(min(max(w, 0.0), 1.0))
-        return eternal_choi(t)
+        return self.channel_at(t)
 
-    def label(self) -> str:
-        if not self.params:
-            return self.family
-        args = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
-        return f"{self.family}({args})"
+
+def _depolarizing_at(lam: float, omega: float | None, t: float) -> Channel:
+    w = math.exp(-lam * t)
+    if omega is not None:
+        w *= math.cos(omega * t) ** 2
+    return depolarizing_choi(w)
+
+
+def _amplitude_damping_at(alpha: float, omega: float, t: float) -> Channel:
+    w = 1 - math.exp(-alpha * t) * math.cos(omega * t) ** 2
+    return amplitude_damping_choi(min(max(w, 0.0), 1.0))
+
+
+def _constant_at(channel: Channel, t: float) -> Channel:
+    return channel
 
 
 def depolarizing_map(lam: float, omega: float | None = None) -> DynamicalMap:
-    params = {"lam": lam} if omega is None else {"lam": lam, "omega": omega}
-    return DynamicalMap("depolarizing", params)
+    """w(t) = exp(-lam t), or exp(-lam t) cos^2(omega t) when omega is given."""
+    if omega is None:
+        return DynamicalMap(f"depolarizing(lam={lam:g})", partial(_depolarizing_at, lam, None))
+    return DynamicalMap(
+        f"depolarizing(lam={lam:g},omega={omega:g})",
+        partial(_depolarizing_at, lam, omega),
+        math.pi / omega if omega else None,
+    )
 
 
 def amplitude_damping_map(alpha: float, omega: float) -> DynamicalMap:
-    return DynamicalMap("amplitude_damping", {"alpha": alpha, "omega": omega})
+    """Decay probability w(t) = 1 - exp(-alpha t) cos^2(omega t)."""
+    return DynamicalMap(
+        f"amplitude_damping(alpha={alpha:g},omega={omega:g})",
+        partial(_amplitude_damping_at, alpha, omega),
+        math.pi / omega if omega else None,
+    )
 
 
 def eternal_map() -> DynamicalMap:
-    return DynamicalMap("eternal")
+    return DynamicalMap("eternal", eternal_choi)
 
 
 def identity_map() -> DynamicalMap:
-    return DynamicalMap("identity")
+    return DynamicalMap("identity", partial(_constant_at, identity_channel(2)))
 
 
-@dataclass(frozen=True)
-class ConstantMap:
+def constant_map(channel: Channel) -> DynamicalMap:
     """Time-independent map around a fixed channel, e.g. user-supplied Choi
     input. Note t = 0 is the channel itself, not the identity."""
-
-    channel: Channel
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def evaluate(self, t: float) -> Channel:
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        return self.channel
-
-    def label(self) -> str:
-        return "constant"
+    return DynamicalMap("constant", partial(_constant_at, channel))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,14 @@ Subcommands:
   measure   CP-indivisibility measure of a family against a reference
   validate  run the named end-to-end checks
 
+FAMILIES builds each named map family from the --lam/--omega/--alpha flags;
+`sweep` also takes `custom`, a constant map around a --choi JSON channel.
+
 CSV output uses 9 significant digits, '\\n' line endings, and a fixed column
 order, so repeated runs with the same configuration are byte-identical. The
 environment variable SOLVER_MAX_ITERS overrides the solver iteration cap.
+A command whose solves did not all converge names their times on stderr and
+exits 1.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .channels import (
-    ConstantMap,
+    DynamicalMap,
     amplitude_damping_map,
     channel_from_json,
+    constant_map,
     depolarizing_map,
     eternal_map,
     identity_map,
@@ -29,19 +36,18 @@ from .channels import (
 from .figures import ALPHA, DR, FIGURES, LAM, OMEGA, T_MAX, T_STEP, default_t_grid
 from .robustness import sweep
 from .validation import run_checks
-from .witness import teleport_fidelity
+from .witness import cp_indivisibility_measure, teleport_fidelity
 
-FAMILY_CHOICES = (
-    "identity",
-    "depolarizing-div",
-    "depolarizing-indiv",
-    "amplitude-damping",
-    "eternal",
-    "custom",
-)
+FAMILIES: dict[str, Callable[[argparse.Namespace], DynamicalMap]] = {
+    "identity": lambda args: identity_map(),
+    "depolarizing-div": lambda args: depolarizing_map(args.lam),
+    "depolarizing-indiv": lambda args: depolarizing_map(args.lam, args.omega),
+    "amplitude-damping": lambda args: amplitude_damping_map(args.alpha, args.omega),
+    "eternal": lambda args: eternal_map(),
+}
 
 
-class SystemExit2(Exception):
+class UsageError(Exception):
     """Usage error discovered after argparse; mapped to exit code 2."""
 
 
@@ -49,22 +55,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _resolve_family(name: str, args, choi_path: str | None):
-    if name == "custom":
-        if choi_path is None:
-            raise SystemExit2("family 'custom' requires a --choi JSON file")
-        return ConstantMap(channel_from_json(Path(choi_path).read_text()))
-    if name == "identity":
-        return identity_map()
-    if name == "depolarizing-div":
-        return depolarizing_map(args.lam)
-    if name == "depolarizing-indiv":
-        return depolarizing_map(args.lam, args.omega)
-    if name == "amplitude-damping":
-        return amplitude_damping_map(args.alpha, args.omega)
-    if name == "eternal":
-        return eternal_map()
-    raise SystemExit2(f"unknown family {name!r}")
+def _resolve_family(name: str, args, choi_path: str | None) -> DynamicalMap:
+    if name != "custom":
+        return FAMILIES[name](args)
+    if choi_path is None:
+        raise UsageError("family 'custom' requires a --choi JSON file")
+    return constant_map(channel_from_json(Path(choi_path).read_text()))
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -101,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure)
 
     p_sweep = sub.add_parser("sweep", help="robustness sweep for a chosen map pair")
-    p_sweep.add_argument("--family", choices=FAMILY_CHOICES, required=True)
-    p_sweep.add_argument("--family2", choices=FAMILY_CHOICES, required=True)
+    p_sweep.add_argument("--family", choices=[*FAMILIES, "custom"], required=True)
+    p_sweep.add_argument("--family2", choices=[*FAMILIES, "custom"], required=True)
     p_sweep.add_argument("--choi", help="channel JSON for family=custom")
     p_sweep.add_argument("--choi2", help="channel JSON for family2=custom")
     _add_family_args(p_sweep)
@@ -110,15 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_tel = sub.add_parser("teleport", help="teleportation fidelity curve")
-    p_tel.add_argument("--family", choices=FAMILY_CHOICES[:-1], default="depolarizing-indiv")
+    p_tel.add_argument("--family", choices=FAMILIES, default="depolarizing-indiv")
     _add_family_args(p_tel)
     _add_grid_args(p_tel)
     p_tel.add_argument("--output", "-o")
     p_tel.set_defaults(func=cmd_teleport)
 
     p_meas = sub.add_parser("measure", help="CP-indivisibility measure")
-    p_meas.add_argument("--family", choices=FAMILY_CHOICES[:-1], default="depolarizing-indiv")
-    p_meas.add_argument("--reference", choices=FAMILY_CHOICES[:-1], default="identity")
+    p_meas.add_argument("--family", choices=FAMILIES, default="depolarizing-indiv")
+    p_meas.add_argument("--reference", choices=FAMILIES, default="identity")
     p_meas.add_argument("--noise", choices=("generic", "cd"), default="generic")
     p_meas.add_argument("--integrand", choices=("robustness", "derivative"), default="robustness")
     _add_family_args(p_meas)
@@ -179,11 +175,15 @@ def _run_sweep(args, map1, map2, teleport_map=None) -> int:
         workers=args.workers,
     )
     _write_lines(args.output, _sweep_to_csv(records, args.noise, teleport_map))
-    bad = [rec.t for rec in records if rec.indeterminate]
-    if bad:
-        print(f"indeterminate solves at t = {bad}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_indeterminate([rec.t for rec in records if rec.indeterminate])
+
+
+def _report_indeterminate(ts: list[float]) -> int:
+    """Name the times of unconverged solves on stderr and return the exit code."""
+    if not ts:
+        return 0
+    print(f"indeterminate solves at t = {ts}", file=sys.stderr)
+    return 1
 
 
 def cmd_figure(args) -> int:
@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_teleport(args) -> int:
-    map_ = _resolve_family(args.family, args, None)
+    map_ = FAMILIES[args.family](args)
     lines = ["t,n_value,f_max"]
     for t in default_t_grid(args.t_min, args.t_max, args.t_step):
         n, f = teleport_fidelity(map_, t)
@@ -209,10 +209,8 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    from .witness import cp_indivisibility_measure
-
-    map_ = _resolve_family(args.family, args, None)
-    reference = _resolve_family(args.reference, args, None)
+    map_ = FAMILIES[args.family](args)
+    reference = FAMILIES[args.reference](args)
     grid = default_t_grid(args.t_min, args.t_max, args.t_step)
     report = cp_indivisibility_measure(
         map_,
@@ -223,8 +221,8 @@ def cmd_measure(args) -> int:
         integrand=args.integrand,
         workers=args.workers,
     )
-    print(f"family:          {map_.label()}")
-    print(f"reference:       {reference.label()}")
+    print(f"family:          {map_.label}")
+    print(f"reference:       {reference.label}")
     print(f"measure_raw:     {_fmt(report.n_raw)}")
     print(f"measure_norm:    {_fmt(report.n_normalized)}")
     print(f"rising_segments: {[(round(a, 6), round(b, 6)) for a, b in report.rising_segments]}")
@@ -232,7 +230,7 @@ def cmd_measure(args) -> int:
         lines = ["t,robustness"]
         lines += [",".join([_fmt(p.t), _fmt(p.value)]) for p in report.curve]
         _write_lines(args.output, lines)
-    return 0
+    return _report_indeterminate(list(report.indeterminate))
 
 
 def cmd_validate(args) -> int:
@@ -252,7 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
+    except UsageError as exc:
         parser.error(str(exc))
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

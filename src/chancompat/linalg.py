@@ -16,7 +16,6 @@ HERMITIAN_TOL = 1e-12
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -27,16 +26,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Entrywise check of a = a^dagger within tol."""
     return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - dagger(a))) <= tol)
-
-
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^dagger) / 2."""
-    return (a + dagger(a)) / 2
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; entry (i*p+k, j*q+l) = a[i,j] * b[k,l]."""
-    return np.kron(a, b)
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> None:

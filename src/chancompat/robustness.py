@@ -69,7 +69,9 @@ class RobustnessResult:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One time point of a sweep; the CSV row unit."""
+    """One time point of a sweep; the CSV row unit. An indeterminate record
+    skips the generic <= CD dominance check, so that an unconverged point
+    comes back flagged instead of aborting the sweep."""
 
     t: float
     r_generic: float | None
@@ -81,7 +83,7 @@ class SweepRecord:
         for r in (self.r_generic, self.r_cd):
             if r is not None and not -1e-12 <= r <= 1 + 1e-6:
                 raise ValueError(f"robustness {r} outside [0, 1 + 1e-6]")
-        if self.r_generic is not None and self.r_cd is not None:
+        if self.r_generic is not None and self.r_cd is not None and not self.indeterminate:
             if self.r_generic > self.r_cd + 1e-4:
                 raise ValueError(
                     f"generic robustness {self.r_generic} exceeds CD robustness {self.r_cd}"
@@ -115,7 +117,7 @@ def _is_real(*mats: np.ndarray) -> bool:
 
 
 def channel_feasibility_problem(
-    ch1: Channel, ch2: Channel, r: float | None, noise: NoiseClass, real: bool | None = None
+    ch1: Channel, ch2: Channel, r: float | None, noise: NoiseClass
 ) -> sdp.SdpProblem:
     """Compile the scaled compatibility SDP for a channel pair.
 
@@ -127,8 +129,7 @@ def channel_feasibility_problem(
     if r is not None and r < 0:
         raise ValueError(f"mixing weight must be nonnegative, got {r}")
     din, d1, d2 = ch1.din, ch1.dout, ch2.dout
-    if real is None:
-        real = _is_real(ch1.choi, ch2.choi)
+    real = _is_real(ch1.choi, ch2.choi)
     cd = noise is NoiseClass.COMPLETELY_DEPOLARIZING
 
     p = sdp.SdpProblem()
@@ -170,7 +171,7 @@ def channel_feasibility_problem(
     return p
 
 
-def measurement_feasibility_problem(m1: Povm, m2: Povm, real: bool | None = None) -> sdp.SdpProblem:
+def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:
     """Robustness SDP for a measurement pair: minimize r such that a joint
     POVM J_ij has marginals E_i + Na_i and F_j + Nb_j with noise POVMs
     summing to r * 1."""
@@ -178,8 +179,7 @@ def measurement_feasibility_problem(m1: Povm, m2: Povm, real: bool | None = None
         raise ValueError("measurements must act on the same dimension")
     d = m1.dimension
     n1, n2 = len(m1), len(m2)
-    if real is None:
-        real = _is_real(*m1.effects, *m2.effects)
+    real = _is_real(*m1.effects, *m2.effects)
     eye_op = sdp.linear_map_matrix(lambda x: x, d, d, real)
 
     p = sdp.SdpProblem()
@@ -263,13 +263,12 @@ def measurement_robustness(
 # ---------------------------------------------------------------------------
 
 def _sweep_point(args) -> SweepRecord:
-    map1, map2, t, classes, dr, refine, states = args
+    map1, map2, t, classes, dr, refine = args
     ch1, ch2 = map1.evaluate(t), map2.evaluate(t)
     results: dict[NoiseClass, RobustnessResult] = {
         nc: robustness(ch1, ch2, nc, dr=dr, refine=refine) for nc in classes
     }
-    rho1, rho2 = states
-    dist = trace_distance(apply(ch2, rho1), apply(ch2, rho2))
+    dist = trace_distance(apply(ch2, KET0), apply(ch2, KET1))
     gen = results.get(NoiseClass.GENERIC)
     cd = results.get(NoiseClass.COMPLETELY_DEPOLARIZING)
     return SweepRecord(
@@ -295,11 +294,10 @@ def sweep(
     dr: float = 0.005,
     refine: bool = False,
     workers: int = 1,
-    states: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SweepRecord]:
     """Robustness and trace-distance witness along a pair of dynamical maps.
 
-    The trace-distance column evolves the default state pair |0><0|, |1><1|
+    The trace-distance column evolves the state pair |0><0|, |1><1|
     through map2 (the map under study). Each time point is solved cold and
     independently, so results do not depend on the worker count.
     """
@@ -311,8 +309,7 @@ def sweep(
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     classes = _noise_classes(noise)
-    states = (KET0, KET1) if states is None else states
-    jobs = [(map1, map2, t, classes, dr, refine, states) for t in t_grid]
+    jobs = [(map1, map2, t, classes, dr, refine) for t in t_grid]
     if workers == 1:
         return [_sweep_point(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -23,9 +23,8 @@ Iteration order is fixed, so identical problems replay bitwise identically.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -101,14 +100,6 @@ def linear_map_matrix(
         out[:, a] = pack(fn(unpack(e, d_in, real)), real)
         e[a] = 0.0
     return out
-
-
-def real_embed(h: np.ndarray) -> np.ndarray:
-    """[[Re h, -Im h], [Im h, Re h]]; PSD iff h is, with doubled spectrum."""
-    if not is_hermitian(h):
-        raise ValueError("real_embed requires a Hermitian matrix")
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
 
 
 @lru_cache(maxsize=None)
@@ -242,16 +233,16 @@ class SdpProblem:
 
     def add_matrix_equality(
         self,
-        block_ops: Mapping[str, np.ndarray | Callable[[np.ndarray], np.ndarray] | float],
+        block_ops: Mapping[str, np.ndarray | float],
         scalar_mats: Mapping[str, np.ndarray] | None = None,
         rhs: np.ndarray | None = None,
     ) -> None:
         """Hermitian matrix equality sum_k T_k(X_k) + sum_s t_s G_s = rhs.
 
-        Block operators may be given as a precompiled matrix acting on pack
-        coordinates, a callable probed on a coordinate basis, or a plain float
-        (meaning that multiple of the identity map; block and rhs dimensions
-        must then agree). Compiles to one row per rhs pack coordinate.
+        Block operators are given as a matrix acting on pack coordinates (see
+        linear_map_matrix) or a plain float (meaning that multiple of the
+        identity map; block and rhs dimensions must then agree). Compiles to
+        one row per rhs pack coordinate.
         """
         rhs = np.asarray(rhs)
         d_out = rhs.shape[0]
@@ -264,9 +255,7 @@ class SdpProblem:
         seg = np.zeros((p, self._n))
         for name, op in block_ops.items():
             blk = self._block(name)
-            if callable(op):
-                op = linear_map_matrix(op, blk.dim, d_out, blk.real)
-            elif np.isscalar(op):
+            if np.isscalar(op):
                 if blk.dim != d_out:
                     raise SdpBuildError(
                         f"scalar operator on block {blk.name!r} needs matching dimensions"
@@ -300,24 +289,6 @@ class SdpProblem:
         c = np.zeros(self._n) if self._objective is None else self._objective
         return a, b, c, self._sense
 
-    def to_json(self) -> str:
-        """Self-describing dump for offline cross-checking."""
-        a, b, c, sense = self.system()
-        return json.dumps(
-            {
-                "coordinates": "per block: diag, sqrt(2)*Re(upper), sqrt(2)*Im(upper); then scalars",
-                "blocks": [
-                    {"name": k.name, "dim": k.dim, "real": k.real, "offset": k.offset, "size": k.size}
-                    for k in self._blocks.values()
-                ],
-                "scalars": [{"name": s, "offset": o} for s, o in self._scalars.items()],
-                "sense": sense,
-                "c": c.tolist(),
-                "A": a.tolist(),
-                "b": b.tolist(),
-            }
-        )
-
 
 # ---------------------------------------------------------------------------
 # Solver
@@ -332,7 +303,6 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     iterations: int
-    warm_state: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 def _max_iters_default() -> int:
@@ -345,8 +315,6 @@ def solve(
     max_iters: int | None = None,
     eps_abs: float = DEFAULT_EPS,
     eps_rel: float = DEFAULT_EPS,
-    warm_start: tuple[np.ndarray, np.ndarray] | None = None,
-    dim_guard: int | None = DIM_GUARD,
 ) -> SdpSolution:
     """Run the splitting iteration on a compiled problem.
 
@@ -354,14 +322,14 @@ def solve(
     term. Stagnating iterates with a primal residual stuck above 1e-4 for
     5000 consecutive iterations are declared infeasible. Every CHECK_EVERY
     iterations rho is doubled or halved when one residual exceeds the other
-    tenfold. warm_state holds the last z and the unscaled dual rho * u.
+    tenfold. Problems whose embedded PSD dimension exceeds DIM_GUARD are
+    rejected before iterating.
     """
     if max_iters is None:
         max_iters = _max_iters_default()
-    if dim_guard is not None and problem.embedded_dimension() > dim_guard:
+    if problem.embedded_dimension() > DIM_GUARD:
         raise SdpBuildError(
-            f"embedded PSD dimension {problem.embedded_dimension()} exceeds guard {dim_guard};"
-            " pass dim_guard=None to override"
+            f"embedded PSD dimension {problem.embedded_dimension()} exceeds guard {DIM_GUARD}"
         )
     a_full, b_full, c, sense = problem.system()
     n = problem.n_vars
@@ -393,10 +361,7 @@ def solve(
         for blk in blocks
     ]
     rho = RHO
-    if warm_start is not None and len(warm_start[0]) == n:
-        z, u = warm_start[0].copy(), warm_start[1] / rho
-    else:
-        z, u = np.zeros(n), np.zeros(n)
+    z, u = np.zeros(n), np.zeros(n)
 
     status = "max_iterations"
     iterations = max_iters
@@ -460,5 +425,4 @@ def solve(
         primal_residual=primal,
         dual_residual=float(dual_res),
         iterations=iterations,
-        warm_state=(z, rho * u),
     )

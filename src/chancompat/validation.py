@@ -64,7 +64,8 @@ def _segments_aligned(
     )
 
 
-def _random_channel(rng: np.random.Generator, din: int = 2, dout: int = 2) -> Channel:
+def random_channel(rng: np.random.Generator, din: int = 2, dout: int = 2) -> Channel:
+    """Random CPTP map: random PSD Choi with the input marginal whitened."""
     d = din * dout
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     c = g @ g.conj().T
@@ -75,7 +76,8 @@ def _random_channel(rng: np.random.Generator, din: int = 2, dout: int = 2) -> Ch
     return Channel(din, dout, fix @ c @ fix.conj().T)
 
 
-def _random_basis(rng: np.random.Generator, d: int = 2) -> np.ndarray:
+def random_basis(rng: np.random.Generator, d: int = 2) -> np.ndarray:
+    """Random unitary: QR of a complex Gaussian matrix, phases fixed."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -161,7 +163,7 @@ def check_upward_closure() -> CheckResult:
     rng = np.random.default_rng(20230817)
     failures = []
     for k in range(20):
-        ch1, ch2 = _random_channel(rng), _random_channel(rng)
+        ch1, ch2 = random_channel(rng), random_channel(rng)
         res = robustness(ch1, ch2, NoiseClass.GENERIC, refine=True)
         for bump in (0.05, 0.5):
             q = feasibility_q(ch1, ch2, res.r_star + bump, NoiseClass.GENERIC)
@@ -178,7 +180,7 @@ def check_upward_closure() -> CheckResult:
 
 def check_measurement_channel_bound() -> CheckResult:
     rng = np.random.default_rng(905)
-    pairs = [(_random_basis(rng), _random_basis(rng)) for _ in range(20)]
+    pairs = [(random_basis(rng), random_basis(rng)) for _ in range(20)]
     d1 = depolarizing_map(LAM)
     d2 = depolarizing_map(LAM, OMEGA)
     times = (0.05, 0.25, 0.45, 0.65, 0.85)

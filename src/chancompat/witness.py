@@ -7,14 +7,13 @@ that integrates the channel-robustness curve over its rising segments.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import Channel, DynamicalMap, apply, identity_map
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, kron, trace_distance, trace_norm
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, trace_distance, trace_norm
 from .robustness import NoiseClass, parse_noise, sweep
 
 DEAD_BAND = 2e-3
@@ -37,6 +36,7 @@ class IndivisibilityReport:
     rising_segments: tuple[tuple[float, float], ...]
     reference: DynamicalMap
     curve: tuple[CurvePoint, ...]
+    indeterminate: tuple[float, ...] = ()   # t of unconverged solves
 
 
 def blp_curve(
@@ -77,7 +77,7 @@ def teleport_fidelity(map_: DynamicalMap, t: float) -> tuple[float, float]:
     s = np.empty((3, 3))
     for i, si in enumerate(paulis):
         for j, sj in enumerate(paulis):
-            s[i, j] = np.trace(rho @ kron(si, sj)).real
+            s[i, j] = np.trace(rho @ np.kron(si, sj)).real
     n_value = trace_norm(s)
     f_max = 0.5 * (1 + n_value / 3) if n_value > 1 else 2 / 3
     return n_value, f_max
@@ -157,15 +157,15 @@ def cp_indivisibility_measure(
     quantization) selects the rising segments, and r is integrated over them
     by the trapezoid rule. integrand="derivative" instead accumulates the
     total rise, the information-backflow analogue. The reference defaults to
-    the identity map and is a fixed choice, not optimized over.
+    the identity map and is a fixed choice, not optimized over. The times of
+    unconverged solves are listed in the report's indeterminate field.
     """
     if len(t_grid) < 3:
         raise ValueError("t_grid too coarse: need at least 3 points")
     if integrand not in ("robustness", "derivative"):
         raise ValueError(f"integrand must be 'robustness' or 'derivative', got {integrand!r}")
-    omega = map_.params.get("omega")
-    if omega:
-        period = math.pi / omega
+    period = map_.period
+    if period is not None:
         max_step = max(b - a for a, b in zip(t_grid, t_grid[1:]))
         if max_step > period / MIN_POINTS_PER_PERIOD + 1e-12:
             raise ValueError(
@@ -179,4 +179,5 @@ def cp_indivisibility_measure(
         rec.r_generic if noise is NoiseClass.GENERIC else rec.r_cd for rec in records
     ]
     ts = [rec.t for rec in records]
-    return indivisibility_from_curve(ts, rs, reference, dead_band, integrand)
+    report = indivisibility_from_curve(ts, rs, reference, dead_band, integrand)
+    return replace(report, indeterminate=tuple(rec.t for rec in records if rec.indeterminate))

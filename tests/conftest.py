@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from chancompat.validation import random_channel  # noqa: F401 - re-exported for the tests
+
 
 @pytest.fixture
 def rng():
@@ -16,23 +18,3 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def random_channel(rng, din=2, dout=2):
-    """Random CPTP map: random PSD Choi with the input marginal whitened."""
-    from chancompat import Channel
-
-    d = din * dout
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    c = g @ g.conj().T
-    marg = np.einsum("ikjk->ij", c.reshape(din, dout, din, dout))
-    w, v = np.linalg.eigh(marg)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    fix = np.kron(inv_sqrt, np.eye(dout))
-    return Channel(din, dout, fix @ c @ fix.conj().T)
-
-
-def random_basis(rng, d=2):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

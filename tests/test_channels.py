@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.integrate import quad
 
 from chancompat.channels import (
     Channel,
-    ConstantMap,
     Povm,
     amplitude_damping_choi,
     amplitude_damping_map,
@@ -17,6 +17,7 @@ from chancompat.channels import (
     choi_from_map,
     completely_depolarizing,
     compose,
+    constant_map,
     depolarizing_choi,
     depolarizing_map,
     dual_apply,
@@ -32,6 +33,14 @@ from conftest import random_density, random_hermitian
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
+
+GRID_MAPS = [
+    depolarizing_map(0.5),
+    depolarizing_map(0.5, 5 * math.pi),
+    amplitude_damping_map(0.5, 5 * math.pi),
+    eternal_map(),
+    identity_map(),
+]
 
 
 def assert_cptp(ch):
@@ -192,27 +201,29 @@ class TestDynamicalMap:
         assert np.allclose(identity_map().evaluate(3.7).choi, identity_channel(2).choi)
 
     def test_unknown_family_and_negative_time(self):
-        from chancompat.channels import DynamicalMap
-
-        with pytest.raises(ValueError):
-            DynamicalMap("squeezing")
         with pytest.raises(ValueError):
             identity_map().evaluate(-1.0)
 
-    @pytest.mark.parametrize(
-        "map_",
-        [
-            depolarizing_map(0.5),
-            depolarizing_map(0.5, 5 * math.pi),
-            amplitude_damping_map(0.5, 5 * math.pi),
-            eternal_map(),
-            identity_map(),
-        ],
-        ids=lambda m: m.label(),
-    )
+    @pytest.mark.parametrize("map_", GRID_MAPS, ids=lambda m: m.label)
     def test_cp_tp_along_grid(self, map_):
         for k in range(100):
             assert_cptp(map_.evaluate(k / 99))
+
+    @pytest.mark.parametrize(
+        "map_", [*GRID_MAPS, constant_map(amplitude_damping_choi(0.3))], ids=lambda m: m.label
+    )
+    def test_pickle_roundtrip(self, map_):
+        # sweep(workers > 1) sends maps to worker processes
+        again = pickle.loads(pickle.dumps(map_))
+        assert (again.label, again.period) == (map_.label, map_.period)
+        for t in (0.0, 0.13, 0.7):
+            assert np.array_equal(again.evaluate(t).choi, map_.evaluate(t).choi)
+
+    def test_labels_and_periods(self):
+        assert depolarizing_map(0.5, 5 * math.pi).label == "depolarizing(lam=0.5,omega=15.708)"
+        assert amplitude_damping_map(0.5, 5 * math.pi).period == pytest.approx(0.2)
+        assert depolarizing_map(0.5).period is None
+        assert amplitude_damping_map(0.5, 0.0).period is None
 
     def test_divisible_family_factorizes(self):
         lam, t, delta = 0.5, 0.3, 0.45
@@ -228,7 +239,7 @@ class TestDynamicalMap:
 
     def test_constant_map(self):
         ch = amplitude_damping_choi(0.3)
-        m = ConstantMap(ch)
+        m = constant_map(ch)
         assert np.allclose(m.evaluate(0.9).choi, ch.choi)
         with pytest.raises(ValueError):
             m.evaluate(-1.0)

@@ -130,6 +130,25 @@ def test_measure_command(capsys):
     assert "reference:       identity" in out
 
 
+def test_unconverged_figure_is_flagged_not_aborted(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+    path = tmp_path / "f.csv"
+    code, _, err = run_cli(
+        ["figure", "--id", "4", "--t-step", "0.1", "-o", str(path)], capsys
+    )
+    assert code == 1
+    assert len(path.read_text().splitlines()) - 1 == 11
+    assert "indeterminate solves at t = [" in err
+
+
+def test_unconverged_measure_is_flagged(capsys, monkeypatch):
+    monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+    code, out, err = run_cli(["measure", "--t-step", "0.02", "--t-max", "0.2"], capsys)
+    assert code == 1
+    assert "measure_raw:" in out
+    assert "indeterminate solves at t = [" in err
+
+
 def test_measure_undersampled_grid_is_error(capsys):
     code, _, err = run_cli(
         ["measure", "--family", "depolarizing-indiv", "--t-step", "0.1"],

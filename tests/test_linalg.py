@@ -3,10 +3,8 @@ import pytest
 
 from chancompat.linalg import (
     SIGMA_X,
-    SIGMA_Z,
     hermitian_eig,
     is_hermitian,
-    kron,
     partial_trace,
     trace_distance,
     trace_norm,
@@ -14,29 +12,11 @@ from chancompat.linalg import (
 from conftest import random_density, random_hermitian
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_pair(self):
-        assert np.allclose(kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
-
-    def test_matches_index_loop(self, rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        got = kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert abs(got[2 * i + k, 2 * j + l] - a[i, j] * b[k, l]) < 1e-14
-
-
 class TestPartialTrace:
     def test_product_state_factorizes(self, rng):
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
-        out = partial_trace(kron(a, b), [2, 2], keep={0})
+        out = partial_trace(np.kron(a, b), [2, 2], keep={0})
         assert np.allclose(out, np.trace(b) * a)
 
     def test_singlet_marginal_is_maximally_mixed(self):

@@ -187,9 +187,9 @@ class TestDynamicalMapRobustness:
         assert r_map == r_zero
 
     def test_cd_constant_maps(self):
-        from chancompat.channels import ConstantMap
+        from chancompat.channels import constant_map
 
-        m = ConstantMap(CD_CHANNEL)
+        m = constant_map(CD_CHANNEL)
         assert dynamical_map_robustness(m, m, [0.0, 0.5, 1.0], GEN) == 0.0
 
 
@@ -199,6 +199,11 @@ class TestRecords:
             SweepRecord(t=0.0, r_generic=0.4, r_cd=0.2, trace_distance=0.5)
         with pytest.raises(ValueError):
             SweepRecord(t=0.0, r_generic=None, r_cd=1.5, trace_distance=0.5)
+        with pytest.raises(ValueError):
+            SweepRecord(t=0.0, r_generic=None, r_cd=1.5, trace_distance=0.5, indeterminate=True)
+        # an unconverged point comes back flagged instead of failing dominance
+        rec = SweepRecord(t=0.0, r_generic=0.005, r_cd=0.0, trace_distance=0.5, indeterminate=True)
+        assert rec.indeterminate
 
     def test_robustness_result_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chancompat import sdp
-from chancompat.linalg import SIGMA_Y, partial_trace
+from chancompat.linalg import partial_trace
 from conftest import random_hermitian
 
 
@@ -31,25 +31,6 @@ class TestCoordinates:
         h = random_hermitian(rng, 4)
         got = sdp.unpack(op @ sdp.pack(h), 2)
         assert np.max(np.abs(got - partial_trace(h, (2, 2), {0}))) < 1e-12
-
-
-class TestRealEmbed:
-    def test_identity(self):
-        assert np.array_equal(sdp.real_embed(np.eye(2).astype(complex)), np.eye(4))
-
-    def test_sigma_y_spectrum(self):
-        w = np.linalg.eigvalsh(sdp.real_embed(SIGMA_Y))
-        assert np.allclose(w, [-1, -1, 1, 1])
-
-    def test_doubled_spectrum(self, rng):
-        h = random_hermitian(rng, 3)
-        w_h = np.linalg.eigvalsh(h)
-        w_e = np.linalg.eigvalsh(sdp.real_embed(h))
-        assert np.allclose(w_e, np.sort(np.repeat(w_h, 2)), atol=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            sdp.real_embed(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def eigenvalue_lp(h):
@@ -117,13 +98,6 @@ class TestSolve:
         assert s1.objective_value == s2.objective_value
         assert np.array_equal(s1.block_values["x"], s2.block_values["x"])
 
-    def test_warm_start_agrees(self, rng):
-        h = random_hermitian(rng, 4)
-        cold = sdp.solve(eigenvalue_lp(h))
-        warm = sdp.solve(eigenvalue_lp(h), warm_start=cold.warm_state)
-        assert abs(warm.objective_value - cold.objective_value) < 1e-7
-        assert warm.iterations <= cold.iterations
-
     def test_max_iters_env_override(self, rng, monkeypatch):
         monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
         sol = sdp.solve(eigenvalue_lp(random_hermitian(rng, 4)))
@@ -136,7 +110,6 @@ class TestSolve:
         prob.set_objective("min", block_mats={"big": np.eye(40)})
         with pytest.raises(sdp.SdpBuildError):
             sdp.solve(prob)
-        assert sdp.solve(prob, dim_guard=None, max_iters=50).status  # runs
 
 
 class TestProblemValidation:
@@ -187,13 +160,3 @@ class TestProblemValidation:
         prob.add_psd_block("x", 2)
         with pytest.raises(sdp.SdpBuildError):
             prob.set_objective("maximize")
-
-    def test_json_dump(self):
-        prob = eigenvalue_lp(np.diag([1.0, 2.0]).astype(complex))
-        import json
-
-        data = json.loads(prob.to_json())
-        assert data["sense"] == "max"
-        assert data["blocks"][0]["dim"] == 2
-        assert len(data["A"]) == prob.n_constraints
-        assert len(data["c"]) == prob.n_vars

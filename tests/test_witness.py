@@ -129,7 +129,7 @@ class TestIndivisibilityMeasure:
         grid = [0.1 * k for k in range(11)]
         rep = cp_indivisibility_measure(depolarizing_map(0.5), grid, dr=0.02)
         assert rep.n_raw == 0.0
-        assert rep.reference.family == "identity"
+        assert rep.reference.label == "identity"
         assert len(rep.curve) == len(grid)
 
     def test_rejects_coarse_grid(self):
