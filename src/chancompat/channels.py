@@ -245,6 +245,14 @@ def pushforward_povm(ch: Channel, m: Povm) -> Povm:
     return Povm(tuple(dual_apply(ch, e) for e in m.effects), ch.din)
 
 
+def measurement_channel(m: Povm) -> Channel:
+    """Quantum-classical channel rho -> sum_i Tr(E_i rho) |i><i|, whose Choi
+    matrix is sum_i E_i^T (x) |i><i|."""
+    outcomes = np.eye(len(m))
+    choi = sum(np.kron(e.T, np.diag(outcomes[i])) for i, e in enumerate(m.effects))
+    return Channel(m.dimension, len(m), choi)
+
+
 def channel_to_json(ch: Channel) -> str:
     return json.dumps(
         {

@@ -216,7 +216,7 @@ def cmd_measure(args) -> int:
         map_,
         grid,
         reference=reference,
-        noise="cd" if args.noise == "cd" else "generic",
+        noise=args.noise,
         dr=args.dr,
         integrand=args.integrand,
         workers=args.workers,

@@ -13,7 +13,8 @@ where the slack q lifts the joint matrix by q * 1. The robustness is one SDP:
 minimize r with q = 0. It is always feasible, as every pair is compatible at
 r = 1. feasibility_q pins r instead and maximizes q; q / (1 + r) is the
 margin of the unscaled joint matrix, nonnegative exactly when the noisy pair
-is compatible. Measurement pairs get the same program over joint POVMs.
+is compatible. A measurement pair is solved as the pair of its
+quantum-classical channels under generic noise.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sdp
-from .channels import Channel, DynamicalMap, Povm, apply
+from .channels import Channel, DynamicalMap, Povm, apply, measurement_channel
 from .linalg import partial_trace, trace_distance
 
 MAX_MIXING = 1.0          # any pair is compatible at r = 1 for both noise classes
@@ -172,42 +173,15 @@ def channel_feasibility_problem(
 
 
 def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:
-    """Robustness SDP for a measurement pair: minimize r such that a joint
-    POVM J_ij has marginals E_i + Na_i and F_j + Nb_j with noise POVMs
-    summing to r * 1."""
+    """Robustness SDP for a measurement pair: the generic-noise channel
+    program on their quantum-classical channels. Dephasing both outputs maps
+    a joint channel and its noise onto a joint POVM and noise POVMs, so the
+    optimum is the measurement robustness."""
     if m1.dimension != m2.dimension:
         raise ValueError("measurements must act on the same dimension")
-    d = m1.dimension
-    n1, n2 = len(m1), len(m2)
-    real = _is_real(*m1.effects, *m2.effects)
-    eye_op = sdp.linear_map_matrix(lambda x: x, d, d, real)
-
-    p = sdp.SdpProblem()
-    for i in range(n1):
-        for j in range(n2):
-            p.add_psd_block(f"joint{i}{j}", d, real=real)
-    for i in range(n1):
-        p.add_psd_block(f"na{i}", d, real=real)
-    for j in range(n2):
-        p.add_psd_block(f"nb{j}", d, real=real)
-    p.add_scalar("r")
-    p.set_objective("min", scalar_coeffs={"r": 1.0})
-
-    for i, effect in enumerate(m1.effects):
-        ops = {f"joint{i}{j}": eye_op for j in range(n2)}
-        ops[f"na{i}"] = -1.0
-        p.add_matrix_equality(block_ops=ops, rhs=effect.real if real else effect)
-    for j, effect in enumerate(m2.effects):
-        ops = {f"joint{i}{j}": eye_op for i in range(n1)}
-        ops[f"nb{j}"] = -1.0
-        p.add_matrix_equality(block_ops=ops, rhs=effect.real if real else effect)
-    for prefix, count in (("na", n1), ("nb", n2)):
-        p.add_matrix_equality(
-            block_ops={f"{prefix}{k}": eye_op for k in range(count)},
-            scalar_mats={"r": -np.eye(d)},
-            rhs=np.zeros((d, d)),
-        )
-    return p
+    return channel_feasibility_problem(
+        measurement_channel(m1), measurement_channel(m2), None, NoiseClass.GENERIC
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +228,8 @@ def robustness(
 def measurement_robustness(
     m1: Povm, m2: Povm, dr: float = 0.005, refine: bool = True
 ) -> RobustnessResult:
-    """Incompatibility robustness of two measurements under generic noise."""
+    """Incompatibility robustness of two measurements under generic noise,
+    computed by the channel program on their quantum-classical channels."""
     return _robustness_value(measurement_feasibility_problem(m1, m2), dr, refine)
 
 
@@ -323,8 +298,9 @@ def dynamical_map_robustness(
     noise: NoiseClass = NoiseClass.GENERIC,
     dr: float = 0.005,
     **kwargs,
-) -> float:
-    """Map-level robustness: the maximum per-time robustness over the grid.
+) -> RobustnessResult:
+    """Map-level robustness: the maximum per-time robustness over the grid,
+    indeterminate when any solve along the grid did not converge.
 
     The supremum over continuous time is approximated at grid resolution.
     """
@@ -333,4 +309,6 @@ def dynamical_map_robustness(
     values = [
         rec.r_generic if noise is NoiseClass.GENERIC else rec.r_cd for rec in records
     ]
-    return max(values)
+    return RobustnessResult(
+        r_star=max(values), indeterminate=any(rec.indeterminate for rec in records)
+    )

@@ -310,20 +310,15 @@ def _max_iters_default() -> int:
     return int(env) if env else DEFAULT_MAX_ITERS
 
 
-def solve(
-    problem: SdpProblem,
-    max_iters: int | None = None,
-    eps_abs: float = DEFAULT_EPS,
-    eps_rel: float = DEFAULT_EPS,
-) -> SdpSolution:
+def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     """Run the splitting iteration on a compiled problem.
 
-    Termination: consensus and dual residuals below eps_abs plus a relative
-    term. Stagnating iterates with a primal residual stuck above 1e-4 for
-    5000 consecutive iterations are declared infeasible. Every CHECK_EVERY
-    iterations rho is doubled or halved when one residual exceeds the other
-    tenfold. Problems whose embedded PSD dimension exceeds DIM_GUARD are
-    rejected before iterating.
+    Termination: consensus and dual residuals below DEFAULT_EPS plus a
+    relative term of the same size. Stagnating iterates with a primal
+    residual stuck above 1e-4 for 5000 consecutive iterations are declared
+    infeasible. Every CHECK_EVERY iterations rho is doubled or halved when
+    one residual exceeds the other tenfold. Problems whose embedded PSD
+    dimension exceeds DIM_GUARD are rejected before iterating.
     """
     if max_iters is None:
         max_iters = _max_iters_default()
@@ -389,8 +384,8 @@ def solve(
         if it % CHECK_EVERY == 0:
             rp = np.linalg.norm(x - z)
             rd = rho * np.linalg.norm(z - z_prev)
-            ep = eps_abs + eps_rel * max(np.linalg.norm(x), np.linalg.norm(z))
-            ed = eps_abs + eps_rel * rho * np.linalg.norm(u)
+            ep = DEFAULT_EPS + DEFAULT_EPS * max(np.linalg.norm(x), np.linalg.norm(z))
+            ed = DEFAULT_EPS + DEFAULT_EPS * rho * np.linalg.norm(u)
             if rp <= ep and rd <= ed:
                 status, iterations, dual_res = "optimal", it, rd
                 break

@@ -165,8 +165,15 @@ def check_upward_closure() -> CheckResult:
     for k in range(20):
         ch1, ch2 = random_channel(rng), random_channel(rng)
         res = robustness(ch1, ch2, NoiseClass.GENERIC, refine=True)
+        if res.indeterminate:
+            failures.append((k, "r* indeterminate"))
+            continue
         for bump in (0.05, 0.5):
-            q = feasibility_q(ch1, ch2, res.r_star + bump, NoiseClass.GENERIC)
+            try:
+                q = feasibility_q(ch1, ch2, res.r_star + bump, NoiseClass.GENERIC)
+            except RuntimeError:
+                failures.append((k, bump, "q did not converge"))
+                continue
             if q < 0:
                 failures.append((k, bump, q))
     return CheckResult(
@@ -185,19 +192,21 @@ def check_measurement_channel_bound() -> CheckResult:
     d2 = depolarizing_map(LAM, OMEGA)
     times = (0.05, 0.25, 0.45, 0.65, 0.85)
     worst = -math.inf
+    indeterminate = 0
     for t in times:
         ch1, ch2 = d1.evaluate(t), d2.evaluate(t)
-        r_chan = robustness(ch1, ch2, NoiseClass.GENERIC, refine=True).r_star
+        r_chan = robustness(ch1, ch2, NoiseClass.GENERIC, refine=True)
+        indeterminate += r_chan.indeterminate
         for b1, b2 in pairs:
             m1 = pushforward_povm(ch1, projective_povm(b1))
             m2 = pushforward_povm(ch2, projective_povm(b2))
-            r_meas = measurement_robustness(m1, m2).r_star
-            worst = max(worst, r_meas - r_chan)
-    return CheckResult(
-        "measurement_channel_bound",
-        worst <= 2e-3,
-        f"max(R_M - R_C) = {worst:.2e} over 20 projective pairs x 5 times (allowed 2e-3)",
-    )
+            r_meas = measurement_robustness(m1, m2)
+            indeterminate += r_meas.indeterminate
+            worst = max(worst, r_meas.r_star - r_chan.r_star)
+    detail = f"max(R_M - R_C) = {worst:.2e} over 20 projective pairs x 5 times (allowed 2e-3)"
+    if indeterminate:
+        detail += f"; {indeterminate} indeterminate values"
+    return CheckResult("measurement_channel_bound", worst <= 2e-3 and not indeterminate, detail)
 
 
 def check_noise_dominance_cap() -> CheckResult:
@@ -224,10 +233,11 @@ def check_noise_dominance_cap() -> CheckResult:
 def check_identity_self_robustness() -> CheckResult:
     ident = identity_channel(2)
     res = robustness(ident, ident, NoiseClass.COMPLETELY_DEPOLARIZING, refine=True)
-    ok = abs(res.r_star - 0.5) <= 0.005
-    return CheckResult(
-        "identity_self_robustness", ok, f"refined r* = {res.r_star:.6f} (expect 0.500 +- 0.005)"
-    )
+    ok = abs(res.r_star - 0.5) <= 0.005 and not res.indeterminate
+    detail = f"refined r* = {res.r_star:.6f} (expect 0.500 +- 0.005)"
+    if res.indeterminate:
+        detail += "; indeterminate"
+    return CheckResult("identity_self_robustness", ok, detail)
 
 
 def check_teleportation_curve() -> CheckResult:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from chancompat.channels import Povm
 from chancompat.validation import random_channel  # noqa: F401 - re-exported for the tests
 
 
@@ -18,3 +21,10 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def trine_povm():
+    """Qubit trine: effects (2/3)|psi(theta)><psi(theta)| with
+    |psi(theta)> = (cos theta/2, sin theta/2), theta in {0, 2pi/3, 4pi/3}."""
+    kets = [np.array([math.cos(th / 2), math.sin(th / 2)]) for th in (0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    return Povm(tuple(2 / 3 * np.outer(k, k) for k in kets), 2)

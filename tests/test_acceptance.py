@@ -9,7 +9,7 @@ them. Expect a few minutes of runtime for the full module.
 import pytest
 
 from chancompat import validation
-from chancompat.robustness import SweepRecord
+from chancompat.robustness import RobustnessResult, SweepRecord
 from chancompat.validation import CHECKS
 
 CRITERIA = [
@@ -45,3 +45,30 @@ def test_noise_dominance_cap_names_indeterminate_records(monkeypatch):
     result = validation.check_noise_dominance_cap()
     assert not result.passed
     assert "(6, 0.7)" in result.detail
+
+
+def test_upward_closure_records_unconverged_probe(monkeypatch):
+    def unconverged(ch1, ch2, r, noise):
+        raise RuntimeError(f"solver did not converge for probe at r={r} (max_iterations)")
+
+    monkeypatch.setattr(validation, "feasibility_q", unconverged)
+    result = validation.check_upward_closure()
+    assert not result.passed
+    assert "(0, 0.05, 'q did not converge')" in result.detail
+
+
+@pytest.mark.parametrize(
+    "name, phrase",
+    [
+        ("identity_self_robustness", "; indeterminate"),
+        ("measurement_channel_bound", "; 5 indeterminate values"),
+        ("upward_closure", "(19, 'r* indeterminate')"),
+    ],
+)
+def test_checks_fail_on_indeterminate_values_within_bounds(name, phrase, monkeypatch):
+    # channel values that would pass, flagged as unconverged
+    monkeypatch.setattr(validation, "robustness", lambda *a, **k: RobustnessResult(0.5, True))
+    monkeypatch.setattr(validation, "measurement_robustness", lambda *a, **k: RobustnessResult(0.0))
+    result = CHECKS[name]()
+    assert not result.passed
+    assert phrase in result.detail

@@ -25,11 +25,12 @@ from chancompat.channels import (
     eternal_map,
     identity_channel,
     identity_map,
+    measurement_channel,
     projective_povm,
     pushforward_povm,
 )
 from chancompat.linalg import SIGMA_Z, partial_trace
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, trine_povm
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -283,6 +284,22 @@ class TestPovm:
         out = pushforward_povm(amplitude_damping_choi(0.4), m)
         total = sum(out.effects)
         assert np.max(np.abs(total - np.eye(2))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            Povm((np.eye(2),), 2),
+            projective_povm(np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)),
+            trine_povm(),
+        ],
+        ids=["one-outcome", "two-outcome", "three-outcome"],
+    )
+    def test_measurement_channel_records_outcome_probabilities(self, m, rng):
+        ch = measurement_channel(m)
+        assert (ch.din, ch.dout) == (m.dimension, len(m))
+        rho = random_density(rng, m.dimension)
+        probs = [np.trace(e @ rho) for e in m.effects]
+        assert np.allclose(apply(ch, rho), np.diag(probs), atol=1e-12)
 
 
 class TestJson:

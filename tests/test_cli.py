@@ -182,3 +182,15 @@ def test_validate_reports_failure_with_nonzero_exit(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] teleportation_curve" in out
     assert "0/1 checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "check", ["upward_closure", "measurement_channel_bound", "identity_self_robustness"]
+)
+def test_validate_fails_on_unconverged_solves(check, capsys, monkeypatch):
+    monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+    code, out, err = run_cli(["validate", "--only", check], capsys)
+    assert code == 1
+    assert f"[FAIL] {check}" in out
+    assert "indeterminate" in out or "did not converge" in out
+    assert "Traceback" not in err

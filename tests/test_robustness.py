@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chancompat.channels import (
+    Povm,
     completely_depolarizing,
     depolarizing_choi,
     depolarizing_map,
@@ -23,7 +24,7 @@ from chancompat.robustness import (
     sweep,
 )
 from chancompat.validation import _figure_records
-from conftest import random_channel
+from conftest import random_channel, trine_povm
 
 CD = NoiseClass.COMPLETELY_DEPOLARIZING
 GEN = NoiseClass.GENERIC
@@ -112,23 +113,35 @@ class TestChannelRobustness:
             robustness(IDENT, IDENT, CD, dr=0.0)
 
 
+Z = projective_povm(np.eye(2))
+X = projective_povm(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+Y = projective_povm(np.array([[1, 1], [1j, -1j]]) / np.sqrt(2))
+
+
 class TestMeasurementRobustness:
     def test_self_compatible(self):
         m = projective_povm(np.eye(2))
         assert measurement_robustness(m, m).r_star == 0.0
 
     def test_trivial_povm_compatible(self):
-        from chancompat.channels import Povm
-
         m = projective_povm(np.eye(2))
         trivial = Povm((np.eye(2, dtype=complex),), 2)
         assert measurement_robustness(m, trivial).r_star == 0.0
 
-    def test_mub_pair_value(self):
-        z = projective_povm(np.eye(2))
-        x = projective_povm(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-        res = measurement_robustness(z, x)
-        assert abs(res.r_star - (3 - 2 * math.sqrt(2))) < 2e-4
+    @pytest.mark.parametrize(
+        "m1, m2, expect, tol",
+        [
+            (Z, X, 3 - 2 * math.sqrt(2), 2e-4),
+            (trine_povm(), Y, 0.171572894, 1e-6),
+            (Povm(tuple(0.8 * e + 0.1 * np.eye(2) for e in X.effects), 2), Z, 0.116718445, 1e-6),
+            (trine_povm(), trine_povm(), 0.0, 1e-6),
+        ],
+        ids=["z-x", "trine-y", "noisy_x-z", "trine-trine"],
+    )
+    def test_mub_pair_value(self, m1, m2, expect, tol):
+        res = measurement_robustness(m1, m2)
+        assert not res.indeterminate
+        assert abs(res.r_star - expect) < tol
 
     def test_dimension_mismatch(self):
         m2 = projective_povm(np.eye(2))
@@ -184,13 +197,18 @@ class TestDynamicalMapRobustness:
         grid = [0.0, 0.25, 0.5]
         r_map = dynamical_map_robustness(m, m, grid, CD, dr=0.01)
         r_zero = robustness(m.evaluate(0.0), m.evaluate(0.0), CD, dr=0.01).r_star
-        assert r_map == r_zero
+        assert r_map.r_star == r_zero and not r_map.indeterminate
 
     def test_cd_constant_maps(self):
         from chancompat.channels import constant_map
 
         m = constant_map(CD_CHANNEL)
-        assert dynamical_map_robustness(m, m, [0.0, 0.5, 1.0], GEN) == 0.0
+        assert dynamical_map_robustness(m, m, [0.0, 0.5, 1.0], GEN).r_star == 0.0
+
+    def test_unconverged_solve_is_flagged(self, monkeypatch):
+        monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+        res = dynamical_map_robustness(identity_map(), depolarizing_map(0.5, 15.708), [0, 0.1, 0.2])
+        assert res.indeterminate
 
 
 class TestRecords:
