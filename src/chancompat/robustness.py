@@ -4,12 +4,14 @@ The noisy pair (C_i + r * C_noise_i) / (1 + r) is compatible when a joint
 Choi matrix has it as marginals. In the scaled variables J = (1 + r) * joint
 and N_i = r * C_noise_i every constraint is linear in r:
 
-    Tr_out2(J) + q * d_2 * 1 - N_1 = C_1,
-    Tr_out1(J) + q * d_1 * 1 - N_2 = C_2,
-    J >= 0,  N_i >= 0,  Tr_out(N_i) = r * 1          (generic noise), or
-                        N_i = 1 (x) eta_i, Tr(eta_i) = r   (CD noise),
+    Tr_out2(J) + q * d_2 * 1 - 1 (x) N_1 = C_1,
+    Tr_out1(J) + q * d_1 * 1 - 1 (x) N_2 = C_2,
+    J >= 0,  N_i >= 0,  Tr_out(N_i) = r * 1,
 
-where the slack q lifts the joint matrix by q * 1. The robustness is one SDP:
+where the slack q lifts the joint matrix by q * 1, and N_i comes from a noise
+input of dimension n, embedded as 1_(d_in / n) (x) N_i: n = d_in for generic
+noise, and n = 1 for completely depolarizing (CD) noise, which is generic
+noise from a one-dimensional input. The robustness is one SDP:
 minimize r with q = 0. It is always feasible, as every pair is compatible at
 r = 1. feasibility_q pins r instead and maximizes q; q / (1 + r) is the
 margin of the unscaled joint matrix, nonnegative exactly when the noisy pair
@@ -109,8 +111,9 @@ def _tp_op(din: int, dout: int, real: bool):
 
 
 @lru_cache(maxsize=None)
-def _cd_embed_op(din: int, dout: int, real: bool):
-    return sdp.linear_map_matrix(lambda e: np.kron(np.eye(din), e), dout, din * dout, real)
+def _embed_op(din: int, n_in: int, dout: int, real: bool):
+    """Matrix of eta -> 1_(din/n_in) (x) eta; the identity when n_in = din."""
+    return sdp.linear_map_matrix(lambda e: np.kron(np.eye(din // n_in), e), n_in * dout, din * dout, real)
 
 
 def _is_real(*mats: np.ndarray) -> bool:
@@ -131,38 +134,28 @@ def channel_feasibility_problem(
         raise ValueError(f"mixing weight must be nonnegative, got {r}")
     din, d1, d2 = ch1.din, ch1.dout, ch2.dout
     real = _is_real(ch1.choi, ch2.choi)
-    cd = noise is NoiseClass.COMPLETELY_DEPOLARIZING
+    n_in = 1 if noise is NoiseClass.COMPLETELY_DEPOLARIZING else din
 
     p = sdp.SdpProblem()
     p.add_psd_block("joint", din * d1 * d2, real=real)
-    if cd:
-        p.add_psd_block("noise1", d1, real=real)
-        p.add_psd_block("noise2", d2, real=real)
-    else:
-        p.add_psd_block("noise1", din * d1, real=real)
-        p.add_psd_block("noise2", din * d2, real=real)
+    p.add_psd_block("noise1", n_in * d1, real=real)
+    p.add_psd_block("noise2", n_in * d2, real=real)
     p.add_scalar("q")
     p.add_scalar("r")
 
     t1, t2 = _marginal_ops(din, d1, d2, real)
     for which, (top, ch, dother) in enumerate([(t1, ch1, d2), (t2, ch2, d1)], start=1):
-        name = f"noise{which}"
-        noise_op = -_cd_embed_op(din, ch.dout, real) if cd else -1.0
         p.add_matrix_equality(
-            block_ops={"joint": top, name: noise_op},
+            block_ops={"joint": top, f"noise{which}": -_embed_op(din, n_in, ch.dout, real)},
             scalar_mats={"q": dother * np.eye(din * ch.dout)},
             rhs=ch.choi.real if real else ch.choi,
         )
-    if cd:
-        for which, d in ((1, d1), (2, d2)):
-            p.add_scalar_equality(block_mats={f"noise{which}": np.eye(d)}, scalar_coeffs={"r": -1.0})
-    else:
-        for which, d in ((1, d1), (2, d2)):
-            p.add_matrix_equality(
-                block_ops={f"noise{which}": _tp_op(din, d, real)},
-                scalar_mats={"r": -np.eye(din)},
-                rhs=np.zeros((din, din)),
-            )
+    for which, d in ((1, d1), (2, d2)):
+        p.add_matrix_equality(
+            block_ops={f"noise{which}": _tp_op(n_in, d, real)},
+            scalar_mats={"r": -np.eye(n_in)},
+            rhs=np.zeros((n_in, n_in)),
+        )
     if r is None:
         p.add_scalar_equality(scalar_coeffs={"q": 1.0}, rhs=0.0)
         p.set_objective("min", scalar_coeffs={"r": 1.0})
@@ -188,14 +181,12 @@ def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:
 # Robustness values
 # ---------------------------------------------------------------------------
 
-def _robustness_value(problem: sdp.SdpProblem, dr: float, refine: bool) -> RobustnessResult:
-    """Solve a direct program once and report r, or its grid value: the
-    smallest multiple of dr at or above r - R_TOL, capped at 1."""
-    if dr <= 0:
-        raise ValueError(f"grid step dr must be positive, got {dr}")
+def _robustness_value(problem: sdp.SdpProblem, dr: float | None) -> RobustnessResult:
+    """Solve a direct program once and report r itself (dr=None) or its grid
+    value: the smallest multiple of dr at or above r - R_TOL, capped at 1."""
     sol = sdp.solve(problem)
     r = min(max(sol.scalar_values["r"], 0.0), MAX_MIXING)
-    if refine:
+    if dr is None:
         r_star = 0.0 if r <= R_TOL else r
     else:
         r_star = min(max(math.ceil((r - R_TOL) / dr), 0) * dr, MAX_MIXING)
@@ -222,15 +213,16 @@ def robustness(
     """Smallest grid multiple of dr at which the noisy pair turns compatible,
     or with refine=True the solver's r itself."""
     problem = channel_feasibility_problem(ch1, ch2, None, parse_noise(noise))
-    return _robustness_value(problem, dr, refine)
+    if dr <= 0:
+        raise ValueError(f"grid step dr must be positive, got {dr}")
+    return _robustness_value(problem, None if refine else dr)
 
 
-def measurement_robustness(
-    m1: Povm, m2: Povm, dr: float = 0.005, refine: bool = True
-) -> RobustnessResult:
-    """Incompatibility robustness of two measurements under generic noise,
-    computed by the channel program on their quantum-classical channels."""
-    return _robustness_value(measurement_feasibility_problem(m1, m2), dr, refine)
+def measurement_robustness(m1: Povm, m2: Povm) -> RobustnessResult:
+    """Incompatibility robustness of two measurements under generic noise:
+    the solver's r of the channel program on their quantum-classical
+    channels, with r <= R_TOL reported as 0 (no grid)."""
+    return _robustness_value(measurement_feasibility_problem(m1, m2), None)
 
 
 # ---------------------------------------------------------------------------

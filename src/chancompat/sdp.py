@@ -40,8 +40,6 @@ RHO = 0.1                 # initial penalty; rebalanced while iterating
 RHO_MIN, RHO_MAX = 1e-6, 1e6
 RHO_BALANCE = 10.0        # residual ratio that triggers a 2x penalty change
 CHECK_EVERY = 25
-STALL_RESIDUAL = 1e-4
-STALL_ITERS = 5_000
 DIM_GUARD = 64
 
 _SQRT2 = np.sqrt(2.0)
@@ -88,20 +86,6 @@ def unpack(v: np.ndarray, d: int, real: bool = False) -> np.ndarray:
     return h + np.triu(h, 1).conj().T
 
 
-def linear_map_matrix(
-    fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int, real: bool = False
-) -> np.ndarray:
-    """Matrix of a hermiticity-preserving linear map in pack coordinates."""
-    n_in, n_out = vec_size(d_in, real), vec_size(d_out, real)
-    out = np.zeros((n_out, n_in))
-    e = np.zeros(n_in)
-    for a in range(n_in):
-        e[a] = 1.0
-        out[:, a] = pack(fn(unpack(e, d_in, real)), real)
-        e[a] = 0.0
-    return out
-
-
 @lru_cache(maxsize=None)
 def _coord_map(d: int, real: bool) -> np.ndarray:
     """Columns are the flattened basis matrices of the pack coordinates, so
@@ -114,6 +98,18 @@ def _coord_map(d: int, real: bool) -> np.ndarray:
         u[:, a] = unpack(e, d, real).ravel()
         e[a] = 0.0
     return u
+
+
+def linear_map_matrix(
+    fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int, real: bool = False
+) -> np.ndarray:
+    """Matrix of a hermiticity-preserving linear map in pack coordinates:
+    column a packs fn of the a-th basis matrix of _coord_map."""
+    basis = _coord_map(d_in, real)
+    out = np.zeros((vec_size(d_out, real), basis.shape[1]))
+    for a in range(basis.shape[1]):
+        out[:, a] = pack(fn(basis[:, a].reshape(d_in, d_in)), real)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +309,11 @@ def _max_iters_default() -> int:
 def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     """Run the splitting iteration on a compiled problem.
 
-    Termination: consensus and dual residuals below DEFAULT_EPS plus a
-    relative term of the same size. Stagnating iterates with a primal
-    residual stuck above 1e-4 for 5000 consecutive iterations are declared
-    infeasible. Every CHECK_EVERY iterations rho is doubled or halved when
-    one residual exceeds the other tenfold. Problems whose embedded PSD
+    Status "optimal": consensus and dual residuals below DEFAULT_EPS plus a
+    relative term of the same size. Otherwise "max_iterations", also for a
+    program with no feasible point (every program this library builds has
+    one). Every CHECK_EVERY iterations rho is doubled or halved when one
+    residual exceeds the other tenfold. Problems whose embedded PSD
     dimension exceeds DIM_GUARD are rejected before iterating.
     """
     if max_iters is None:
@@ -361,7 +357,6 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     status = "max_iterations"
     iterations = max_iters
     dual_res = np.inf
-    stall_count = 0
     x = z
 
     for it in range(1, max_iters + 1):
@@ -389,13 +384,6 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
             if rp <= ep and rd <= ed:
                 status, iterations, dual_res = "optimal", it, rd
                 break
-            if rp > STALL_RESIDUAL and rd <= 1e-12 * (1.0 + np.linalg.norm(z)):
-                stall_count += CHECK_EVERY
-                if stall_count >= STALL_ITERS:
-                    status, iterations, dual_res = "infeasible", it, rd
-                    break
-            else:
-                stall_count = 0
             # residual balancing; u is the dual scaled by 1/rho
             if rp > RHO_BALANCE * rd or rd > RHO_BALANCE * rp:
                 new_rho = min(max(rho * (2.0 if rp > rd else 0.5), RHO_MIN), RHO_MAX)

@@ -30,7 +30,13 @@ from .robustness import (
     robustness,
     sweep,
 )
-from .witness import DEAD_BAND, indivisibility_from_curve, rising_segments, teleport_fidelity
+from .witness import (
+    DEAD_BAND,
+    cp_indivisibility_measure,
+    indivisibility_from_curve,
+    rising_segments,
+    teleport_fidelity,
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,21 @@ def _figure_records(figure_id: int) -> tuple[SweepRecord, ...]:
     if figure_id == 7:
         return _figure_records(4)
     return tuple(sweep(spec.map1, spec.map2, _T_GRID, noise="both", dr=DR))
+
+
+def _flagged(*figure_ids: int) -> list[tuple[int, float]]:
+    """(figure, t) of every indeterminate record of the given figures."""
+    return [
+        (fig, rec.t) for fig in figure_ids for rec in _figure_records(fig) if rec.indeterminate
+    ]
+
+
+def _gated(name: str, ok: bool, detail: str, flagged: list[tuple]) -> CheckResult:
+    """A check on solver output fails on any indeterminate record, whatever
+    its values, and its detail names each one."""
+    if flagged:
+        detail += f"; indeterminate (figure, t): {flagged}"
+    return CheckResult(name, ok and not flagged, detail)
 
 
 def _closed_form_distance() -> list[float]:
@@ -95,16 +116,16 @@ def check_depolarizing_zero_crossing() -> CheckResult:
     ts = [rec.t for rec in recs]
     idx = next((i for i in range(len(rs)) if all(v == 0 for v in rs[i:])), None)
     if idx is None:
-        return CheckResult("depolarizing_zero_crossing", False, "robustness never settles at 0")
-    t_zero = ts[idx]
-    analytic = 2 * math.log(1.5)
-    ok = 0.79 <= t_zero <= 0.83 and elapsed < 300
-    return CheckResult(
-        "depolarizing_zero_crossing",
-        ok,
-        f"first permanently-zero grid point t={t_zero:.2f} (analytic {analytic:.4f});"
-        f" sweep took {elapsed:.1f}s",
-    )
+        ok, detail = False, "robustness never settles at 0"
+    else:
+        t_zero = ts[idx]
+        analytic = 2 * math.log(1.5)
+        ok = 0.79 <= t_zero <= 0.83 and elapsed < 300
+        detail = (
+            f"first permanently-zero grid point t={t_zero:.2f} (analytic {analytic:.4f});"
+            f" sweep took {elapsed:.1f}s"
+        )
+    return _gated("depolarizing_zero_crossing", ok, detail, _flagged(1))
 
 
 def check_monotonicity() -> CheckResult:
@@ -116,8 +137,8 @@ def check_monotonicity() -> CheckResult:
         jumps = [b - a for a, b in zip(vals, vals[1:])]
         worst = max(worst, max(jumps))
         ok = ok and all(j <= 2e-3 for j in jumps)
-    return CheckResult(
-        "monotonicity", ok, f"largest consecutive increase {worst:.2e} (allowed 2e-3)"
+    return _gated(
+        "monotonicity", ok, f"largest consecutive increase {worst:.2e} (allowed 2e-3)", _flagged(1)
     )
 
 
@@ -131,11 +152,12 @@ def _backflow_check(name: str, figure_id: int) -> CheckResult:
         segs = rising_segments(ts, [getattr(rec, column) for rec in recs], DEAD_BAND)
         counts[column] = len(segs)
         ok = ok and len(segs) >= 4 and _segments_aligned(segs, ref)
-    return CheckResult(
+    return _gated(
         name,
         ok,
         f"rising segments generic={counts['r_generic']}, cd={counts['r_cd']}"
         f" (need >= 4, aligned within 0.02 of {len(ref)} trace-distance segments)",
+        _flagged(figure_id),
     )
 
 
@@ -152,10 +174,11 @@ def check_eternal_no_backflow() -> CheckResult:
     ts = [rec.t for rec in recs]
     n_gen = len(rising_segments(ts, [rec.r_generic for rec in recs], DEAD_BAND))
     n_cd = len(rising_segments(ts, [rec.r_cd for rec in recs], DEAD_BAND))
-    return CheckResult(
+    return _gated(
         "eternal_no_backflow",
         n_gen == 0 and n_cd == 0,
         f"rising segments generic={n_gen}, cd={n_cd} (need 0)",
+        _flagged(6),
     )
 
 
@@ -213,20 +236,17 @@ def check_noise_dominance_cap() -> CheckResult:
     worst_gap = -math.inf
     highest = -math.inf
     lowest = math.inf
-    flagged = []
     for fig in range(1, 8):
         for rec in _figure_records(fig):
-            if rec.indeterminate:
-                flagged.append((fig, rec.t))
             worst_gap = max(worst_gap, rec.r_generic - rec.r_cd)
             highest = max(highest, rec.r_cd, rec.r_generic)
             lowest = min(lowest, rec.r_cd, rec.r_generic)
-    ok = worst_gap <= 1e-12 and highest <= 1 + 1e-6 and lowest >= 0 and not flagged
-    return CheckResult(
+    ok = worst_gap <= 1e-12 and highest <= 1 + 1e-6 and lowest >= 0
+    return _gated(
         "noise_dominance_cap",
         ok,
-        f"max(r_generic - r_cd) = {worst_gap:.2e}, robustness range [{lowest:.4f}, {highest:.4f}];"
-        f" indeterminate (figure, t): {flagged or 'none'}",
+        f"max(r_generic - r_cd) = {worst_gap:.2e}, robustness range [{lowest:.4f}, {highest:.4f}]",
+        _flagged(*range(1, 8)),
     )
 
 
@@ -261,8 +281,7 @@ def check_teleportation_curve() -> CheckResult:
 def check_measure_signs() -> CheckResult:
     ts = list(_T_GRID)
     ident = FIGURES[4].map1
-    curve_d1 = sweep(ident, depolarizing_map(LAM), ts, noise=NoiseClass.GENERIC, dr=DR)
-    rep_d1 = indivisibility_from_curve(ts, [r.r_generic for r in curve_d1], ident)
+    rep_d1 = cp_indivisibility_measure(depolarizing_map(LAM), ts, dr=DR)
     rep_d2 = indivisibility_from_curve(
         ts, [r.r_generic for r in _figure_records(4)], ident
     )
@@ -274,12 +293,13 @@ def check_measure_signs() -> CheckResult:
         for rep in (rep_d1, rep_d2, rep_ad)
     )
     ok = rep_d1.n_raw == 0 and rep_d2.n_raw > 0 and rep_ad.n_raw > 0 and ident_ok
-    return CheckResult(
+    return _gated(
         "measure_signs",
         ok,
         f"N(divisible)={rep_d1.n_raw:.4f}, N(oscillating)={rep_d2.n_raw:.4f},"
         f" N(damping)={rep_ad.n_raw:.4f}; normalization identity "
         + ("holds" if ident_ok else "broken"),
+        [("divisible", t) for t in rep_d1.indeterminate] + _flagged(4, 5),
     )
 
 

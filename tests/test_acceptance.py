@@ -6,6 +6,8 @@ sweeps are cached inside the validation module, so related criteria share
 them. Expect a few minutes of runtime for the full module.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from chancompat import validation
@@ -45,6 +47,33 @@ def test_noise_dominance_cap_names_indeterminate_records(monkeypatch):
     result = validation.check_noise_dominance_cap()
     assert not result.passed
     assert "(6, 0.7)" in result.detail
+
+
+@pytest.mark.parametrize(
+    "name, fig",
+    [
+        ("depolarizing_zero_crossing", 1),
+        ("monotonicity", 1),
+        ("backflow_depolarizing", 4),
+        ("backflow_amplitude_damping", 5),
+        ("eternal_no_backflow", 6),
+        ("measure_signs", 5),
+    ],
+)
+def test_figure_checks_fail_on_one_indeterminate_record(name, fig, monkeypatch):
+    # the cached records with only the flag of t = 0.5 set: values that pass
+    cached = validation._figure_records
+
+    def one_flagged(figure_id):
+        recs = cached(figure_id)
+        if figure_id != fig:
+            return recs
+        return recs[:50] + (replace(recs[50], indeterminate=True),) + recs[51:]
+
+    monkeypatch.setattr(validation, "_figure_records", one_flagged)
+    result = CHECKS[name]()
+    assert not result.passed
+    assert f"indeterminate (figure, t): [({fig}, 0.5)]" in result.detail
 
 
 def test_upward_closure_records_unconverged_probe(monkeypatch):

