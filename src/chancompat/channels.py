@@ -140,7 +140,7 @@ class DynamicalMap:
 
     label names the map in reports; period, when set, is the oscillation
     period that a time grid must resolve. The factories below build maps
-    from module-level functions so that maps pickle for worker processes.
+    from module-level functions and functools.partial, so that maps pickle.
     """
 
     label: str

@@ -80,7 +80,6 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dr", type=float, default=DR, help="robustness grid step")
     p.add_argument("--noise", choices=("generic", "cd", "both"), default="both")
     p.add_argument("--refine", action="store_true", help="report the solver's r instead of rounding it up to the dr grid")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", "-o", help="CSV path (default: stdout)")
 
 
@@ -120,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p_meas)
     _add_grid_args(p_meas)
     p_meas.add_argument("--dr", type=float, default=DR)
-    p_meas.add_argument("--workers", type=int, default=1)
     p_meas.add_argument("--output", "-o", help="optional CSV of the robustness curve")
     p_meas.set_defaults(func=cmd_measure)
 
@@ -165,15 +163,7 @@ def _sweep_to_csv(records, noise: str, teleport_map=None) -> list[str]:
 
 def _run_sweep(args, map1, map2, teleport_map=None) -> int:
     grid = default_t_grid(args.t_min, args.t_max, args.t_step)
-    records = sweep(
-        map1,
-        map2,
-        grid,
-        noise=args.noise,
-        dr=args.dr,
-        refine=args.refine,
-        workers=args.workers,
-    )
+    records = sweep(map1, map2, grid, noise=args.noise, dr=args.dr, refine=args.refine)
     _write_lines(args.output, _sweep_to_csv(records, args.noise, teleport_map))
     return _report_indeterminate([rec.t for rec in records if rec.indeterminate])
 
@@ -219,7 +209,6 @@ def cmd_measure(args) -> int:
         noise=args.noise,
         dr=args.dr,
         integrand=args.integrand,
-        workers=args.workers,
     )
     print(f"family:          {map_.label}")
     print(f"reference:       {reference.label}")

@@ -74,18 +74,6 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return np.einsum(spec, t).reshape(d_keep, d_keep)
 
 
-def hermitian_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with real eigenvalues in descending
-    order and matching eigenvector columns, so h = V diag(w) V^dagger.
-    """
-    if not is_hermitian(h, tol):
-        raise ValueError("hermitian_eig requires a Hermitian matrix")
-    w, v = np.linalg.eigh(h)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input this is sum |eigenvalue|."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

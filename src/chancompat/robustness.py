@@ -22,7 +22,6 @@ quantum-classical channels under generic noise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -195,12 +194,19 @@ def _robustness_value(problem: sdp.SdpProblem, dr: float | None) -> RobustnessRe
 
 def feasibility_q(ch1: Channel, ch2: Channel, r: float, noise: NoiseClass) -> float:
     """Compatibility margin at mixing weight r: the largest q with
-    joint - q * 1 >= 0; q >= 0 iff the noisy pair is compatible."""
+    joint - q * 1 >= 0; q >= 0 iff the noisy pair is compatible.
+
+    q is read from the solver's dual objective, which bounds q* from above,
+    as robustness reads r from the primal iterate, which bounds r* from
+    above. Up to the solver's residuals, both values thus sit on the
+    compatible side of the optimum, the side toward which the grid rule
+    resolves ties. A negative q still certifies incompatibility.
+    """
     problem = channel_feasibility_problem(ch1, ch2, r, parse_noise(noise))
     sol = sdp.solve(problem)
     if sol.status != "optimal":
         raise RuntimeError(f"solver did not converge for probe at r={r} ({sol.status})")
-    return sol.scalar_values["q"] / (1 + r)
+    return sol.dual_objective / (1 + r)
 
 
 def robustness(
@@ -229,24 +235,6 @@ def measurement_robustness(m1: Povm, m2: Povm) -> RobustnessResult:
 # Sweeps along dynamical maps
 # ---------------------------------------------------------------------------
 
-def _sweep_point(args) -> SweepRecord:
-    map1, map2, t, classes, dr, refine = args
-    ch1, ch2 = map1.evaluate(t), map2.evaluate(t)
-    results: dict[NoiseClass, RobustnessResult] = {
-        nc: robustness(ch1, ch2, nc, dr=dr, refine=refine) for nc in classes
-    }
-    dist = trace_distance(apply(ch2, KET0), apply(ch2, KET1))
-    gen = results.get(NoiseClass.GENERIC)
-    cd = results.get(NoiseClass.COMPLETELY_DEPOLARIZING)
-    return SweepRecord(
-        t=t,
-        r_generic=None if gen is None else gen.r_star,
-        r_cd=None if cd is None else cd.r_star,
-        trace_distance=dist,
-        indeterminate=any(res.indeterminate for res in results.values()),
-    )
-
-
 def _noise_classes(noise) -> tuple[NoiseClass, ...]:
     if noise == "both":
         return (NoiseClass.GENERIC, NoiseClass.COMPLETELY_DEPOLARIZING)
@@ -260,27 +248,33 @@ def sweep(
     noise="both",
     dr: float = 0.005,
     refine: bool = False,
-    workers: int = 1,
 ) -> list[SweepRecord]:
     """Robustness and trace-distance witness along a pair of dynamical maps.
 
     The trace-distance column evolves the state pair |0><0|, |1><1|
     through map2 (the map under study). Each time point is solved cold and
-    independently, so results do not depend on the worker count.
+    independently of the others.
     """
     t_grid = list(t_grid)
     if not t_grid:
         raise ValueError("t_grid must be non-empty")
     if t_grid[0] < 0 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be nonnegative and strictly increasing")
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
     classes = _noise_classes(noise)
-    jobs = [(map1, map2, t, classes, dr, refine) for t in t_grid]
-    if workers == 1:
-        return [_sweep_point(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point, jobs, chunksize=1))
+    records = []
+    for t in t_grid:
+        ch1, ch2 = map1.evaluate(t), map2.evaluate(t)
+        results = {nc: robustness(ch1, ch2, nc, dr=dr, refine=refine) for nc in classes}
+        gen = results.get(NoiseClass.GENERIC)
+        cd = results.get(NoiseClass.COMPLETELY_DEPOLARIZING)
+        records.append(SweepRecord(
+            t=t,
+            r_generic=None if gen is None else gen.r_star,
+            r_cd=None if cd is None else cd.r_star,
+            trace_distance=trace_distance(apply(ch2, KET0), apply(ch2, KET1)),
+            indeterminate=any(res.indeterminate for res in results.values()),
+        ))
+    return records
 
 
 def dynamical_map_robustness(
@@ -289,7 +283,6 @@ def dynamical_map_robustness(
     t_grid: Sequence[float],
     noise: NoiseClass = NoiseClass.GENERIC,
     dr: float = 0.005,
-    **kwargs,
 ) -> RobustnessResult:
     """Map-level robustness: the maximum per-time robustness over the grid,
     indeterminate when any solve along the grid did not converge.
@@ -297,7 +290,7 @@ def dynamical_map_robustness(
     The supremum over continuous time is approximated at grid resolution.
     """
     noise = parse_noise(noise)
-    records = sweep(map1, map2, t_grid, noise=noise, dr=dr, **kwargs)
+    records = sweep(map1, map2, t_grid, noise=noise, dr=dr)
     values = [
         rec.r_generic if noise is NoiseClass.GENERIC else rec.r_cd for rec in records
     ]

@@ -148,7 +148,6 @@ def cp_indivisibility_measure(
     dr: float = 0.005,
     dead_band: float = DEAD_BAND,
     integrand: str = "robustness",
-    **sweep_kwargs,
 ) -> IndivisibilityReport:
     """Integrate the robustness curve against a fixed CP-divisible reference.
 
@@ -174,7 +173,7 @@ def cp_indivisibility_measure(
             )
     reference = identity_map() if reference is None else reference
     noise = parse_noise(noise)
-    records = sweep(reference, map_, t_grid, noise=noise, dr=dr, **sweep_kwargs)
+    records = sweep(reference, map_, t_grid, noise=noise, dr=dr)
     rs = [
         rec.r_generic if noise is NoiseClass.GENERIC else rec.r_cd for rec in records
     ]

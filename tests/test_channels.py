@@ -214,7 +214,7 @@ class TestDynamicalMap:
         "map_", [*GRID_MAPS, constant_map(amplitude_damping_choi(0.3))], ids=lambda m: m.label
     )
     def test_pickle_roundtrip(self, map_):
-        # sweep(workers > 1) sends maps to worker processes
+        # maps are built from module-level functions, so they pickle
         again = pickle.loads(pickle.dumps(map_))
         assert (again.label, again.period) == (map_.label, map_.period)
         for t in (0.0, 0.13, 0.7):

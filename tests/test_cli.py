@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,18 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_loads_numpy_only():
+    # the library runs on numpy alone: no scipy, and no process pool
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import chancompat, chancompat.cli;"
+        " print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_smoke_two_rows(capsys):
@@ -132,7 +147,7 @@ def test_measure_command(capsys):
 
 
 def test_unconverged_figure_is_flagged_not_aborted(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+    monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
     path = tmp_path / "f.csv"
     code, _, err = run_cli(
         ["figure", "--id", "4", "--t-step", "0.1", "-o", str(path)], capsys
@@ -143,7 +158,7 @@ def test_unconverged_figure_is_flagged_not_aborted(tmp_path, capsys, monkeypatch
 
 
 def test_unconverged_measure_is_flagged(capsys, monkeypatch):
-    monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+    monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
     code, out, err = run_cli(["measure", "--t-step", "0.02", "--t-max", "0.2"], capsys)
     assert code == 1
     assert "measure_raw:" in out
@@ -189,7 +204,7 @@ def test_validate_reports_failure_with_nonzero_exit(capsys, monkeypatch):
     "check", ["upward_closure", "measurement_channel_bound", "identity_self_robustness"]
 )
 def test_validate_fails_on_unconverged_solves(check, capsys, monkeypatch):
-    monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+    monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
     code, out, err = run_cli(["validate", "--only", check], capsys)
     assert code == 1
     assert f"[FAIL] {check}" in out
@@ -200,11 +215,11 @@ def test_validate_fails_on_unconverged_solves(check, capsys, monkeypatch):
 def test_measure_signs_fails_on_unconverged_sweeps(capsys, monkeypatch):
     from chancompat import validation
 
-    # a private record cache: the 25-iteration records never reach the shared
+    # a private record cache: the 3-iteration records never reach the shared
     # one that the golden-CSV and closed-form tests read
     private = lru_cache(maxsize=None)(validation._figure_records.__wrapped__)
     monkeypatch.setattr(validation, "_figure_records", private)
-    monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+    monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
     code, out, _ = run_cli(["validate", "--only", "measure_signs"], capsys)
     assert code == 1
     assert "[FAIL] measure_signs" in out

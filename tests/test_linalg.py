@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from chancompat.linalg import (
-    SIGMA_X,
-    hermitian_eig,
     is_hermitian,
     partial_trace,
     trace_distance,
@@ -54,36 +52,6 @@ class TestPartialTrace:
             partial_trace(np.eye(4), [2, 2], keep={2})
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        w, v = hermitian_eig(np.diag([3.0, 1.0]).astype(complex))
-        assert np.allclose(w, [3, 1])
-        assert np.allclose(np.abs(v), np.eye(2))
-
-    def test_sigma_x(self):
-        w, v = hermitian_eig(SIGMA_X)
-        assert np.allclose(w, [1, -1])
-        assert np.allclose(np.abs(v), np.full((2, 2), 1 / np.sqrt(2)))
-
-    def test_reconstruction(self, rng):
-        h = random_hermitian(rng, 8)
-        w, v = hermitian_eig(h)
-        assert np.all(np.diff(w) <= 0)
-        assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - h) < 1e-10
-        assert np.linalg.norm(v @ v.conj().T - np.eye(8)) < 1e-10
-
-    def test_psd_projection_floor(self, rng):
-        h = random_hermitian(rng, 6)
-        w, v = hermitian_eig(h)
-        proj = (v * np.maximum(w, 0)) @ v.conj().T
-        w2, _ = hermitian_eig(proj)
-        assert w2[-1] >= -1e-10
-
-    def test_rejects_non_hermitian(self, rng):
-        with pytest.raises(ValueError):
-            hermitian_eig(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-
-
 class TestTraceNorm:
     def test_negative_diagonal(self):
         w = 0.37
@@ -94,7 +62,7 @@ class TestTraceNorm:
 
     def test_matches_spectral_oracle(self, rng):
         s = rng.normal(size=(3, 3))
-        w, _ = hermitian_eig(s.T @ s)
+        w = np.linalg.eigh(s.T @ s)[0]
         assert abs(trace_norm(s) - np.sum(np.sqrt(np.maximum(w, 0)))) < 1e-9
 
     def test_triangle_inequality(self, rng):

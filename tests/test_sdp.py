@@ -90,14 +90,16 @@ class TestSolve:
 
     def test_infeasible_program_runs_out_of_iterations(self):
         # there is no infeasibility exit: a program without a feasible point
-        # runs to max_iters and is never reported optimal
+        # ends at max_iters or at a non-finite step, never reported optimal,
+        # and returns its last finite iterate
         prob = sdp.SdpProblem()
         prob.add_psd_block("x", 2, real=True)
         prob.set_objective("min", block_mats={"x": np.eye(2)})
         prob.add_matrix_equality({"x": 1.0}, rhs=-np.eye(2))
         sol = sdp.solve(prob, max_iters=2000)
         assert sol.status == "max_iterations"
-        assert sol.iterations == 2000
+        assert np.all(np.isfinite(sol.block_values["x"]))
+        assert np.isfinite(sol.objective_value) and np.isfinite(sol.dual_objective)
 
     def test_deterministic_replay(self, rng):
         h = random_hermitian(rng, 4)
@@ -108,10 +110,10 @@ class TestSolve:
         assert np.array_equal(s1.block_values["x"], s2.block_values["x"])
 
     def test_max_iters_env_override(self, rng, monkeypatch):
-        monkeypatch.setenv("SOLVER_MAX_ITERS", "25")
+        monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
         sol = sdp.solve(eigenvalue_lp(random_hermitian(rng, 4)))
         assert sol.status == "max_iterations"
-        assert sol.iterations == 25
+        assert sol.iterations == 3
 
     def test_dim_guard(self):
         prob = sdp.SdpProblem()
