@@ -11,9 +11,8 @@ FAMILIES builds each named map family from the --lam/--omega/--alpha flags;
 `sweep` also takes `custom`, a constant map around a --choi JSON channel.
 
 CSV output uses 9 significant digits, '\\n' line endings, and a fixed column
-order, so repeated runs with the same configuration are byte-identical. The
-environment variable SOLVER_MAX_ITERS overrides the solver iteration cap.
-A command whose solves did not all converge names their times on stderr and
+order, so repeated runs with the same configuration are byte-identical. A
+command whose solves did not all converge names their times on stderr and
 exits 1.
 """
 

@@ -97,22 +97,40 @@ class SweepRecord:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _marginal_ops(din: int, d1: int, d2: int, real: bool):
+def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool):
+    """Read-only (a, c) of the compatibility program of one shape, shared by
+    every pair of that shape. Columns: joint, noise1, noise2, q, r. Rows: the
+    two marginal equalities, the two trace equalities, then the pin of q to 0
+    (min_r) or of r to its given value."""
+    def op(fn, d_in, d_out):
+        return sdp.linear_map_matrix(fn, d_in, d_out, real)
+
+    def embed(d):  # eta -> 1_(din/n_in) (x) eta; the identity when n_in = din
+        return op(lambda e: np.kron(np.eye(din // n_in), e), n_in * d, din * d)
+
+    def tp(d):
+        return op(lambda x: partial_trace(x, (n_in, d), {0}), n_in * d, n_in)
+
     dims = (din, d1, d2)
-    t1 = sdp.linear_map_matrix(lambda x: partial_trace(x, dims, {0, 1}), din * d1 * d2, din * d1, real)
-    t2 = sdp.linear_map_matrix(lambda x: partial_trace(x, dims, {0, 2}), din * d1 * d2, din * d2, real)
-    return t1, t2
-
-
-@lru_cache(maxsize=None)
-def _tp_op(din: int, dout: int, real: bool):
-    return sdp.linear_map_matrix(lambda x: partial_trace(x, (din, dout), {0}), din * dout, din, real)
-
-
-@lru_cache(maxsize=None)
-def _embed_op(din: int, n_in: int, dout: int, real: bool):
-    """Matrix of eta -> 1_(din/n_in) (x) eta; the identity when n_in = din."""
-    return sdp.linear_map_matrix(lambda e: np.kron(np.eye(din // n_in), e), n_in * dout, din * dout, real)
+    t1 = op(lambda x: partial_trace(x, dims, {0, 1}), din * d1 * d2, din * d1)
+    t2 = op(lambda x: partial_trace(x, dims, {0, 2}), din * d1 * d2, din * d2)
+    e1, e2, tp1, tp2 = embed(d1), embed(d2), tp(d1), tp(d2)
+    nj, n1, n2, m1, m2, k = t1.shape[1], e1.shape[1], e2.shape[1], t1.shape[0], t2.shape[0], tp1.shape[0]
+    q1 = sdp.pack(d2 * np.eye(din * d1), real)[:, None]
+    q2 = sdp.pack(d1 * np.eye(din * d2), real)[:, None]
+    r_col = sdp.pack(-np.eye(n_in), real)[:, None]
+    z = np.zeros
+    a = np.block([
+        [t1, -e1, z((m1, n2)), q1, z((m1, 1))],
+        [t2, z((m2, n1)), -e2, q2, z((m2, 1))],
+        [z((k, nj)), tp1, z((k, n2)), z((k, 1)), r_col],
+        [z((k, nj)), z((k, n1)), tp2, z((k, 1)), r_col],
+        [z((1, nj + n1 + n2)), np.array([[float(min_r), float(not min_r)]])],
+    ])
+    c = np.zeros(a.shape[1])
+    c[-1 if min_r else -2] = 1.0
+    a.flags.writeable = c.flags.writeable = False
+    return a, c
 
 
 def _is_real(*mats: np.ndarray) -> bool:
@@ -125,7 +143,8 @@ def channel_feasibility_problem(
     """Compile the scaled compatibility SDP for a channel pair.
 
     r=None pins q = 0 and minimizes r (the robustness); a number pins r and
-    maximizes q (the feasibility margin, scaled by 1 + r).
+    maximizes q (the feasibility margin, scaled by 1 + r). Only b depends on
+    the Choi matrices and on r; (a, c) are compiled once per shape.
     """
     if ch1.din != ch2.din:
         raise ValueError("channels must share the input dimension")
@@ -134,34 +153,21 @@ def channel_feasibility_problem(
     din, d1, d2 = ch1.din, ch1.dout, ch2.dout
     real = _is_real(ch1.choi, ch2.choi)
     n_in = 1 if noise is NoiseClass.COMPLETELY_DEPOLARIZING else din
-
-    p = sdp.SdpProblem()
-    p.add_psd_block("joint", din * d1 * d2, real=real)
-    p.add_psd_block("noise1", n_in * d1, real=real)
-    p.add_psd_block("noise2", n_in * d2, real=real)
-    p.add_scalar("q")
-    p.add_scalar("r")
-
-    t1, t2 = _marginal_ops(din, d1, d2, real)
-    for which, (top, ch, dother) in enumerate([(t1, ch1, d2), (t2, ch2, d1)], start=1):
-        p.add_matrix_equality(
-            block_ops={"joint": top, f"noise{which}": -_embed_op(din, n_in, ch.dout, real)},
-            scalar_mats={"q": dother * np.eye(din * ch.dout)},
-            rhs=ch.choi.real if real else ch.choi,
-        )
-    for which, d in ((1, d1), (2, d2)):
-        p.add_matrix_equality(
-            block_ops={f"noise{which}": _tp_op(n_in, d, real)},
-            scalar_mats={"r": -np.eye(n_in)},
-            rhs=np.zeros((n_in, n_in)),
-        )
-    if r is None:
-        p.add_scalar_equality(scalar_coeffs={"q": 1.0}, rhs=0.0)
-        p.set_objective("min", scalar_coeffs={"r": 1.0})
-    else:
-        p.add_scalar_equality(scalar_coeffs={"r": 1.0}, rhs=r)
-        p.set_objective("max", scalar_coeffs={"q": 1.0})
-    return p
+    a, c = _program(din, d1, d2, n_in, real, r is None)
+    b = np.concatenate([
+        sdp.pack(ch1.choi, real),
+        sdp.pack(ch2.choi, real),
+        np.zeros(2 * sdp.vec_size(n_in, real) + 1),
+    ])
+    b[-1] = 0.0 if r is None else r
+    return sdp.SdpProblem(
+        blocks={"joint": (din * d1 * d2, real), "noise1": (n_in * d1, real), "noise2": (n_in * d2, real)},
+        scalars=("q", "r"),
+        a=a,
+        b=b,
+        c=c,
+        sense="min" if r is None else "max",
+    )
 
 
 def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:

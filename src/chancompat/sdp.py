@@ -1,17 +1,16 @@
 """Small dense semidefinite programming by a primal-dual interior-point method.
 
-Problems are affine equality constraints over a product of PSD matrix blocks
-and free scalars, with a linear objective:
+A problem is data: a linear objective and affine equalities over a product
+of PSD matrix blocks X_k and free scalars,
 
-    min/max  sum_k <F_k, X_k> + sum_s g_s t_s
-    s.t.     affine equalities,  X_k >= 0.
+    min/max  c @ x   s.t.  a @ x = b,  X_k >= 0,
 
-Each Hermitian block is parametrized by an isometric real coordinate vector
-(diagonal, then sqrt(2) * real and sqrt(2) * imaginary upper-triangular
-parts), so every constraint compiles once to real scalar equalities: a d x d
-matrix equality contributes d(d+1)/2 real-part and d(d-1)/2 imaginary-part
-rows. Blocks declared real use the symmetric restriction of the same
-coordinates.
+where x stacks the isometric real coordinates of each block (diagonal, then
+sqrt(2) * real and sqrt(2) * imaginary upper-triangular parts; blocks
+declared real use the symmetric restriction), then the scalars. A d x d
+matrix equality thus takes d * d rows, or d(d+1)/2 on real blocks, and
+linear_map_matrix gives the rows of a linear map. Callers compile (a, b, c)
+themselves, so a program shape is compiled once and only b follows the data.
 
 The solver reduces the constraint rows to an orthonormal basis and follows
 the central path with HKM predictor-corrector steps (Helmberg, Rendl,
@@ -22,16 +21,13 @@ order, so identical problems replay bitwise identically.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .linalg import is_hermitian
-
-DEFAULT_MAX_ITERS = 100
+DEFAULT_MAX_ITERS = 100   # read when solve is called without max_iters
 DEFAULT_EPS = 1e-9        # relative residuals and gap; 1e-10 can break the Schur solve
 BOUNDARY_FRACTION = 0.98  # share of the distance to the cone boundary that a step takes
 DIM_GUARD = 64
@@ -107,173 +103,33 @@ def linear_map_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Problem container
+# Problem record
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Block:
-    name: str
-    dim: int
-    real: bool
-    offset: int
-    size: int
-
-
+@dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """Incrementally built conic program over PSD blocks and free scalars."""
+    """A compiled program: optimize c @ x subject to a @ x = b.
 
-    def __init__(self):
-        self._blocks: dict[str, _Block] = {}
-        self._scalars: dict[str, int] = {}
-        self._n = 0
-        self._rows: list[np.ndarray] = []
-        self._rhs: list[float] = []
-        self._sense = "min"
-        self._objective: np.ndarray | None = None
+    x holds the pack coordinates of the PSD blocks (name -> (dim, real)) in
+    the order given, then the free scalars in the order given.
+    """
 
-    # -- variables ---------------------------------------------------------
+    blocks: dict[str, tuple[int, bool]]
+    scalars: tuple[str, ...]
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    sense: str
 
-    def add_psd_block(self, name: str, dim: int, real: bool = False) -> None:
-        if name in self._blocks or name in self._scalars:
-            raise SdpBuildError(f"duplicate variable name {name!r}")
-        if self._rows or self._objective is not None:
-            raise SdpBuildError("declare all variables before constraints and objective")
-        blk = _Block(name, dim, real, self._n, vec_size(dim, real))
-        self._blocks[name] = blk
-        self._n += blk.size
-
-    def add_scalar(self, name: str) -> None:
-        if name in self._blocks or name in self._scalars:
-            raise SdpBuildError(f"duplicate variable name {name!r}")
-        if self._rows or self._objective is not None:
-            raise SdpBuildError("declare all variables before constraints and objective")
-        self._scalars[name] = self._n
-        self._n += 1
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self._rows)
-
-    def embedded_dimension(self) -> int:
-        """Total dimension of the PSD cone in real-embedded terms."""
-        return sum(b.dim if b.real else 2 * b.dim for b in self._blocks.values())
-
-    # -- coefficient validation --------------------------------------------
-
-    def _block(self, name: str) -> _Block:
-        try:
-            return self._blocks[name]
-        except KeyError:
-            raise SdpBuildError(f"unknown block {name!r}") from None
-
-    def _coeff_vector(self, blk: _Block, mat: np.ndarray) -> np.ndarray:
-        mat = np.asarray(mat)
-        if mat.shape != (blk.dim, blk.dim):
+    def __post_init__(self):
+        n = sum(vec_size(d, real) for d, real in self.blocks.values()) + len(self.scalars)
+        if self.b.ndim != 1 or self.a.shape != (self.b.size, n) or self.c.shape != (n,):
             raise SdpBuildError(
-                f"coefficient for block {blk.name!r} must be {blk.dim}x{blk.dim}, got {mat.shape}"
+                f"shapes a {self.a.shape}, b {self.b.shape}, c {self.c.shape} do not fit"
+                f" {n} coordinates"
             )
-        if not is_hermitian(mat):
-            raise SdpBuildError(f"coefficient for block {blk.name!r} must be Hermitian")
-        if blk.real and np.max(np.abs(np.asarray(mat).imag)) > 0:
-            raise SdpBuildError(f"block {blk.name!r} is real; coefficient must be real")
-        return pack(mat, blk.real)
-
-    # -- objective and constraints ------------------------------------------
-
-    def set_objective(
-        self,
-        sense: str,
-        block_mats: Mapping[str, np.ndarray] | None = None,
-        scalar_coeffs: Mapping[str, float] | None = None,
-    ) -> None:
-        if sense not in ("min", "max"):
-            raise SdpBuildError(f"objective sense must be 'min' or 'max', got {sense!r}")
-        c = np.zeros(self._n)
-        for name, mat in (block_mats or {}).items():
-            blk = self._block(name)
-            c[blk.offset : blk.offset + blk.size] = self._coeff_vector(blk, mat)
-        for name, g in (scalar_coeffs or {}).items():
-            if name not in self._scalars:
-                raise SdpBuildError(f"unknown scalar {name!r}")
-            c[self._scalars[name]] = g
-        self._sense = sense
-        self._objective = c
-
-    def add_scalar_equality(
-        self,
-        block_mats: Mapping[str, np.ndarray] | None = None,
-        scalar_coeffs: Mapping[str, float] | None = None,
-        rhs: float = 0.0,
-    ) -> None:
-        """Single real equality sum_k <F_k, X_k> + sum_s g_s t_s = rhs."""
-        row = np.zeros(self._n)
-        for name, mat in (block_mats or {}).items():
-            blk = self._block(name)
-            row[blk.offset : blk.offset + blk.size] = self._coeff_vector(blk, mat)
-        for name, g in (scalar_coeffs or {}).items():
-            if name not in self._scalars:
-                raise SdpBuildError(f"unknown scalar {name!r}")
-            row[self._scalars[name]] = g
-        self._rows.append(row)
-        self._rhs.append(float(rhs))
-
-    def add_matrix_equality(
-        self,
-        block_ops: Mapping[str, np.ndarray | float],
-        scalar_mats: Mapping[str, np.ndarray] | None = None,
-        rhs: np.ndarray | None = None,
-    ) -> None:
-        """Hermitian matrix equality sum_k T_k(X_k) + sum_s t_s G_s = rhs.
-
-        Block operators are given as a matrix acting on pack coordinates (see
-        linear_map_matrix) or a plain float (meaning that multiple of the
-        identity map; block and rhs dimensions must then agree). Compiles to
-        one row per rhs pack coordinate.
-        """
-        rhs = np.asarray(rhs)
-        d_out = rhs.shape[0]
-        if rhs.shape != (d_out, d_out) or not is_hermitian(rhs):
-            raise SdpBuildError("matrix equality rhs must be square and Hermitian")
-        real_out = all(self._block(n).real for n in block_ops)
-        if real_out and np.max(np.abs(rhs.imag)) > 0:
-            raise SdpBuildError("rhs must be real when all participating blocks are real")
-        p = vec_size(d_out, real_out)
-        seg = np.zeros((p, self._n))
-        for name, op in block_ops.items():
-            blk = self._block(name)
-            if np.isscalar(op):
-                if blk.dim != d_out:
-                    raise SdpBuildError(
-                        f"scalar operator on block {blk.name!r} needs matching dimensions"
-                    )
-                op = float(op) * np.eye(blk.size)
-            else:
-                op = np.asarray(op, dtype=float)
-            if op.shape != (p, blk.size):
-                raise SdpBuildError(
-                    f"operator for block {name!r} must be {p}x{blk.size}, got {op.shape}"
-                )
-            seg[:, blk.offset : blk.offset + blk.size] = op
-        for name, mat in (scalar_mats or {}).items():
-            if name not in self._scalars:
-                raise SdpBuildError(f"unknown scalar {name!r}")
-            mat = np.asarray(mat)
-            if mat.shape != (d_out, d_out) or not is_hermitian(mat):
-                raise SdpBuildError(f"matrix coefficient of scalar {name!r} must be Hermitian {d_out}x{d_out}")
-            seg[:, self._scalars[name]] = pack(mat, real_out)
-        b_seg = pack(rhs, real_out)
-        for j in range(p):
-            self._rows.append(seg[j])
-            self._rhs.append(float(b_seg[j]))
-
-    # -- export --------------------------------------------------------------
-
-    def system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-        """Compiled (A, b, c, sense). c is zero when no objective was set."""
-        a = np.array(self._rows) if self._rows else np.zeros((0, self._n))
-        b = np.array(self._rhs)
-        c = np.zeros(self._n) if self._objective is None else self._objective
-        return a, b, c, self._sense
+        if self.sense not in ("min", "max"):
+            raise SdpBuildError(f"objective sense must be 'min' or 'max', got {self.sense!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +148,6 @@ class SdpSolution:
     dual_objective: float
 
 
-def _max_iters_default() -> int:
-    env = os.environ.get("SOLVER_MAX_ITERS")
-    return int(env) if env else DEFAULT_MAX_ITERS
-
-
 def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     """Solve a compiled problem by the interior-point method (see _step).
 
@@ -311,13 +162,12 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     before iterating.
     """
     if max_iters is None:
-        max_iters = _max_iters_default()
-    if problem.embedded_dimension() > DIM_GUARD:
-        raise SdpBuildError(
-            f"embedded PSD dimension {problem.embedded_dimension()} exceeds guard {DIM_GUARD}"
-        )
-    a_full, b_full, c, sense = problem.system()
-    sign = -1.0 if sense == "max" else 1.0
+        max_iters = DEFAULT_MAX_ITERS
+    embedded = sum(d if real else 2 * d for d, real in problem.blocks.values())
+    if embedded > DIM_GUARD:
+        raise SdpBuildError(f"embedded PSD dimension {embedded} exceeds guard {DIM_GUARD}")
+    a_full, b_full, c = problem.a, problem.b, problem.c
+    sign = -1.0 if problem.sense == "max" else 1.0
     c_min = sign * c
     # normalized rows, then orthonormal rows from an SVD whose singular values
     # below max(shape) * 1e-12 * s_0 drop out with the dependent rows
@@ -328,11 +178,12 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     a, b = vt[:rank], (u[:, :rank].T @ (b_full / norms)) / s[:rank]
     m, n = a.shape
 
-    spans = [
-        (slice(blk.offset, blk.offset + blk.size), blk.dim, _coord_map(blk.dim, blk.real))
-        for blk in problem._blocks.values()
-    ]
-    free = np.array(list(problem._scalars.values()), dtype=int)
+    spans, offset = [], 0
+    for d, real in problem.blocks.values():
+        size = vec_size(d, real)
+        spans.append((slice(offset, offset + size), d, _coord_map(d, real)))
+        offset += size
+    free = np.arange(offset, offset + len(problem.scalars))
     # the rows of a on each block as matrices: a[i, sl] @ pack(X) = <mats[i], X>
     mats = [(cmap @ a[:, sl].T).T.reshape(m, d, d) for sl, d, cmap in spans]
     n_cone = sum(d for _, d, _ in spans)
@@ -367,8 +218,8 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     return SdpSolution(
         status=status,
         objective_value=float(c @ x),
-        block_values=dict(zip(problem._blocks, _blocks_of(x, spans))),
-        scalar_values={s: float(x[o]) for s, o in problem._scalars.items()},
+        block_values=dict(zip(problem.blocks, _blocks_of(x, spans))),
+        scalar_values={s: float(x[o]) for o, s in enumerate(problem.scalars, start=offset)},
         primal_residual=primal,
         dual_residual=float(np.linalg.norm(rd)),
         iterations=iterations,

@@ -1,23 +1,27 @@
 """The benchmark's tracer wraps program names looked up at call time; these
 calls must keep firing every span it expects, or its per-layer numbers
-silently read zero."""
+silently read zero. It also re-solves sampled problems with max_iters=0."""
 
 import numpy as np
 
 import chancompat
 import chancompat.cli
+from chancompat import sdp
 from perfbench import tracing
 
 
 def test_benchmark_call_sites_fire(tmp_path):
     tracer = tracing.Tracer(chancompat)
+    solve = sdp.solve
     tracer.install()
     try:
+        # 22 solves, so that at least one problem is kept for the replay
         code = chancompat.cli.main(
-            ["figure", "--id", "7", "--t-step", "0.5", "--dr", "0.1", "-o", str(tmp_path / "f.csv")]
+            ["figure", "--id", "7", "--t-step", "0.1", "--dr", "0.1", "-o", str(tmp_path / "f.csv")]
         )
         assert code == 0
         assert tracing.EXPECTED["sweep-light"] <= tracer.fired()
+        assert tracer.replay_setup_ms(solve) > 0
 
         tracer.reset()
         d1, d2 = chancompat.depolarizing_map(0.5), chancompat.depolarizing_map(0.5, 5 * np.pi)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chancompat import sdp
 from chancompat.channels import amplitude_damping_choi, channel_to_json
 from chancompat.cli import main
 
@@ -147,7 +148,7 @@ def test_measure_command(capsys):
 
 
 def test_unconverged_figure_is_flagged_not_aborted(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
     path = tmp_path / "f.csv"
     code, _, err = run_cli(
         ["figure", "--id", "4", "--t-step", "0.1", "-o", str(path)], capsys
@@ -158,7 +159,7 @@ def test_unconverged_figure_is_flagged_not_aborted(tmp_path, capsys, monkeypatch
 
 
 def test_unconverged_measure_is_flagged(capsys, monkeypatch):
-    monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
     code, out, err = run_cli(["measure", "--t-step", "0.02", "--t-max", "0.2"], capsys)
     assert code == 1
     assert "measure_raw:" in out
@@ -204,7 +205,7 @@ def test_validate_reports_failure_with_nonzero_exit(capsys, monkeypatch):
     "check", ["upward_closure", "measurement_channel_bound", "identity_self_robustness"]
 )
 def test_validate_fails_on_unconverged_solves(check, capsys, monkeypatch):
-    monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
     code, out, err = run_cli(["validate", "--only", check], capsys)
     assert code == 1
     assert f"[FAIL] {check}" in out
@@ -219,7 +220,7 @@ def test_measure_signs_fails_on_unconverged_sweeps(capsys, monkeypatch):
     # one that the golden-CSV and closed-form tests read
     private = lru_cache(maxsize=None)(validation._figure_records.__wrapped__)
     monkeypatch.setattr(validation, "_figure_records", private)
-    monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
     code, out, _ = run_cli(["validate", "--only", "measure_signs"], capsys)
     assert code == 1
     assert "[FAIL] measure_signs" in out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chancompat import sdp
 from chancompat.channels import (
     Povm,
     completely_depolarizing,
@@ -10,13 +11,16 @@ from chancompat.channels import (
     depolarizing_map,
     identity_channel,
     identity_map,
+    measurement_channel,
     projective_povm,
 )
+from chancompat.linalg import partial_trace
 from chancompat.figures import DR, FIGURES, LAM, OMEGA
 from chancompat.robustness import (
     NoiseClass,
     RobustnessResult,
     SweepRecord,
+    channel_feasibility_problem,
     dynamical_map_robustness,
     feasibility_q,
     measurement_robustness,
@@ -59,6 +63,34 @@ class TestFeasibilityQ:
         wide = completely_depolarizing(np.eye(2) / 2, din=3)
         with pytest.raises(ValueError):
             feasibility_q(IDENT, wide, 0.0, GEN)
+
+
+def test_solution_satisfies_compatibility_equations(rng):
+    # the blocks read back by name solve the program the module docstring states
+    pairs = [
+        (IDENT, depolarizing_choi(0.7)),
+        (random_channel(rng), random_channel(rng)),
+        (measurement_channel(trine_povm()), measurement_channel(projective_povm(np.eye(2)))),
+    ]
+    for ch1, ch2 in pairs:
+        din, d1, d2 = ch1.din, ch1.dout, ch2.dout
+        for noise in (GEN, CD):
+            sol = sdp.solve(channel_feasibility_problem(ch1, ch2, None, noise))
+            assert sol.status == "optimal"
+            r = sol.scalar_values["r"]
+            joint, n1, n2 = (sol.block_values[k] for k in ("joint", "noise1", "noise2"))
+            n_in = n1.shape[0] // d1
+            embed = np.eye(din // n_in)
+            for keep, noise_block, ch in (({0, 1}, n1, ch1), ({0, 2}, n2, ch2)):
+                marginal = partial_trace(joint, (din, d1, d2), keep) - np.kron(embed, noise_block)
+                assert np.max(np.abs(marginal - ch.choi)) <= 1e-7
+                tr_out = partial_trace(noise_block, (n_in, ch.dout), {0})
+                assert np.max(np.abs(tr_out - r * np.eye(n_in))) <= 1e-7
+            for block in (joint, n1, n2):
+                assert np.linalg.eigvalsh(block)[0] >= -1e-8
+    p1 = channel_feasibility_problem(IDENT, depolarizing_choi(0.7), None, GEN)
+    p2 = channel_feasibility_problem(depolarizing_choi(0.5), depolarizing_choi(0.9), None, GEN)
+    assert p1.a is p2.a and not p1.a.flags.writeable
 
 
 class TestChannelRobustness:
@@ -169,7 +201,7 @@ class TestSweep:
             assert 0 <= rec.r_generic <= rec.r_cd <= 1 + 1e-6
 
     def test_unconverged_solve_is_flagged(self, monkeypatch):
-        monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
+        monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
         assert robustness(IDENT, IDENT, CD).indeterminate
         (rec,) = sweep(identity_map(), identity_map(), [0.0], noise="both", dr=0.05)
         assert rec.indeterminate
@@ -198,7 +230,7 @@ class TestDynamicalMapRobustness:
         assert dynamical_map_robustness(m, m, [0.0, 0.5, 1.0], GEN).r_star == 0.0
 
     def test_unconverged_solve_is_flagged(self, monkeypatch):
-        monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
+        monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
         res = dynamical_map_robustness(identity_map(), depolarizing_map(0.5, 15.708), [0, 0.1, 0.2])
         assert res.indeterminate
 

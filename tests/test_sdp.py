@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chancompat import sdp
 from chancompat.linalg import partial_trace
+from chancompat.validation import _eigenvalue_lp
 from conftest import random_hermitian
 
 
@@ -39,19 +42,9 @@ class TestCoordinates:
         assert np.max(np.abs(got - partial_trace(h, (2, 2), {0}))) < 1e-12
 
 
-def eigenvalue_lp(h):
-    """max t s.t. X >= 0, X + t*I = h; optimum is the smallest eigenvalue."""
-    prob = sdp.SdpProblem()
-    prob.add_psd_block("x", h.shape[0], real=bool(np.max(np.abs(h.imag)) == 0))
-    prob.add_scalar("t")
-    prob.set_objective("max", scalar_coeffs={"t": 1.0})
-    prob.add_matrix_equality({"x": 1.0}, scalar_mats={"t": np.eye(h.shape[0])}, rhs=h)
-    return prob
-
-
 class TestSolve:
     def test_eigenvalue_lp_diag(self):
-        sol = sdp.solve(eigenvalue_lp(np.diag([1.0, 2.0]).astype(complex)))
+        sol = sdp.solve(_eigenvalue_lp(np.diag([1.0, 2.0]), real=True))
         assert sol.status == "optimal"
         assert abs(sol.objective_value - 1.0) < 1e-7
         assert sol.primal_residual < 1e-7 and sol.dual_residual < 1e-7
@@ -60,12 +53,12 @@ class TestSolve:
         for _ in range(10):
             h = random_hermitian(rng, 4)
             h /= np.linalg.norm(h)
-            sol = sdp.solve(eigenvalue_lp(h))
+            sol = sdp.solve(_eigenvalue_lp(h, real=False))
             assert sol.status == "optimal"
             assert abs(sol.objective_value - np.linalg.eigvalsh(h)[0]) < 1e-7
 
     def test_solution_blocks_are_psd(self, rng):
-        sol = sdp.solve(eigenvalue_lp(random_hermitian(rng, 4)))
+        sol = sdp.solve(_eigenvalue_lp(random_hermitian(rng, 4), real=False))
         w = np.linalg.eigvalsh(sol.block_values["x"])
         assert w[0] >= -1e-8
 
@@ -76,26 +69,31 @@ class TestSolve:
         mats = [random_hermitian(rng, d) for _ in range(m)]
         y = rng.normal(size=m)
         c = sum(yj * aj for yj, aj in zip(y, mats))
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("x", d)
-        prob.set_objective("max", block_mats={"x": c})
-        target = 0.0
-        for yj, aj in zip(y, mats):
-            bj = np.trace(aj @ x_star).real
-            prob.add_scalar_equality(block_mats={"x": aj}, rhs=bj)
-            target += yj * bj
+        b = np.array([np.trace(aj @ x_star).real for aj in mats])
+        prob = sdp.SdpProblem(
+            blocks={"x": (d, False)},
+            scalars=(),
+            a=np.array([sdp.pack(aj) for aj in mats]),
+            b=b,
+            c=sdp.pack(c),
+            sense="max",
+        )
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
-        assert abs(sol.objective_value - target) < 1e-6
+        assert abs(sol.objective_value - y @ b) < 1e-6
 
     def test_infeasible_program_runs_out_of_iterations(self):
         # there is no infeasibility exit: a program without a feasible point
         # ends at max_iters or at a non-finite step, never reported optimal,
         # and returns its last finite iterate
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("x", 2, real=True)
-        prob.set_objective("min", block_mats={"x": np.eye(2)})
-        prob.add_matrix_equality({"x": 1.0}, rhs=-np.eye(2))
+        prob = sdp.SdpProblem(
+            blocks={"x": (2, True)},
+            scalars=(),
+            a=np.eye(3),
+            b=sdp.pack(-np.eye(2), real=True),
+            c=sdp.pack(np.eye(2), real=True),
+            sense="min",
+        )
         sol = sdp.solve(prob, max_iters=2000)
         assert sol.status == "max_iterations"
         assert np.all(np.isfinite(sol.block_values["x"]))
@@ -103,71 +101,51 @@ class TestSolve:
 
     def test_deterministic_replay(self, rng):
         h = random_hermitian(rng, 4)
-        s1 = sdp.solve(eigenvalue_lp(h))
-        s2 = sdp.solve(eigenvalue_lp(h))
+        s1 = sdp.solve(_eigenvalue_lp(h, real=False))
+        s2 = sdp.solve(_eigenvalue_lp(h, real=False))
         assert s1.iterations == s2.iterations
         assert s1.objective_value == s2.objective_value
         assert np.array_equal(s1.block_values["x"], s2.block_values["x"])
 
-    def test_max_iters_env_override(self, rng, monkeypatch):
-        monkeypatch.setenv("SOLVER_MAX_ITERS", "3")
-        sol = sdp.solve(eigenvalue_lp(random_hermitian(rng, 4)))
+    def test_default_max_iters_caps_solve(self, rng, monkeypatch):
+        # the cap is read when solve is called, and max_iters=0 returns the start
+        problem = _eigenvalue_lp(random_hermitian(rng, 4), real=False)
+        monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
+        sol = sdp.solve(problem)
         assert sol.status == "max_iterations"
         assert sol.iterations == 3
+        assert sdp.solve(problem, max_iters=0).iterations == 0
 
     def test_dim_guard(self):
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("big", 40)
-        prob.set_objective("min", block_mats={"big": np.eye(40)})
+        prob = sdp.SdpProblem(
+            blocks={"big": (40, False)},
+            scalars=(),
+            a=np.zeros((0, 1600)),
+            b=np.zeros(0),
+            c=sdp.pack(np.eye(40)),
+            sense="min",
+        )
         with pytest.raises(sdp.SdpBuildError):
             sdp.solve(prob)
 
 
 class TestProblemValidation:
     def test_matrix_equality_row_count(self):
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("x", 3)
-        prob.add_matrix_equality({"x": 1.0}, rhs=np.eye(3).astype(complex))
-        # 3 diagonal + 3 real upper + 3 imaginary upper
-        assert prob.n_constraints == 9
+        # a 3 x 3 equality: 3 diagonal + 3 real upper + 3 imaginary upper rows
+        assert _eigenvalue_lp(np.eye(3), real=False).a.shape == (9, 10)
 
     def test_real_block_row_count(self):
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("x", 3, real=True)
-        prob.add_matrix_equality({"x": 1.0}, rhs=np.eye(3))
-        assert prob.n_constraints == 6
-
-    def test_rejects_non_hermitian_coefficient(self):
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("x", 2)
-        with pytest.raises(sdp.SdpBuildError):
-            prob.add_scalar_equality(block_mats={"x": np.array([[0, 1], [0, 0]])}, rhs=0.0)
-
-    def test_rejects_unknown_names(self):
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("x", 2)
-        with pytest.raises(sdp.SdpBuildError):
-            prob.add_scalar_equality(block_mats={"y": np.eye(2)}, rhs=1.0)
-        with pytest.raises(sdp.SdpBuildError):
-            prob.set_objective("max", scalar_coeffs={"q": 1.0})
-
-    def test_rejects_duplicates_and_late_variables(self):
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("x", 2)
-        with pytest.raises(sdp.SdpBuildError):
-            prob.add_psd_block("x", 3)
-        prob.add_scalar_equality(block_mats={"x": np.eye(2)}, rhs=1.0)
-        with pytest.raises(sdp.SdpBuildError):
-            prob.add_scalar("late")
+        assert _eigenvalue_lp(np.eye(3), real=True).a.shape == (6, 7)
 
     def test_rejects_dimension_mismatch(self):
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("x", 2)
+        prob = _eigenvalue_lp(np.eye(2), real=False)
         with pytest.raises(sdp.SdpBuildError):
-            prob.add_matrix_equality({"x": 1.0}, rhs=np.eye(3).astype(complex))
+            replace(prob, b=np.zeros(3))
+        with pytest.raises(sdp.SdpBuildError):
+            replace(prob, c=np.zeros(4))
+        with pytest.raises(sdp.SdpBuildError):
+            replace(prob, blocks={"x": (3, False)})
 
     def test_rejects_bad_sense(self):
-        prob = sdp.SdpProblem()
-        prob.add_psd_block("x", 2)
         with pytest.raises(sdp.SdpBuildError):
-            prob.set_objective("maximize")
+            replace(_eigenvalue_lp(np.eye(2), real=False), sense="maximize")
