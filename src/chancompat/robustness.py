@@ -224,9 +224,9 @@ def robustness(
 ) -> RobustnessResult:
     """Smallest grid multiple of dr at which the noisy pair turns compatible,
     or with refine=True the solver's r itself."""
-    problem = channel_feasibility_problem(ch1, ch2, None, parse_noise(noise))
     if dr <= 0:
         raise ValueError(f"grid step dr must be positive, got {dr}")
+    problem = channel_feasibility_problem(ch1, ch2, None, parse_noise(noise))
     return _robustness_value(problem, None if refine else dr)
 
 

@@ -12,18 +12,21 @@ matrix equality thus takes d * d rows, or d(d+1)/2 on real blocks, and
 linear_map_matrix gives the rows of a linear map. Callers compile (a, b, c)
 themselves, so a program shape is compiled once and only b follows the data.
 
-The solver reduces the constraint rows to an orthonormal basis and follows
-the central path with HKM predictor-corrector steps (Helmberg, Rendl,
-Vanderbei and Wolkowicz; the Mehrotra corrector as in SDPT3), in about ten
-iterations and with no tuning. It runs on numpy.linalg alone, in a fixed
-order, so identical problems replay bitwise identically.
+The solver follows the central path with HKM predictor-corrector steps
+(Helmberg, Rendl, Vanderbei and Wolkowicz; the Mehrotra corrector as in
+SDPT3), in about ten iterations and with no tuning. Each program shape is
+factored once, cached on the content of a: an orthonormal row basis, and one
+(k, d, d) stack per (dim, real) kind of block, on which the iterate lives.
+It runs on numpy.linalg alone, in a fixed order, so identical problems
+replay bitwise identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -146,6 +149,52 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     dual_objective: float
+    seconds: float = field(compare=False)   # wall time of the solve
+
+
+class _Group(NamedTuple):
+    """The PSD blocks of one (dim, real) kind, iterated as one (k, d, d) stack."""
+    idx: tuple[int, ...]    # their positions among the problem's blocks
+    cols: np.ndarray        # their pack coordinates in x, block after block
+    cmap: np.ndarray        # _coord_map(d, real)
+    mats: np.ndarray        # (m, k, d, d): the reduced rows on the stack
+    span: slice             # the stack's entries in a flat real buffer
+
+
+def _join(stacks) -> np.ndarray:
+    """The flat real buffer of one stack per group; for two, g @ h = Re <g, h>."""
+    return np.concatenate([h.reshape(-1).view(float) for h in stacks])
+
+
+def _stacks(buf: np.ndarray, groups) -> list[np.ndarray]:
+    """The (k, d, d) stacks of the groups in a flat real buffer, as views."""
+    return [buf[g.span].view(g.mats.dtype).reshape(g.mats.shape[1:]) for g in groups]
+
+
+@lru_cache(maxsize=32)
+def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int):
+    """The factored shape of a program, keyed on the content of a: the map
+    from b to the reduced b, the block groups, and the reduced rows on the
+    flat buffer of the stacks and on the free scalars. Rows are normalized,
+    then made orthonormal by an SVD whose singular values below
+    max(shape) * 1e-12 * s_0 drop out with the dependent rows."""
+    a_full = np.frombuffer(a_bytes).reshape(shape)
+    norms = np.linalg.norm(a_full, axis=1)
+    norms[norms == 0] = 1.0
+    u, s, vt = np.linalg.svd(a_full / norms[:, None], full_matrices=False)
+    rank = int(np.sum(s > max(shape) * 1e-12 * s[0])) if s.size else 0
+    a, b_map = vt[:rank], u[:, :rank].T / s[:rank, None] / norms
+    starts = np.cumsum([0] + [vec_size(d, real) for d, real in blocks])
+    groups, offset = [], 0
+    for d, real in dict.fromkeys(blocks):
+        idx = tuple(i for i, blk in enumerate(blocks) if blk == (d, real))
+        cols = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in idx])
+        cmap = _coord_map(d, real)
+        mats = (a[:, cols].reshape(rank, len(idx), -1) @ cmap.T).reshape(rank, len(idx), d, d)
+        span = slice(offset, offset := offset + mats[0].size * (1 if real else 2))
+        groups.append(_Group(idx, cols, cmap, mats, span))
+    flat = np.hstack([g.mats.reshape(rank, -1).view(float) for g in groups])
+    return b_map, tuple(groups), flat, a[:, starts[-1] : starts[-1] + n_free]
 
 
 def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
@@ -161,78 +210,59 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     Problems whose embedded PSD dimension exceeds DIM_GUARD are rejected
     before iterating.
     """
-    if max_iters is None:
-        max_iters = DEFAULT_MAX_ITERS
-    embedded = sum(d if real else 2 * d for d, real in problem.blocks.values())
-    if embedded > DIM_GUARD:
+    start = time.perf_counter()
+    max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
+    if (embedded := sum(d if real else 2 * d for d, real in problem.blocks.values())) > DIM_GUARD:
         raise SdpBuildError(f"embedded PSD dimension {embedded} exceeds guard {DIM_GUARD}")
-    a_full, b_full, c = problem.a, problem.b, problem.c
+    a_full, blocks = np.ascontiguousarray(problem.a, dtype=float), tuple(problem.blocks.values())
+    b_map, groups, flat, a_free = _reduce(a_full.tobytes(), a_full.shape, blocks, len(problem.scalars))
     sign = -1.0 if problem.sense == "max" else 1.0
-    c_min = sign * c
-    # normalized rows, then orthonormal rows from an SVD whose singular values
-    # below max(shape) * 1e-12 * s_0 drop out with the dependent rows
-    norms = np.linalg.norm(a_full, axis=1)
-    norms[norms == 0] = 1.0
-    u, s, vt = np.linalg.svd(a_full / norms[:, None], full_matrices=False)
-    rank = int(np.sum(s > max(a_full.shape) * 1e-12 * s[0])) if s.size else 0
-    a, b = vt[:rank], (u[:, :rank].T @ (b_full / norms)) / s[:rank]
-    m, n = a.shape
-
-    spans, offset = [], 0
-    for d, real in problem.blocks.values():
-        size = vec_size(d, real)
-        spans.append((slice(offset, offset + size), d, _coord_map(d, real)))
-        offset += size
-    free = np.arange(offset, offset + len(problem.scalars))
-    # the rows of a on each block as matrices: a[i, sl] @ pack(X) = <mats[i], X>
-    mats = [(cmap @ a[:, sl].T).T.reshape(m, d, d) for sl, d, cmap in spans]
-    n_cone = sum(d for _, d, _ in spans)
-
-    x, y, z = np.zeros(n), np.zeros(m), np.zeros(n)
-    for sl, d, _ in spans:     # pack(I): the diagonal coordinates come first
-        x[sl.start : sl.start + d] = z[sl.start : sl.start + d] = 1.0
+    c_min = sign * problem.c
+    # X, Z and C are flat real buffers with a stack view per group (_stacks);
+    # y and the free scalars xf are vectors
+    c = _join(c_min[g.cols].reshape(len(g.idx), -1) @ g.cmap.T for g in groups)
+    x = _join(np.broadcast_to(np.eye(g.mats.shape[-1]), g.mats.shape[1:]).astype(g.mats.dtype) for g in groups)
+    b, c_free = b_map @ problem.b, c_min[c_min.size - len(problem.scalars) :]
+    z, y, xf = x.copy(), np.zeros(b.size), np.zeros(c_free.size)
+    n_cone, b_norm, c_norm = sum(d for d, _ in blocks), np.linalg.norm(b), np.linalg.norm(c_min)
     status, iterations = "max_iterations", 0
-    while True:
-        rp = b - a @ x
-        rd = c_min - a.T @ y - z
-        pobj, dobj = c_min @ x, b @ y
-        if max(
-            np.linalg.norm(rp) / (1.0 + np.linalg.norm(b)),
-            np.linalg.norm(rd) / (1.0 + np.linalg.norm(c_min)),
-            abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
-        ) <= DEFAULT_EPS:
-            status = "optimal"
-            break
-        if iterations == max_iters:
-            break
-        try:
-            step = _step(x, y, z, rp, rd, a, free, spans, mats, n_cone)
-        except np.linalg.LinAlgError:
-            break
-        if not all(np.all(np.isfinite(v)) for v in step):
-            break
-        x, y, z = step
-        iterations += 1
+    with np.errstate(all="ignore"):    # a non-finite step is caught below
+        while True:
+            rp, rd, rdf = b - flat @ x - a_free @ xf, c - y @ flat - z, c_free - y @ a_free
+            pobj, dobj, rd_norm = c @ x + c_free @ xf, b @ y, np.sqrt(rd @ rd + rdf @ rdf)
+            gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+            if max(np.linalg.norm(rp) / (1.0 + b_norm), rd_norm / (1.0 + c_norm), gap) <= DEFAULT_EPS:
+                status = "optimal"
+                break
+            if iterations == max_iters:
+                break
+            try:
+                step = _step(x, z, y, xf, rp, rd, rdf, groups, flat, a_free, n_cone)
+            except np.linalg.LinAlgError:
+                break
+            if not np.isfinite(np.concatenate(step)).all():
+                break
+            x, z, y, xf = step
+            iterations += 1
 
-    primal = float(np.max(np.abs(a_full @ x - b_full))) if a_full.shape[0] else 0.0
+    x_pack, values = np.concatenate([np.zeros(a_full.shape[1] - xf.size), xf]), {}
+    for g, xm in zip(groups, _stacks(x, groups)):
+        x_pack[g.cols] = (xm.reshape(len(xm), -1) @ g.cmap.conj()).real.ravel()
+        values.update(zip(g.idx, xm))
     return SdpSolution(
         status=status,
-        objective_value=float(c @ x),
-        block_values=dict(zip(problem.blocks, _blocks_of(x, spans))),
-        scalar_values={s: float(x[o]) for o, s in enumerate(problem.scalars, start=offset)},
-        primal_residual=primal,
-        dual_residual=float(np.linalg.norm(rd)),
+        objective_value=float(problem.c @ x_pack),
+        block_values={name: values[i] for i, name in enumerate(problem.blocks)},
+        scalar_values=dict(zip(problem.scalars, map(float, xf))),
+        primal_residual=float(np.max(np.abs(a_full @ x_pack - problem.b), initial=0.0)),
+        dual_residual=float(rd_norm),
         iterations=iterations,
-        dual_objective=float(sign * (b @ y)),
+        dual_objective=float(sign * dobj),
+        seconds=time.perf_counter() - start,
     )
 
 
-def _blocks_of(v: np.ndarray, spans) -> list[np.ndarray]:
-    """The block matrices of a coordinate vector."""
-    return [(cmap @ v[sl]).reshape(d, d) for sl, d, cmap in spans]
-
-
-def _step(x, y, z, rp, rd, a, free, spans, mats, n_cone):
+def _step(x, z, y, xf, rp, rd, rdf, groups, flat, a_free, n_cone):
     """One Mehrotra predictor-corrector step along the HKM direction.
 
     Both directions solve the Schur system M = sum_k A_k H_k A_k^T of the
@@ -240,55 +270,45 @@ def _step(x, y, z, rp, rd, a, free, spans, mats, n_cone):
     of a: the predictor for sigma = 0, the corrector for sigma =
     (mu_aff / mu)^3 with the second-order term -dX_aff dZ_aff. The primal and
     the dual iterate each move BOUNDARY_FRACTION of the way to the cone
-    boundary, at most a full step. Returns the new (x, y, z).
+    boundary, at most a full step. Each group takes one Cholesky factor and
+    one inverse of its stacked [X; Z], and one eigh per step length.
+    Returns the new (x, z, y, xf).
     """
-    m = a.shape[0]
-    xs, zs = _blocks_of(x, spans), _blocks_of(z, spans)
-    lx = [np.linalg.inv(np.linalg.cholesky(xm)) for xm in xs]
-    lz = [np.linalg.inv(np.linalg.cholesky(zm)) for zm in zs]
-    ws = [li.conj().T @ li for li in lz]        # Z^-1
-
+    m = y.size
+    xs, zs, rds = _stacks(x, groups), _stacks(z, groups), _stacks(rd, groups)
+    l_invs = [np.linalg.inv(np.linalg.cholesky(np.concatenate([xm, zm]))) for xm, zm in zip(xs, zs)]
+    l_invs = [(li, li.conj().swapaxes(1, 2)) for li in l_invs]
+    ws = [lih[len(xm) :] @ li[len(xm) :] for (li, lih), xm in zip(l_invs, xs)]   # Z^-1
     # (A_k H_k A_k^T)_ij = Re tr(A_i X A_j Z^-1)
-    kkt = np.zeros((m + free.size, m + free.size))
-    kkt[:m, m:] = a[:, free]
-    kkt[m:, :m] = a[:, free].T
-    for xm, w, mk in zip(xs, ws, mats):
-        p = xm @ mk @ w
-        kkt[:m, :m] += (mk.reshape(m, -1) @ p.transpose(0, 2, 1).reshape(m, -1).T).real
-    rd_blocks = _blocks_of(rd, spans)
+    kkt = np.zeros((m + xf.size, m + xf.size))
+    kkt[:m, m:], kkt[m:, :m] = a_free, a_free.T
+    schur = [(xm @ g.mats @ w).reshape(m, -1).view(float) for g, xm, w in zip(groups, xs, ws)]
+    kkt[:m, :m] = flat @ np.hstack(schur).T
 
-    def direction(target, second):
-        # dX = sym(target Z^-1 - X - (D + X dZ) Z^-1) with dZ = rd - A^T dy and
-        # D the second-order term; the real part of cmap^H vec(.) packs sym(.)
-        def dx_of(dz_blocks):
-            return [
-                (cmap.conj().T @ (target * w - xm - (dd + xm @ dzm) @ w).ravel()).real
-                for (_, _, cmap), xm, w, dd, dzm in zip(spans, xs, ws, second, dz_blocks)
-            ]
+    def direction(base):
+        # dX = sym(base - X dZ Z^-1) with dZ = rd - A^T dy; the rhs needs no
+        # sym, as <A_i, sym(h)> = Re <A_i, h>
+        rhs = rp - flat @ _join(h - xm @ r @ w for h, xm, r, w in zip(base, xs, rds, ws))
+        sol = np.linalg.solve(kkt, np.concatenate([rhs, rdf]))
+        dz = rd - sol[:m] @ flat
+        dzs = _stacks(dz, groups)
+        dxs = [h - xm @ dzm @ w for h, xm, dzm, w in zip(base, xs, dzs, ws)]
+        dxs = [(h + h.conj().swapaxes(1, 2)) / 2 for h in dxs]
+        return dxs, dzs, _join(dxs), dz, sol[:m], sol[m:]
 
-        rhs = rp - sum(a[:, sl] @ v for (sl, _, _), v in zip(spans, dx_of(rd_blocks)))
-        sol = np.linalg.solve(kkt, np.concatenate([rhs, rd[free]]))
-        dy = sol[:m]
-        dz = rd - a.T @ dy
-        dz[free] = 0.0
-        dx = np.zeros_like(x)
-        dx[free] = sol[m:]
-        for (sl, _, _), v in zip(spans, dx_of(_blocks_of(dz, spans))):
-            dx[sl] = v
-        return dx, dy, dz
+    def step_lengths(dxs, dzs):
+        # X + alpha dX >= 0 up to alpha = -1 / lambda_min(L^-1 dX L^-H), X = L L^H;
+        # one eigh per group covers the primal and the dual stack
+        lam = np.min([np.linalg.eigh(li @ np.concatenate([dxm, dzm]) @ lih)[0].reshape(2, -1).min(1)
+                      for (li, lih), dxm, dzm in zip(l_invs, dxs, dzs)], axis=0)
+        return [1.0 if v >= 0 else min(1.0, -BOUNDARY_FRACTION / v) for v in lam]
 
-    def step_length(l_invs, v):
-        # X + alpha dX >= 0 up to alpha = -1 / lambda_min(L^-1 dX L^-H), X = L L^H
-        lam = min(
-            np.linalg.eigh(li @ dm @ li.conj().T)[0][0]
-            for li, dm in zip(l_invs, _blocks_of(v, spans))
-        )
-        return 1.0 if lam >= 0 else min(1.0, -BOUNDARY_FRACTION / lam)
-
-    dx, dy, dz = direction(0.0, [0.0] * len(spans))
-    ap, ad = step_length(lx, dx), step_length(lz, dz)
+    dxs, dzs, dx, dz, dy, dxf = direction([-xm for xm in xs])
+    ap, ad = step_lengths(dxs, dzs)
     mu, mu_aff = x @ z / n_cone, (x + ap * dx) @ (z + ad * dz) / n_cone
-    second = [dxm @ dzm for dxm, dzm in zip(_blocks_of(dx, spans), _blocks_of(dz, spans))]
-    dx, dy, dz = direction((mu_aff / mu) ** 3 * mu, second)
-    ap, ad = step_length(lx, dx), step_length(lz, dz)
-    return x + ap * dx, y + ad * dy, z + ad * dz
+    # the corrector: target sigma mu = (mu_aff / mu)^3 mu and D = dX_aff dZ_aff
+    sigma_mu = (mu_aff / mu) ** 3 * mu
+    base = [sigma_mu * w - dxm @ dzm @ w - xm for xm, w, dxm, dzm in zip(xs, ws, dxs, dzs)]
+    dxs, dzs, dx, dz, dy, dxf = direction(base)
+    ap, ad = step_lengths(dxs, dzs)
+    return x + ap * dx, z + ad * dz, y + ad * dy, xf + ap * dxf

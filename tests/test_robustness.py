@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from chancompat import sdp
 from chancompat.channels import (
+    Channel,
     Povm,
+    choi_from_map,
     completely_depolarizing,
     depolarizing_choi,
     depolarizing_map,
@@ -65,12 +68,18 @@ class TestFeasibilityQ:
             feasibility_q(IDENT, wide, 0.0, GEN)
 
 
+def _isometry_channel(v):
+    return Channel(v.shape[1], v.shape[0], choi_from_map(lambda rho: v @ rho @ v.T, v.shape[1]))
+
+
 def test_solution_satisfies_compatibility_equations(rng):
     # the blocks read back by name solve the program the module docstring states
     pairs = [
         (IDENT, depolarizing_choi(0.7)),
         (random_channel(rng), random_channel(rng)),
         (measurement_channel(trine_povm()), measurement_channel(projective_povm(np.eye(2)))),
+        # two real 2 -> 4 isometries: a 32 x 32 joint block, the largest that passes DIM_GUARD
+        tuple(_isometry_channel(np.linalg.qr(rng.normal(size=(4, 2)))[0]) for _ in range(2)),
     ]
     for ch1, ch2 in pairs:
         din, d1, d2 = ch1.din, ch1.dout, ch2.dout
@@ -140,7 +149,12 @@ class TestChannelRobustness:
             for bump in (0.05, 0.5):
                 assert feasibility_q(ch1, ch2, r_star + bump, GEN) >= 0
 
-    def test_rejects_bad_dr(self):
+    def test_rejects_bad_dr(self, monkeypatch):
+        # the step is checked before any program is built
+        def build(*args):
+            raise AssertionError("program built for a rejected dr")
+
+        monkeypatch.setattr(sys.modules["chancompat.robustness"], "channel_feasibility_problem", build)
         with pytest.raises(ValueError):
             robustness(IDENT, IDENT, CD, dr=0.0)
 

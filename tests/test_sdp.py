@@ -1,8 +1,10 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import chancompat.cli
 from chancompat import sdp
 from chancompat.linalg import partial_trace
 from chancompat.validation import _eigenvalue_lp
@@ -106,6 +108,8 @@ class TestSolve:
         assert s1.iterations == s2.iterations
         assert s1.objective_value == s2.objective_value
         assert np.array_equal(s1.block_values["x"], s2.block_values["x"])
+        # the wall time stays out of equality
+        assert s1.seconds > 0 and replace(s1, seconds=s1.seconds + 1.0) == s1
 
     def test_default_max_iters_caps_solve(self, rng, monkeypatch):
         # the cap is read when solve is called, and max_iters=0 returns the start
@@ -127,6 +131,73 @@ class TestSolve:
         )
         with pytest.raises(sdp.SdpBuildError):
             sdp.solve(prob)
+
+
+def _shared_eigenvalue_lp(hs: dict) -> sdp.SdpProblem:
+    """max t s.t. X_k + t * 1 = H_k, X_k >= 0 for each named (H_k, real):
+    the optimum is the smallest eigenvalue of all the H_k."""
+    t_col = np.concatenate([sdp.pack(np.eye(h.shape[0]), real) for h, real in hs.values()])
+    return sdp.SdpProblem(
+        blocks={name: (h.shape[0], real) for name, (h, real) in hs.items()},
+        scalars=("t",),
+        a=np.hstack([np.eye(t_col.size), t_col[:, None]]),
+        b=np.concatenate([sdp.pack(h, real) for h, real in hs.values()]),
+        c=np.eye(t_col.size + 1)[-1],
+        sense="max",
+    )
+
+
+class TestGroupedStacks:
+    def test_block_order_does_not_change_the_optimum(self, rng):
+        # the two complex 3 x 3 blocks share a stack although they are not
+        # adjacent; the real 3 x 3 block between them has a stack of its own
+        sym = rng.normal(size=(3, 3))
+        hs = {
+            "p": (random_hermitian(rng, 3), False),
+            "q": (sym + sym.T, True),
+            "r": (random_hermitian(rng, 3), False),
+            "s": (np.diag([2.0, 5.0]), True),
+        }
+        twin_order = ("p", "r", "s", "q")
+        s1 = sdp.solve(_shared_eigenvalue_lp(hs))
+        s2 = sdp.solve(_shared_eigenvalue_lp({name: hs[name] for name in twin_order}))
+        assert s1.status == s2.status == "optimal"
+        lam_min = min(np.linalg.eigvalsh(h)[0] for h, _ in hs.values())
+        assert abs(s1.objective_value - lam_min) < 1e-7
+        assert abs(s1.objective_value - s2.objective_value) <= 1e-9
+        for name, (h, real) in hs.items():
+            assert s1.block_values[name].dtype == (float if real else complex)
+            assert np.max(np.abs(s1.block_values[name] - s2.block_values[name])) <= 1e-9
+
+    def test_sweep_factors_each_shape_once(self, monkeypatch, tmp_path):
+        svd, solve, factored, solves = np.linalg.svd, sdp.solve, [], []
+
+        def counting_svd(a, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == sdp.__name__:
+                factored.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        def counting_solve(problem, *args, **kwargs):
+            solves.append(problem.a.shape)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(sdp, "solve", counting_solve)
+        sdp._reduce.cache_clear()
+        out = tmp_path / "f.csv"
+        assert chancompat.cli.main(["figure", "--id", "1", "--t-step", "0.1", "-o", str(out)]) == 0
+        # 11 points, one program shape per noise class
+        assert len(solves) == 22
+        assert sorted(factored) == sorted(set(solves)) and len(factored) == 2
+
+    def test_mutated_rows_give_the_new_program(self):
+        # the shape cache keys on the content of a, not on the array
+        prob = _eigenvalue_lp(np.diag([1.0, 3.0]), real=True)
+        assert abs(sdp.solve(prob).objective_value - 1.0) < 1e-7
+        prob.a[:, -1] *= 2.0    # X + 2 t 1 = h: the optimum halves
+        sol = sdp.solve(prob)
+        assert abs(sol.objective_value - 0.5) < 1e-7
+        assert sol.objective_value == sdp.solve(replace(prob, a=prob.a.copy())).objective_value
 
 
 class TestProblemValidation:
