@@ -1,4 +1,5 @@
-"""Dense complex linear algebra for small operators (dimension <= 8).
+"""Dense complex linear algebra for small operators, up to the joint operators
+(32 x 32 for two 2 -> 4 channels) whose partial traces robustness._program takes.
 
 Everything here works on plain numpy arrays. Multi-partite operators carry
 their factorization as an explicit list of subsystem dimensions whose product

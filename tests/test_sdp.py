@@ -101,6 +101,15 @@ class TestSolve:
         assert np.all(np.isfinite(sol.block_values["x"]))
         assert np.isfinite(sol.objective_value) and np.isfinite(sol.dual_objective)
 
+    def test_inconsistent_equalities_are_not_optimal(self):
+        # a repeated row with another right-hand side: the reduced program
+        # converges, but b lies outside the row space of a
+        prob = _eigenvalue_lp(np.diag([1.0, 2.0]), real=True)
+        prob = replace(prob, a=np.vstack([prob.a, prob.a[:1]]), b=np.append(prob.b, prob.b[0] + 0.5))
+        sol = sdp.solve(prob)
+        assert sol.status == "max_iterations"
+        assert sol.primal_residual > 0.2
+
     def test_deterministic_replay(self, rng):
         h = random_hermitian(rng, 4)
         s1 = sdp.solve(_eigenvalue_lp(h, real=False))
@@ -147,17 +156,22 @@ def _shared_eigenvalue_lp(hs: dict) -> sdp.SdpProblem:
     )
 
 
-class TestGroupedStacks:
+def _four_blocks(rng) -> dict:
+    """Four blocks of three kinds: two complex 3 x 3, a real 3 x 3 and a real 2 x 2."""
+    sym = rng.normal(size=(3, 3))
+    return {
+        "p": (random_hermitian(rng, 3), False),
+        "q": (sym + sym.T, True),
+        "r": (random_hermitian(rng, 3), False),
+        "s": (np.diag([2.0, 5.0]), True),
+    }
+
+
+class TestBlockDiagonalIterate:
     def test_block_order_does_not_change_the_optimum(self, rng):
-        # the two complex 3 x 3 blocks share a stack although they are not
-        # adjacent; the real 3 x 3 block between them has a stack of its own
-        sym = rng.normal(size=(3, 3))
-        hs = {
-            "p": (random_hermitian(rng, 3), False),
-            "q": (sym + sym.T, True),
-            "r": (random_hermitian(rng, 3), False),
-            "s": (np.diag([2.0, 5.0]), True),
-        }
+        # the blocks are diagonal slices of one complex iterate, in the order
+        # given; the real ones come back as real matrices
+        hs = _four_blocks(rng)
         twin_order = ("p", "r", "s", "q")
         s1 = sdp.solve(_shared_eigenvalue_lp(hs))
         s2 = sdp.solve(_shared_eigenvalue_lp({name: hs[name] for name in twin_order}))
@@ -168,6 +182,22 @@ class TestGroupedStacks:
         for name, (h, real) in hs.items():
             assert s1.block_values[name].dtype == (float if real else complex)
             assert np.max(np.abs(s1.block_values[name] - s2.block_values[name])) <= 1e-9
+
+    def test_one_factorization_and_two_eigh_per_iteration(self, rng, monkeypatch):
+        # however many blocks and kinds, an iteration factors the stacked
+        # [X; Z] once and takes one eigh per step length
+        calls = {"cholesky": 0, "eigh": 0}
+        for name, fn in [(name, getattr(np.linalg, name)) for name in calls]:
+            def counting(*args, _name=name, _fn=fn, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] == sdp.__name__:
+                    calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        for hs in ({"x": (random_hermitian(rng, 4), False)}, _four_blocks(rng)):
+            calls.update(cholesky=0, eigh=0)
+            sol = sdp.solve(_shared_eigenvalue_lp(hs))
+            assert sol.status == "optimal" and sol.iterations > 0
+            assert calls == {"cholesky": sol.iterations, "eigh": 2 * sol.iterations}
 
     def test_sweep_factors_each_shape_once(self, monkeypatch, tmp_path):
         svd, solve, factored, solves = np.linalg.svd, sdp.solve, [], []
