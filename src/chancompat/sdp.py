@@ -302,7 +302,7 @@ def _step(x, z, y, xf, rp, rd, rdf, mats, flat, a_free):
     dx, dz, dy, dxf = direction(-x)
     ap, ad = step_lengths(dx, dz)
     mu, mu_aff = np.vdot(x, z).real / n, np.vdot(x + ap * dx, z + ad * dz).real / n
-    # the corrector: target sigma mu = (mu_aff / mu)^3 mu and D = dX_aff dZ_aff
+    # the corrector: target sigma mu = (mu_aff / mu)^3 mu, second-order term dX_aff dZ_aff
     sigma_mu = (mu_aff / mu) ** 3 * mu
     dx, dz, dy, dxf = direction(sigma_mu * w - dx @ dz @ w - x)
     ap, ad = step_lengths(dx, dz)

@@ -187,8 +187,8 @@ class TestBlockDiagonalIterate:
         # however many blocks and kinds, an iteration factors the stacked
         # [X; Z] once and takes one eigh per step length
         calls = {"cholesky": 0, "eigh": 0}
-        for name, fn in [(name, getattr(np.linalg, name)) for name in calls]:
-            def counting(*args, _name=name, _fn=fn, **kwargs):
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
                 if sys._getframe(1).f_globals["__name__"] == sdp.__name__:
                     calls[_name] += 1
                 return _fn(*args, **kwargs)
