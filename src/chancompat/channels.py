@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -139,8 +138,7 @@ class DynamicalMap:
     """Time-parametrized channel family t -> channel_at(t).
 
     label names the map in reports; period, when set, is the oscillation
-    period that a time grid must resolve. The factories below build maps
-    from module-level functions and functools.partial, so that maps pickle.
+    period that a time grid must resolve.
     """
 
     label: str
@@ -154,38 +152,26 @@ class DynamicalMap:
         return self.channel_at(t)
 
 
-def _depolarizing_at(lam: float, omega: float | None, t: float) -> Channel:
-    w = math.exp(-lam * t)
-    if omega is not None:
-        w *= math.cos(omega * t) ** 2
-    return depolarizing_choi(w)
-
-
-def _amplitude_damping_at(alpha: float, omega: float, t: float) -> Channel:
-    w = 1 - math.exp(-alpha * t) * math.cos(omega * t) ** 2
-    return amplitude_damping_choi(min(max(w, 0.0), 1.0))
-
-
-def _constant_at(channel: Channel, t: float) -> Channel:
-    return channel
-
-
 def depolarizing_map(lam: float, omega: float | None = None) -> DynamicalMap:
     """w(t) = exp(-lam t), or exp(-lam t) cos^2(omega t) when omega is given."""
     if omega is None:
-        return DynamicalMap(f"depolarizing(lam={lam:g})", partial(_depolarizing_at, lam, None))
+        return DynamicalMap(f"depolarizing(lam={lam:g})", lambda t: depolarizing_choi(math.exp(-lam * t)))
     return DynamicalMap(
         f"depolarizing(lam={lam:g},omega={omega:g})",
-        partial(_depolarizing_at, lam, omega),
+        lambda t: depolarizing_choi(math.exp(-lam * t) * math.cos(omega * t) ** 2),
         math.pi / omega if omega else None,
     )
 
 
 def amplitude_damping_map(alpha: float, omega: float) -> DynamicalMap:
     """Decay probability w(t) = 1 - exp(-alpha t) cos^2(omega t)."""
+    def channel_at(t: float) -> Channel:
+        w = 1 - math.exp(-alpha * t) * math.cos(omega * t) ** 2
+        return amplitude_damping_choi(min(max(w, 0.0), 1.0))
+
     return DynamicalMap(
         f"amplitude_damping(alpha={alpha:g},omega={omega:g})",
-        partial(_amplitude_damping_at, alpha, omega),
+        channel_at,
         math.pi / omega if omega else None,
     )
 
@@ -195,13 +181,14 @@ def eternal_map() -> DynamicalMap:
 
 
 def identity_map() -> DynamicalMap:
-    return DynamicalMap("identity", partial(_constant_at, identity_channel(2)))
+    ident = identity_channel(2)
+    return DynamicalMap("identity", lambda t: ident)
 
 
 def constant_map(channel: Channel) -> DynamicalMap:
     """Time-independent map around a fixed channel, e.g. user-supplied Choi
     input. Note t = 0 is the channel itself, not the identity."""
-    return DynamicalMap("constant", partial(_constant_at, channel))
+    return DynamicalMap("constant", lambda t: channel)
 
 
 @dataclass(frozen=True)

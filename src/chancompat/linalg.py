@@ -55,24 +55,12 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
 
+    # einsum labels: row axis s is s; column axis s is k + s if kept, else s (traced out)
     k = len(dims)
-    t = m.reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row, col, out = [], [], []
-    nxt = 0
-    for s in range(k):
-        if s in keep:
-            row.append(letters[nxt])
-            col.append(letters[nxt + 1])
-            out.extend(letters[nxt : nxt + 2])
-            nxt += 2
-        else:
-            row.append(letters[nxt])
-            col.append(letters[nxt])
-            nxt += 1
-    spec = "".join(row) + "".join(col) + "->" + "".join(out[::2]) + "".join(out[1::2])
+    cols = [k + s if s in keep else s for s in range(k)]
     d_keep = int(np.prod([dims[s] for s in keep]))
-    return np.einsum(spec, t).reshape(d_keep, d_keep)
+    out = np.einsum(m.reshape(dims + dims), [*range(k), *cols], keep + [k + s for s in keep])
+    return out.reshape(d_keep, d_keep)
 
 
 def trace_norm(m: np.ndarray) -> float:

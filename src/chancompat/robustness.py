@@ -42,18 +42,10 @@ KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 class NoiseClass(Enum):
+    """Noise classes by CLI name; NoiseClass(value) takes a member or that name."""
+
     GENERIC = "generic"
-    COMPLETELY_DEPOLARIZING = "completely_depolarizing"
-
-
-def parse_noise(value) -> NoiseClass:
-    if isinstance(value, NoiseClass):
-        return value
-    if value in ("generic", "g"):
-        return NoiseClass.GENERIC
-    if value in ("cd", "completely_depolarizing"):
-        return NoiseClass.COMPLETELY_DEPOLARIZING
-    raise ValueError(f"unknown noise class {value!r}")
+    COMPLETELY_DEPOLARIZING = "cd"
 
 
 @dataclass(frozen=True)
@@ -153,6 +145,8 @@ def channel_feasibility_problem(
     din, d1, d2 = ch1.din, ch1.dout, ch2.dout
     real = _is_real(ch1.choi, ch2.choi)
     n_in = 1 if noise is NoiseClass.COMPLETELY_DEPOLARIZING else din
+    blocks = {"joint": (din * d1 * d2, real), "noise1": (n_in * d1, real), "noise2": (n_in * d2, real)}
+    sdp.check_dim_guard(blocks)   # before _program compiles anything
     a, c = _program(din, d1, d2, n_in, real, r is None)
     b = np.concatenate([
         sdp.pack(ch1.choi, real),
@@ -161,7 +155,7 @@ def channel_feasibility_problem(
     ])
     b[-1] = 0.0 if r is None else r
     return sdp.SdpProblem(
-        blocks={"joint": (din * d1 * d2, real), "noise1": (n_in * d1, real), "noise2": (n_in * d2, real)},
+        blocks=blocks,
         scalars=("q", "r"),
         a=a,
         b=b,
@@ -208,10 +202,10 @@ def feasibility_q(ch1: Channel, ch2: Channel, r: float, noise: NoiseClass) -> fl
     compatible side of the optimum, the side toward which the grid rule
     resolves ties. A negative q still certifies incompatibility.
     """
-    problem = channel_feasibility_problem(ch1, ch2, r, parse_noise(noise))
+    problem = channel_feasibility_problem(ch1, ch2, r, NoiseClass(noise))
     sol = sdp.solve(problem)
     if sol.status != "optimal":
-        raise RuntimeError(f"solver did not converge for probe at r={r} ({sol.status})")
+        raise RuntimeError(f"solver did not converge at pinned r={r} ({sol.status})")
     return sol.dual_objective / (1 + r)
 
 
@@ -226,7 +220,7 @@ def robustness(
     or with refine=True the solver's r itself."""
     if dr <= 0:
         raise ValueError(f"grid step dr must be positive, got {dr}")
-    problem = channel_feasibility_problem(ch1, ch2, None, parse_noise(noise))
+    problem = channel_feasibility_problem(ch1, ch2, None, NoiseClass(noise))
     return _robustness_value(problem, None if refine else dr)
 
 
@@ -240,12 +234,6 @@ def measurement_robustness(m1: Povm, m2: Povm) -> RobustnessResult:
 # ---------------------------------------------------------------------------
 # Sweeps along dynamical maps
 # ---------------------------------------------------------------------------
-
-def _noise_classes(noise) -> tuple[NoiseClass, ...]:
-    if noise == "both":
-        return (NoiseClass.GENERIC, NoiseClass.COMPLETELY_DEPOLARIZING)
-    return (parse_noise(noise),)
-
 
 def sweep(
     map1: DynamicalMap,
@@ -266,7 +254,7 @@ def sweep(
         raise ValueError("t_grid must be non-empty")
     if t_grid[0] < 0 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be nonnegative and strictly increasing")
-    classes = _noise_classes(noise)
+    classes = tuple(NoiseClass) if noise == "both" else (NoiseClass(noise),)
     records = []
     for t in t_grid:
         ch1, ch2 = map1.evaluate(t), map2.evaluate(t)
@@ -295,7 +283,7 @@ def dynamical_map_robustness(
 
     The supremum over continuous time is approximated at grid resolution.
     """
-    noise = parse_noise(noise)
+    noise = NoiseClass(noise)
     records = sweep(map1, map2, t_grid, noise=noise, dr=dr)
     values = [
         rec.r_generic if noise is NoiseClass.GENERIC else rec.r_cd for rec in records

@@ -190,6 +190,12 @@ def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int):
     return norms, (u, s[:rank]), layout, mats, _vec(mats), a[:, starts[-1] : starts[-1] + n_free]
 
 
+def check_dim_guard(blocks: dict[str, tuple[int, bool]]) -> None:
+    """Reject blocks whose embedded PSD dimension (complex counts twice) exceeds DIM_GUARD."""
+    if (embedded := sum(d if real else 2 * d for d, real in blocks.values())) > DIM_GUARD:
+        raise SdpBuildError(f"embedded PSD dimension {embedded} exceeds guard {DIM_GUARD}")
+
+
 def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     """Solve a compiled problem by the interior-point method (see _step).
 
@@ -208,8 +214,7 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     """
     start = time.perf_counter()
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
-    if (embedded := sum(d if real else 2 * d for d, real in problem.blocks.values())) > DIM_GUARD:
-        raise SdpBuildError(f"embedded PSD dimension {embedded} exceeds guard {DIM_GUARD}")
+    check_dim_guard(problem.blocks)
     a_full, blocks = np.ascontiguousarray(problem.a, dtype=float), tuple(problem.blocks.values())
     norms, (u, s), layout, mats, flat, a_free = _reduce(
         a_full.tobytes(), a_full.shape, blocks, len(problem.scalars))

@@ -278,13 +278,12 @@ def check_teleportation_curve() -> CheckResult:
 
 def check_measure_signs() -> CheckResult:
     ts = list(_T_GRID)
-    ident = FIGURES[4].map1
     rep_d1 = cp_indivisibility_measure(depolarizing_map(LAM), ts, dr=DR)
     rep_d2 = indivisibility_from_curve(
-        ts, [r.r_generic for r in _figure_records(4)], ident
+        ts, [r.r_generic for r in _figure_records(4)]
     )
     rep_ad = indivisibility_from_curve(
-        ts, [r.r_generic for r in _figure_records(5)], ident
+        ts, [r.r_generic for r in _figure_records(5)]
     )
     ident_ok = all(
         abs(rep.n_normalized - rep.n_raw / (1 + rep.n_raw)) <= 1e-12

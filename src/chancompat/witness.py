@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import Channel, DynamicalMap, apply, identity_map
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, trace_distance, trace_norm
-from .robustness import NoiseClass, parse_noise, sweep
+from .robustness import NoiseClass, sweep
 
 DEAD_BAND = 2e-3
 MIN_POINTS_PER_PERIOD = 10
@@ -34,7 +34,6 @@ class IndivisibilityReport:
     n_raw: float
     n_normalized: float
     rising_segments: tuple[tuple[float, float], ...]
-    reference: DynamicalMap
     curve: tuple[CurvePoint, ...]
     indeterminate: tuple[float, ...] = ()   # t of unconverged solves
 
@@ -116,7 +115,6 @@ def rising_segments(
 def indivisibility_from_curve(
     ts: Sequence[float],
     rs: Sequence[float],
-    reference: DynamicalMap,
     dead_band: float = DEAD_BAND,
     integrand: str = "robustness",
 ) -> IndivisibilityReport:
@@ -135,7 +133,6 @@ def indivisibility_from_curve(
         n_raw=total,
         n_normalized=total / (1 + total),
         rising_segments=tuple(rising_segments(ts, rs, dead_band)),
-        reference=reference,
         curve=tuple(CurvePoint(t, r) for t, r in zip(ts, rs)),
     )
 
@@ -156,14 +153,16 @@ def cp_indivisibility_measure(
     quantization) selects the rising segments, and r is integrated over them
     by the trapezoid rule. integrand="derivative" instead accumulates the
     total rise, the information-backflow analogue. The reference defaults to
-    the identity map and is a fixed choice, not optimized over. The times of
+    the identity map and is a fixed choice, not optimized over. A grid must
+    resolve the shorter oscillation period of the two maps. The times of
     unconverged solves are listed in the report's indeterminate field.
     """
     if len(t_grid) < 3:
         raise ValueError("t_grid too coarse: need at least 3 points")
     if integrand not in ("robustness", "derivative"):
         raise ValueError(f"integrand must be 'robustness' or 'derivative', got {integrand!r}")
-    period = map_.period
+    reference = identity_map() if reference is None else reference
+    period = min((m.period for m in (map_, reference) if m.period is not None), default=None)
     if period is not None:
         max_step = max(b - a for a, b in zip(t_grid, t_grid[1:]))
         if max_step > period / MIN_POINTS_PER_PERIOD + 1e-12:
@@ -171,12 +170,11 @@ def cp_indivisibility_measure(
                 f"t_grid step {max_step:g} undersamples the oscillation"
                 f" (need <= {period / MIN_POINTS_PER_PERIOD:g})"
             )
-    reference = identity_map() if reference is None else reference
-    noise = parse_noise(noise)
+    noise = NoiseClass(noise)
     records = sweep(reference, map_, t_grid, noise=noise, dr=dr)
     rs = [
         rec.r_generic if noise is NoiseClass.GENERIC else rec.r_cd for rec in records
     ]
     ts = [rec.t for rec in records]
-    report = indivisibility_from_curve(ts, rs, reference, dead_band, integrand)
+    report = indivisibility_from_curve(ts, rs, dead_band, integrand)
     return replace(report, indeterminate=tuple(rec.t for rec in records if rec.indeterminate))

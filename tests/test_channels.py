@@ -1,6 +1,5 @@
 import json
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -209,16 +208,6 @@ class TestDynamicalMap:
     def test_cp_tp_along_grid(self, map_):
         for k in range(100):
             assert_cptp(map_.evaluate(k / 99))
-
-    @pytest.mark.parametrize(
-        "map_", [*GRID_MAPS, constant_map(amplitude_damping_choi(0.3))], ids=lambda m: m.label
-    )
-    def test_pickle_roundtrip(self, map_):
-        # maps are built from module-level functions, so they pickle
-        again = pickle.loads(pickle.dumps(map_))
-        assert (again.label, again.period) == (map_.label, map_.period)
-        for t in (0.0, 0.13, 0.7):
-            assert np.array_equal(again.evaluate(t).choi, map_.evaluate(t).choi)
 
     def test_labels_and_periods(self):
         assert depolarizing_map(0.5, 5 * math.pi).label == "depolarizing(lam=0.5,omega=15.708)"

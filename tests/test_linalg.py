@@ -23,18 +23,24 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(rho, [2, 2], keep={1}), np.eye(2) / 2)
 
     def test_random_three_qubit_vs_loop_oracle(self, rng):
-        m = random_hermitian(rng, 8)
-        m = m @ m.conj().T  # PSD
-        got = partial_trace(m, [2, 2, 2], keep={0, 1})
-        t = m.reshape(2, 2, 2, 2, 2, 2)
-        want = np.zeros((4, 4), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    for d in range(2):
-                        for k in range(2):
-                            want[2 * a + b, 2 * c + d] += t[a, b, k, c, d, k]
-        assert np.allclose(got, want)
+        # every nonempty keep, also on unequal dims, where swapped axes
+        # change the shape or the values
+        for dims in ((2, 2, 2), (2, 3, 2)):
+            m = random_hermitian(rng, int(np.prod(dims)))
+            m = m @ m.conj().T  # PSD
+            t = m.reshape(dims + dims)
+            for keep in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}):
+                kept = [dims[s] for s in sorted(keep)]
+                want = np.zeros((int(np.prod(kept)),) * 2, dtype=complex)
+                for row in np.ndindex(*dims):
+                    for col in np.ndindex(*dims):
+                        if all(row[s] == col[s] for s in range(3) if s not in keep):
+                            i = np.ravel_multi_index([row[s] for s in sorted(keep)], kept)
+                            j = np.ravel_multi_index([col[s] for s in sorted(keep)], kept)
+                            want[i, j] += t[row + col]
+                got = partial_trace(m, dims, keep=keep)
+                assert got.shape == want.shape
+                assert np.allclose(got, want), (dims, keep)
 
     def test_trace_preserved_and_full_trace(self, rng):
         m = random_hermitian(rng, 8)

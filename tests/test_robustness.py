@@ -40,6 +40,24 @@ IDENT = identity_channel(2)
 CD_CHANNEL = completely_depolarizing(np.eye(2) / 2)
 
 
+class TestNoiseClass:
+    def test_accepts_members_and_cli_names(self):
+        for nc in NoiseClass:
+            assert NoiseClass(nc) is nc
+        assert NoiseClass("generic") is GEN
+        assert NoiseClass("cd") is CD
+
+    def test_rejects_other_spellings_before_compiling(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("program built for an unknown noise class")
+
+        monkeypatch.setattr(sys.modules["chancompat.robustness"], "channel_feasibility_problem", build)
+        with pytest.raises(ValueError, match="'g' is not a valid NoiseClass"):
+            robustness(IDENT, IDENT, noise="g")
+        with pytest.raises(ValueError, match="'completely_depolarizing' is not a valid NoiseClass"):
+            feasibility_q(IDENT, IDENT, 0.1, "completely_depolarizing")
+
+
 class TestFeasibilityQ:
     def test_cd_pair_compatible_at_zero(self):
         assert feasibility_q(CD_CHANNEL, CD_CHANNEL, 0.0, GEN) >= -1e-8
@@ -100,6 +118,18 @@ def test_solution_satisfies_compatibility_equations(rng):
     p1 = channel_feasibility_problem(IDENT, depolarizing_choi(0.7), None, GEN)
     p2 = channel_feasibility_problem(depolarizing_choi(0.5), depolarizing_choi(0.9), None, GEN)
     assert p1.a is p2.a and not p1.a.flags.writeable
+
+
+def test_size_guard_runs_before_compiling(monkeypatch):
+    # real 2 -> 4 and 2 -> 8 isometries: embedded dimension 64 + 8 + 16 = 88 > DIM_GUARD
+    def compile_op(*args):
+        raise AssertionError("program compiled before the size guard")
+
+    monkeypatch.setattr(sdp, "linear_map_matrix", compile_op)
+    ch1, ch2 = _isometry_channel(np.eye(4)[:, :2]), _isometry_channel(np.eye(8)[:, :2])
+    for noise in (GEN, CD):
+        with pytest.raises(sdp.SdpBuildError, match="exceeds guard"):
+            robustness(ch1, ch2, noise)
 
 
 class TestChannelRobustness:
@@ -205,6 +235,20 @@ class TestSweep:
         assert len({r.r_generic for r in recs}) == 1
         assert all(r.trace_distance == 1.0 for r in recs)
 
+    def test_both_solves_generic_then_cd(self, monkeypatch):
+        module = sys.modules["chancompat.robustness"]
+        calls = []
+
+        def traced(ch1, ch2, noise, **kwargs):
+            calls.append(noise)
+            return robustness(ch1, ch2, noise, **kwargs)
+
+        monkeypatch.setattr(module, "robustness", traced)
+        recs = sweep(identity_map(), identity_map(), [0.0, 0.5], noise="both", dr=0.05)
+        assert calls == [GEN, CD, GEN, CD]
+        # the identity pair: generic 1/3 and CD 1/2, each in its own column
+        assert [(r.r_generic, r.r_cd) for r in recs] == [pytest.approx((0.35, 0.5))] * 2
+
     def test_single_noise_class_leaves_other_none(self):
         recs = sweep(identity_map(), depolarizing_map(0.5), [0.0, 0.4], noise="cd", dr=0.05)
         assert recs[0].r_generic is None and recs[0].r_cd is not None
@@ -308,7 +352,7 @@ def test_depolarizing_figures_match_closed_form(fig):
             assert abs(got - expect) <= 1e-9, (rec.t, got, expect)
 
 
-@pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.value)
+@pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
 @pytest.mark.parametrize("fig", sorted(FIGURE_WEIGHTS))
 def test_refined_values_match_closed_form(fig, noise):
     # solver-independent evidence that the stopping rule bounds the error in r

@@ -106,7 +106,7 @@ class TestRisingSegments:
 class TestIndivisibilityMeasure:
     def test_from_curve_flat_is_zero(self):
         ts = [0.0, 0.5, 1.0]
-        rep = indivisibility_from_curve(ts, [0.3, 0.3, 0.3], identity_map())
+        rep = indivisibility_from_curve(ts, [0.3, 0.3, 0.3])
         assert rep.n_raw == 0.0
         assert rep.n_normalized == 0.0
         assert rep.rising_segments == ()
@@ -114,7 +114,7 @@ class TestIndivisibilityMeasure:
     def test_from_curve_trapezoid(self):
         ts = [0.0, 1.0, 2.0, 3.0]
         rs = [0.0, 0.2, 0.1, 0.3]
-        rep = indivisibility_from_curve(ts, rs, identity_map())
+        rep = indivisibility_from_curve(ts, rs)
         want = 0.5 * (0.0 + 0.2) + 0.5 * (0.1 + 0.3)
         assert abs(rep.n_raw - want) < 1e-12
         assert abs(rep.n_normalized - want / (1 + want)) < 1e-12
@@ -122,14 +122,17 @@ class TestIndivisibilityMeasure:
 
     def test_from_curve_derivative_integrand(self):
         ts = [0.0, 1.0, 2.0]
-        rep = indivisibility_from_curve(ts, [0.1, 0.4, 0.2], identity_map(), integrand="derivative")
+        rep = indivisibility_from_curve(ts, [0.1, 0.4, 0.2], integrand="derivative")
         assert abs(rep.n_raw - 0.3) < 1e-12
 
     def test_divisible_map_measures_zero(self):
         grid = [0.1 * k for k in range(11)]
         rep = cp_indivisibility_measure(depolarizing_map(0.5), grid, dr=0.02)
         assert rep.n_raw == 0.0
-        assert rep.reference.label == "identity"
+        # the default reference is the identity map
+        assert rep == cp_indivisibility_measure(
+            depolarizing_map(0.5), grid, reference=identity_map(), dr=0.02
+        )
         assert len(rep.curve) == len(grid)
 
     def test_rejects_coarse_grid(self):
@@ -143,10 +146,15 @@ class TestIndivisibilityMeasure:
             cp_indivisibility_measure(
                 depolarizing_map(0.5), [0.0, 0.5, 1.0], integrand="midpoint"
             )
+        # the reference's oscillation must be resolved too
+        with pytest.raises(ValueError, match="need <= 0.02"):
+            cp_indivisibility_measure(
+                depolarizing_map(0.5), [0.0, 0.5, 1.0], reference=depolarizing_map(0.5, 5 * math.pi)
+            )
 
     def test_normalization_identity(self):
         ts = list(np.linspace(0, 2, 9))
         rs = [0.0, 0.3, 0.1, 0.5, 0.5, 0.2, 0.8, 0.1, 0.9]
-        rep = indivisibility_from_curve(ts, rs, identity_map())
+        rep = indivisibility_from_curve(ts, rs)
         assert abs(rep.n_normalized - rep.n_raw / (1 + rep.n_raw)) <= 1e-12
         assert (rep.n_raw == 0) == (rep.rising_segments == ())
