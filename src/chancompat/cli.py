@@ -33,7 +33,7 @@ from .channels import (
     identity_map,
 )
 from .figures import ALPHA, DR, FIGURES, LAM, OMEGA, T_MAX, T_STEP, default_t_grid
-from .robustness import sweep
+from .robustness import NoiseClass, sweep
 from .validation import run_checks
 from .witness import cp_indivisibility_measure, teleport_fidelity
 
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("--family", choices=FAMILIES, default="depolarizing-indiv")
     p_meas.add_argument("--reference", choices=FAMILIES, default="identity")
     p_meas.add_argument("--noise", choices=("generic", "cd"), default="generic")
-    p_meas.add_argument("--integrand", choices=("robustness", "derivative"), default="robustness")
     _add_family_args(p_meas)
     _add_grid_args(p_meas)
     p_meas.add_argument("--dr", type=float, default=DR)
@@ -137,25 +136,13 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _sweep_to_csv(records, noise: str, teleport_map=None) -> list[str]:
-    cols = ["t"]
-    if noise in ("generic", "both"):
-        cols.append("r_generic")
-    if noise in ("cd", "both"):
-        cols.append("r_cd")
-    cols.append("trace_distance")
-    if teleport_map is not None:
-        cols += ["n_value", "f_max"]
-    lines = [",".join(cols)]
+    r_cols = [f"r_{nc.value}" for nc in NoiseClass if noise in (nc.value, "both")]
+    cols = ["t", *r_cols, "trace_distance"]
+    lines = [",".join(cols + (["n_value", "f_max"] if teleport_map is not None else []))]
     for rec in records:
-        row = [_fmt(rec.t)]
-        if noise in ("generic", "both"):
-            row.append(_fmt(rec.r_generic))
-        if noise in ("cd", "both"):
-            row.append(_fmt(rec.r_cd))
-        row.append(_fmt(rec.trace_distance))
+        row = [_fmt(getattr(rec, col)) for col in cols]
         if teleport_map is not None:
-            n, f = teleport_fidelity(teleport_map, rec.t)
-            row += [_fmt(n), _fmt(f)]
+            row += map(_fmt, teleport_fidelity(teleport_map, rec.t))
         lines.append(",".join(row))
     return lines
 
@@ -207,7 +194,6 @@ def cmd_measure(args) -> int:
         reference=reference,
         noise=args.noise,
         dr=args.dr,
-        integrand=args.integrand,
     )
     print(f"family:          {map_.label}")
     print(f"reference:       {reference.label}")

@@ -37,9 +37,6 @@ MAX_MIXING = 1.0          # any pair is compatible at r = 1 for both noise class
 R_TOL = 1e-6              # solver accuracy of r: a value this close above a grid
                           # point belongs to it, and a refined value below it is 0
 
-KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
 
 class NoiseClass(Enum):
     """Noise classes by CLI name; NoiseClass(value) takes a member or that name."""
@@ -82,6 +79,10 @@ class SweepRecord:
                 raise ValueError(
                     f"generic robustness {self.r_generic} exceeds CD robustness {self.r_cd}"
                 )
+
+    def r(self, noise) -> float | None:
+        """The robustness column of a noise class, given as a member or its name."""
+        return getattr(self, f"r_{NoiseClass(noise).value}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +246,9 @@ def sweep(
 ) -> list[SweepRecord]:
     """Robustness and trace-distance witness along a pair of dynamical maps.
 
-    The trace-distance column evolves the state pair |0><0|, |1><1|
-    through map2 (the map under study). Each time point is solved cold and
-    independently of the others.
+    The trace-distance column evolves the first two basis states |0><0|,
+    |1><1| of map2's input through map2 (the map under study), so map2 needs
+    din >= 2. Each time point is solved cold and independently of the others.
     """
     t_grid = list(t_grid)
     if not t_grid:
@@ -258,6 +259,9 @@ def sweep(
     records = []
     for t in t_grid:
         ch1, ch2 = map1.evaluate(t), map2.evaluate(t)
+        if ch2.din < 2:
+            raise ValueError(f"trace distance needs two input states, but map2 has din={ch2.din}")
+        rho0, rho1 = (np.diag(np.eye(ch2.din, dtype=complex)[k]) for k in (0, 1))
         results = {nc: robustness(ch1, ch2, nc, dr=dr, refine=refine) for nc in classes}
         gen = results.get(NoiseClass.GENERIC)
         cd = results.get(NoiseClass.COMPLETELY_DEPOLARIZING)
@@ -265,7 +269,7 @@ def sweep(
             t=t,
             r_generic=None if gen is None else gen.r_star,
             r_cd=None if cd is None else cd.r_star,
-            trace_distance=trace_distance(apply(ch2, KET0), apply(ch2, KET1)),
+            trace_distance=trace_distance(apply(ch2, rho0), apply(ch2, rho1)),
             indeterminate=any(res.indeterminate for res in results.values()),
         ))
     return records
@@ -283,11 +287,8 @@ def dynamical_map_robustness(
 
     The supremum over continuous time is approximated at grid resolution.
     """
-    noise = NoiseClass(noise)
-    records = sweep(map1, map2, t_grid, noise=noise, dr=dr)
-    values = [
-        rec.r_generic if noise is NoiseClass.GENERIC else rec.r_cd for rec in records
-    ]
+    records = sweep(map1, map2, t_grid, noise=NoiseClass(noise), dr=dr)
     return RobustnessResult(
-        r_star=max(values), indeterminate=any(rec.indeterminate for rec in records)
+        r_star=max(rec.r(noise) for rec in records),
+        indeterminate=any(rec.indeterminate for rec in records),
     )

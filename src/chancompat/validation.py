@@ -213,20 +213,22 @@ def check_measurement_channel_bound() -> CheckResult:
     d2 = depolarizing_map(LAM, OMEGA)
     times = (0.05, 0.25, 0.45, 0.65, 0.85)
     worst = -math.inf
-    indeterminate = 0
+    indeterminate = []   # (t, 'channel') or (t, index of the measurement pair)
     for t in times:
         ch1, ch2 = d1.evaluate(t), d2.evaluate(t)
         r_chan = robustness(ch1, ch2, NoiseClass.GENERIC, refine=True)
-        indeterminate += r_chan.indeterminate
-        for b1, b2 in pairs:
+        if r_chan.indeterminate:
+            indeterminate.append((t, "channel"))
+        for k, (b1, b2) in enumerate(pairs):
             m1 = pushforward_povm(ch1, projective_povm(b1))
             m2 = pushforward_povm(ch2, projective_povm(b2))
             r_meas = measurement_robustness(m1, m2)
-            indeterminate += r_meas.indeterminate
+            if r_meas.indeterminate:
+                indeterminate.append((t, k))
             worst = max(worst, r_meas.r_star - r_chan.r_star)
     detail = f"max(R_M - R_C) = {worst:.2e} over 20 projective pairs x 5 times (allowed 2e-3)"
     if indeterminate:
-        detail += f"; {indeterminate} indeterminate values"
+        detail += f"; {len(indeterminate)} indeterminate values: {indeterminate}"
     return CheckResult("measurement_channel_bound", worst <= 2e-3 and not indeterminate, detail)
 
 

@@ -1,8 +1,8 @@
 """Physical witnesses along dynamical maps.
 
 Trace-distance (information backflow) curves, the Horodecki teleportation
-criterion for one-sided evolved singlets, and a CP-indivisibility measure
-that integrates the channel-robustness curve over its rising segments.
+criterion for one-sided evolved singlets, and the CP-indivisibility
+measure of a channel-robustness curve (defined in indivisibility_from_curve).
 """
 
 from __future__ import annotations
@@ -115,24 +115,19 @@ def rising_segments(
 def indivisibility_from_curve(
     ts: Sequence[float],
     rs: Sequence[float],
-    dead_band: float = DEAD_BAND,
-    integrand: str = "robustness",
 ) -> IndivisibilityReport:
-    """Measure a precomputed robustness curve: integrate it over the grid
-    intervals where the forward difference exceeds dead_band."""
-    if integrand not in ("robustness", "derivative"):
-        raise ValueError(f"integrand must be 'robustness' or 'derivative', got {integrand!r}")
+    """The CP-indivisibility measure of a sampled robustness curve: N, the
+    trapezoid integral of r over the grid intervals where r rises by more
+    than DEAD_BAND (which absorbs grid quantization), and N / (1 + N)."""
+    segments = tuple(rising_segments(ts, rs))   # checks the lengths first
     total = 0.0
     for k in range(len(ts) - 1):
-        if rs[k + 1] - rs[k] > dead_band:
-            if integrand == "robustness":
-                total += 0.5 * (rs[k] + rs[k + 1]) * (ts[k + 1] - ts[k])
-            else:
-                total += rs[k + 1] - rs[k]
+        if rs[k + 1] - rs[k] > DEAD_BAND:
+            total += 0.5 * (rs[k] + rs[k + 1]) * (ts[k + 1] - ts[k])
     return IndivisibilityReport(
         n_raw=total,
         n_normalized=total / (1 + total),
-        rising_segments=tuple(rising_segments(ts, rs, dead_band)),
+        rising_segments=segments,
         curve=tuple(CurvePoint(t, r) for t, r in zip(ts, rs)),
     )
 
@@ -143,24 +138,17 @@ def cp_indivisibility_measure(
     reference: DynamicalMap | None = None,
     noise: NoiseClass = NoiseClass.GENERIC,
     dr: float = 0.005,
-    dead_band: float = DEAD_BAND,
-    integrand: str = "robustness",
 ) -> IndivisibilityReport:
-    """Integrate the robustness curve against a fixed CP-divisible reference.
+    """The measure of indivisibility_from_curve on the robustness curve
+    r(t) of (reference_t, map_t).
 
-    The robustness r(t) of (reference_t, map_t) is computed on the grid, the
-    sign of the forward difference (with a dead band absorbing grid-search
-    quantization) selects the rising segments, and r is integrated over them
-    by the trapezoid rule. integrand="derivative" instead accumulates the
-    total rise, the information-backflow analogue. The reference defaults to
-    the identity map and is a fixed choice, not optimized over. A grid must
-    resolve the shorter oscillation period of the two maps. The times of
-    unconverged solves are listed in the report's indeterminate field.
+    The reference defaults to the identity map and is a fixed choice, not
+    optimized over. A grid must resolve the shorter oscillation period of the
+    two maps. The times of unconverged solves are listed in the report's
+    indeterminate field.
     """
     if len(t_grid) < 3:
         raise ValueError("t_grid too coarse: need at least 3 points")
-    if integrand not in ("robustness", "derivative"):
-        raise ValueError(f"integrand must be 'robustness' or 'derivative', got {integrand!r}")
     reference = identity_map() if reference is None else reference
     period = min((m.period for m in (map_, reference) if m.period is not None), default=None)
     if period is not None:
@@ -170,11 +158,6 @@ def cp_indivisibility_measure(
                 f"t_grid step {max_step:g} undersamples the oscillation"
                 f" (need <= {period / MIN_POINTS_PER_PERIOD:g})"
             )
-    noise = NoiseClass(noise)
-    records = sweep(reference, map_, t_grid, noise=noise, dr=dr)
-    rs = [
-        rec.r_generic if noise is NoiseClass.GENERIC else rec.r_cd for rec in records
-    ]
-    ts = [rec.t for rec in records]
-    report = indivisibility_from_curve(ts, rs, dead_band, integrand)
+    records = sweep(reference, map_, t_grid, noise=NoiseClass(noise), dr=dr)
+    report = indivisibility_from_curve([rec.t for rec in records], [rec.r(noise) for rec in records])
     return replace(report, indeterminate=tuple(rec.t for rec in records if rec.indeterminate))

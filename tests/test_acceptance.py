@@ -101,3 +101,6 @@ def test_checks_fail_on_indeterminate_values_within_bounds(name, phrase, monkeyp
     result = CHECKS[name]()
     assert not result.passed
     assert phrase in result.detail
+    if name == "measurement_channel_bound":
+        # each value is named: the channel value at t, or measurement pair k at t
+        assert "(0.05, 'channel')" in result.detail

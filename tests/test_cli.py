@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chancompat import sdp
-from chancompat.channels import amplitude_damping_choi, channel_to_json
+from chancompat.channels import amplitude_damping_choi, channel_to_json, identity_channel
 from chancompat.cli import main
 
 
@@ -106,6 +106,21 @@ def test_custom_choi_input(tmp_path, capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+def test_qutrit_pair_sweeps_its_trace_distance(tmp_path, capsys):
+    # the trace distance evolves |0><0| and |1><1| of map2's own input dimension
+    path = tmp_path / "q3.json"
+    path.write_text(channel_to_json(identity_channel(3)))
+    code, out, err = run_cli(
+        [
+            "sweep", "--family", "custom", "--choi", str(path),
+            "--family2", "custom", "--choi2", str(path), "--t-max", "0",
+        ],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["t,r_generic,r_cd,trace_distance", "0,0.5,0.6,1"]
 
 
 def test_custom_without_choi_is_usage_error(capsys):

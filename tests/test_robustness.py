@@ -264,6 +264,15 @@ class TestSweep:
         (rec,) = sweep(identity_map(), identity_map(), [0.0], noise="both", dr=0.05)
         assert rec.indeterminate
 
+    def test_one_dimensional_input_is_rejected_before_solving(self, monkeypatch):
+        from chancompat.channels import constant_map
+
+        # the trace-distance column needs two basis states of map2's input
+        monkeypatch.setattr(sys.modules["chancompat.robustness"], "robustness", None)
+        one = constant_map(Channel(1, 2, np.diag([0.5, 0.5]).astype(complex)))
+        with pytest.raises(ValueError, match="din=1"):
+            sweep(one, one, [0.0], noise="cd")
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             sweep(identity_map(), identity_map(), [], noise="cd")
@@ -304,6 +313,15 @@ class TestRecords:
         # an unconverged point comes back flagged instead of failing dominance
         rec = SweepRecord(t=0.0, r_generic=0.005, r_cd=0.0, trace_distance=0.5, indeterminate=True)
         assert rec.indeterminate
+
+    def test_sweep_record_column_by_noise_class(self):
+        rec = SweepRecord(t=0.0, r_generic=0.25, r_cd=0.5, trace_distance=0.5)
+        for noise in (GEN, "generic"):
+            assert rec.r(noise) == rec.r_generic
+        for noise in (CD, "cd"):
+            assert rec.r(noise) == rec.r_cd
+        with pytest.raises(ValueError):
+            rec.r("completely_depolarizing")
 
     def test_robustness_result_validation(self):
         with pytest.raises(ValueError):
