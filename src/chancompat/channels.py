@@ -159,20 +159,16 @@ def depolarizing_map(lam: float, omega: float | None = None) -> DynamicalMap:
     return DynamicalMap(
         f"depolarizing(lam={lam:g},omega={omega:g})",
         lambda t: depolarizing_choi(math.exp(-lam * t) * math.cos(omega * t) ** 2),
-        math.pi / omega if omega else None,
+        math.pi / abs(omega) if omega else None,
     )
 
 
 def amplitude_damping_map(alpha: float, omega: float) -> DynamicalMap:
     """Decay probability w(t) = 1 - exp(-alpha t) cos^2(omega t)."""
-    def channel_at(t: float) -> Channel:
-        w = 1 - math.exp(-alpha * t) * math.cos(omega * t) ** 2
-        return amplitude_damping_choi(min(max(w, 0.0), 1.0))
-
     return DynamicalMap(
         f"amplitude_damping(alpha={alpha:g},omega={omega:g})",
-        channel_at,
-        math.pi / omega if omega else None,
+        lambda t: amplitude_damping_choi(1 - math.exp(-alpha * t) * math.cos(omega * t) ** 2),
+        math.pi / abs(omega) if omega else None,
     )
 
 

@@ -1,5 +1,8 @@
 """Named end-to-end checks behind the `validate` command and the acceptance
-test suite. Each check returns a CheckResult; expensive sweeps are cached so
+test suite. Each check returns a verdict (within_bounds, detail, unconverged),
+where unconverged names the values whose solves did not converge; run_check
+turns it into a CheckResult that fails on any such value, whatever the bounds
+say, and appends "; indeterminate: [...]". Expensive sweeps are cached so
 checks sharing a figure pay for it once per process.
 """
 
@@ -46,6 +49,9 @@ class CheckResult:
     detail: str
 
 
+Verdict = tuple[bool, str, list]   # (within_bounds, detail, unconverged)
+
+
 _T_GRID = tuple(default_t_grid())
 
 
@@ -60,14 +66,6 @@ def _flagged(*figure_ids: int) -> list[tuple[int, float]]:
     return [
         (fig, rec.t) for fig in figure_ids for rec in _figure_records(fig) if rec.indeterminate
     ]
-
-
-def _gated(name: str, ok: bool, detail: str, flagged: list[tuple]) -> CheckResult:
-    """A check on solver output fails on any indeterminate record, whatever
-    its values, and its detail names each one."""
-    if flagged:
-        detail += f"; indeterminate (figure, t): {flagged}"
-    return CheckResult(name, ok and not flagged, detail)
 
 
 def _closed_form_distance() -> list[float]:
@@ -106,7 +104,7 @@ def random_basis(rng: np.random.Generator, d: int = 2) -> np.ndarray:
 # Criteria
 # ---------------------------------------------------------------------------
 
-def check_depolarizing_zero_crossing() -> CheckResult:
+def check_depolarizing_zero_crossing() -> Verdict:
     t0 = time.monotonic()
     recs = _figure_records(1)
     elapsed = time.monotonic() - t0
@@ -123,10 +121,10 @@ def check_depolarizing_zero_crossing() -> CheckResult:
             f"first permanently-zero grid point t={t_zero:.2f} (analytic {analytic:.4f});"
             f" sweep took {elapsed:.1f}s"
         )
-    return _gated("depolarizing_zero_crossing", ok, detail, _flagged(1))
+    return ok, detail, _flagged(1)
 
 
-def check_monotonicity() -> CheckResult:
+def check_monotonicity() -> Verdict:
     recs = _figure_records(1)
     ok = True
     worst = -math.inf
@@ -135,12 +133,10 @@ def check_monotonicity() -> CheckResult:
         jumps = [b - a for a, b in zip(vals, vals[1:])]
         worst = max(worst, max(jumps))
         ok = ok and all(j <= 2e-3 for j in jumps)
-    return _gated(
-        "monotonicity", ok, f"largest consecutive increase {worst:.2e} (allowed 2e-3)", _flagged(1)
-    )
+    return ok, f"largest consecutive increase {worst:.2e} (allowed 2e-3)", _flagged(1)
 
 
-def _backflow_check(name: str, figure_id: int) -> CheckResult:
+def _backflow_check(figure_id: int) -> Verdict:
     recs = _figure_records(figure_id)
     ts = [rec.t for rec in recs]
     ref = rising_segments(ts, _closed_form_distance(), DEAD_BAND)
@@ -150,8 +146,7 @@ def _backflow_check(name: str, figure_id: int) -> CheckResult:
         segs = rising_segments(ts, [getattr(rec, column) for rec in recs], DEAD_BAND)
         counts[column] = len(segs)
         ok = ok and len(segs) >= 4 and _segments_aligned(segs, ref)
-    return _gated(
-        name,
+    return (
         ok,
         f"rising segments generic={counts['r_generic']}, cd={counts['r_cd']}"
         f" (need >= 4, aligned within 0.02 of {len(ref)} trace-distance segments)",
@@ -159,80 +154,66 @@ def _backflow_check(name: str, figure_id: int) -> CheckResult:
     )
 
 
-def check_backflow_depolarizing() -> CheckResult:
-    return _backflow_check("backflow_depolarizing", 4)
-
-
-def check_backflow_amplitude_damping() -> CheckResult:
-    return _backflow_check("backflow_amplitude_damping", 5)
-
-
-def check_eternal_no_backflow() -> CheckResult:
+def check_eternal_no_backflow() -> Verdict:
     recs = _figure_records(6)
     ts = [rec.t for rec in recs]
     n_gen = len(rising_segments(ts, [rec.r_generic for rec in recs], DEAD_BAND))
     n_cd = len(rising_segments(ts, [rec.r_cd for rec in recs], DEAD_BAND))
-    return _gated(
-        "eternal_no_backflow",
+    return (
         n_gen == 0 and n_cd == 0,
         f"rising segments generic={n_gen}, cd={n_cd} (need 0)",
         _flagged(6),
     )
 
 
-def check_upward_closure() -> CheckResult:
+def check_upward_closure() -> Verdict:
     rng = np.random.default_rng(20230817)
-    failures = []
+    violations = []    # (k, bump, q) with q < 0
+    unconverged = []   # (k, 'r*') or (k, bump)
     for k in range(20):
         ch1, ch2 = random_channel(rng), random_channel(rng)
         res = robustness(ch1, ch2, NoiseClass.GENERIC, refine=True)
         if res.indeterminate:
-            failures.append((k, "r* indeterminate"))
+            unconverged.append((k, "r*"))
             continue
         for bump in (0.05, 0.5):
             try:
                 q = feasibility_q(ch1, ch2, res.r_star + bump, NoiseClass.GENERIC)
             except RuntimeError:
-                failures.append((k, bump, "q did not converge"))
+                unconverged.append((k, bump))
                 continue
             if q < 0:
-                failures.append((k, bump, q))
-    return CheckResult(
-        "upward_closure",
-        not failures,
-        "q >= 0 at r*+0.05 and r*+0.5 for 20 random pairs"
-        if not failures
-        else f"violations: {failures}",
-    )
+                violations.append((k, bump, q))
+    if violations:
+        return False, f"violations: {violations}", unconverged
+    return True, "q >= 0 at r*+0.05 and r*+0.5 for 20 random pairs", unconverged
 
 
-def check_measurement_channel_bound() -> CheckResult:
+def check_measurement_channel_bound() -> Verdict:
     rng = np.random.default_rng(905)
     pairs = [(random_basis(rng), random_basis(rng)) for _ in range(20)]
     d1 = depolarizing_map(LAM)
     d2 = depolarizing_map(LAM, OMEGA)
     times = (0.05, 0.25, 0.45, 0.65, 0.85)
     worst = -math.inf
-    indeterminate = []   # (t, 'channel') or (t, index of the measurement pair)
+    unconverged = []   # (t, 'channel') or (t, index of the measurement pair)
     for t in times:
         ch1, ch2 = d1.evaluate(t), d2.evaluate(t)
         r_chan = robustness(ch1, ch2, NoiseClass.GENERIC, refine=True)
         if r_chan.indeterminate:
-            indeterminate.append((t, "channel"))
+            unconverged.append((t, "channel"))
         for k, (b1, b2) in enumerate(pairs):
             m1 = pushforward_povm(ch1, projective_povm(b1))
             m2 = pushforward_povm(ch2, projective_povm(b2))
             r_meas = measurement_robustness(m1, m2)
             if r_meas.indeterminate:
-                indeterminate.append((t, k))
+                unconverged.append((t, k))
             worst = max(worst, r_meas.r_star - r_chan.r_star)
     detail = f"max(R_M - R_C) = {worst:.2e} over 20 projective pairs x 5 times (allowed 2e-3)"
-    if indeterminate:
-        detail += f"; {len(indeterminate)} indeterminate values: {indeterminate}"
-    return CheckResult("measurement_channel_bound", worst <= 2e-3 and not indeterminate, detail)
+    return worst <= 2e-3, detail, unconverged
 
 
-def check_noise_dominance_cap() -> CheckResult:
+def check_noise_dominance_cap() -> Verdict:
     worst_gap = -math.inf
     highest = -math.inf
     lowest = math.inf
@@ -242,25 +223,24 @@ def check_noise_dominance_cap() -> CheckResult:
             highest = max(highest, rec.r_cd, rec.r_generic)
             lowest = min(lowest, rec.r_cd, rec.r_generic)
     ok = worst_gap <= 1e-12 and highest <= 1 + 1e-6 and lowest >= 0
-    return _gated(
-        "noise_dominance_cap",
+    return (
         ok,
         f"max(r_generic - r_cd) = {worst_gap:.2e}, robustness range [{lowest:.4f}, {highest:.4f}]",
         _flagged(*range(1, 7)),
     )
 
 
-def check_identity_self_robustness() -> CheckResult:
+def check_identity_self_robustness() -> Verdict:
     ident = identity_channel(2)
     res = robustness(ident, ident, NoiseClass.COMPLETELY_DEPOLARIZING, refine=True)
-    ok = abs(res.r_star - 0.5) <= 0.005 and not res.indeterminate
-    detail = f"refined r* = {res.r_star:.6f} (expect 0.500 +- 0.005)"
-    if res.indeterminate:
-        detail += "; indeterminate"
-    return CheckResult("identity_self_robustness", ok, detail)
+    return (
+        abs(res.r_star - 0.5) <= 0.005,
+        f"refined r* = {res.r_star:.6f} (expect 0.500 +- 0.005)",
+        ["r*"] if res.indeterminate else [],
+    )
 
 
-def check_teleportation_curve() -> CheckResult:
+def check_teleportation_curve() -> Verdict:
     d2 = depolarizing_map(LAM, OMEGA)
     worst = 0.0
     plateau_ok = True
@@ -270,15 +250,14 @@ def check_teleportation_curve() -> CheckResult:
         worst = max(worst, abs(n - 3 * w))
         expected = 2 / 3 if n <= 1 else 0.5 * (1 + n / 3)
         plateau_ok = plateau_ok and f == expected
-    ok = worst <= 1e-9 and plateau_ok
-    return CheckResult(
-        "teleportation_curve",
-        ok,
+    return (
+        worst <= 1e-9 and plateau_ok,
         f"max |n - 3w| = {worst:.2e} (allowed 1e-9); plateau switching {'exact' if plateau_ok else 'broken'}",
+        [],
     )
 
 
-def check_measure_signs() -> CheckResult:
+def check_measure_signs() -> Verdict:
     ts = list(_T_GRID)
     rep_d1 = cp_indivisibility_measure(depolarizing_map(LAM), ts, dr=DR)
     rep_d2 = indivisibility_from_curve(
@@ -292,8 +271,7 @@ def check_measure_signs() -> CheckResult:
         for rep in (rep_d1, rep_d2, rep_ad)
     )
     ok = rep_d1.n_raw == 0 and rep_d2.n_raw > 0 and rep_ad.n_raw > 0 and ident_ok
-    return _gated(
-        "measure_signs",
+    return (
         ok,
         f"N(divisible)={rep_d1.n_raw:.4f}, N(oscillating)={rep_d2.n_raw:.4f},"
         f" N(damping)={rep_ad.n_raw:.4f}; normalization identity "
@@ -315,7 +293,7 @@ def _eigenvalue_lp(h: np.ndarray, real: bool) -> sdp.SdpProblem:
     )
 
 
-def check_solver_suite() -> CheckResult:
+def check_solver_suite() -> Verdict:
     rng = np.random.default_rng(4242)
     worst_lp = 0.0
     for _ in range(50):
@@ -358,20 +336,19 @@ def check_solver_suite() -> CheckResult:
         and s1.objective_value == s2.objective_value
         and all(np.array_equal(s1.block_values[k], s2.block_values[k]) for k in s1.block_values)
     )
-    ok = worst_lp <= 1e-7 and worst_planted <= 1e-6 and replay_ok
-    return CheckResult(
-        "solver_suite",
-        ok,
+    return (
+        worst_lp <= 1e-7 and worst_planted <= 1e-6 and replay_ok,
         f"eigenvalue-LP max error {worst_lp:.2e} (allowed 1e-7); planted max error"
         f" {worst_planted:.2e} (allowed 1e-6); replay {'bitwise identical' if replay_ok else 'diverged'}",
+        [],
     )
 
 
-CHECKS: dict[str, Callable[[], CheckResult]] = {
+CHECKS: dict[str, Callable[[], Verdict]] = {
     "depolarizing_zero_crossing": check_depolarizing_zero_crossing,
     "monotonicity": check_monotonicity,
-    "backflow_depolarizing": check_backflow_depolarizing,
-    "backflow_amplitude_damping": check_backflow_amplitude_damping,
+    "backflow_depolarizing": lambda: _backflow_check(4),
+    "backflow_amplitude_damping": lambda: _backflow_check(5),
     "eternal_no_backflow": check_eternal_no_backflow,
     "upward_closure": check_upward_closure,
     "measurement_channel_bound": check_measurement_channel_bound,
@@ -383,8 +360,17 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
 }
 
 
+def run_check(name: str) -> CheckResult:
+    """Run one criterion. It fails on any unconverged value, whatever its
+    bounds say, and its detail names each one."""
+    ok, detail, unconverged = CHECKS[name]()
+    if unconverged:
+        detail += f"; indeterminate: {unconverged}"
+    return CheckResult(name, ok and not unconverged, detail)
+
+
 def run_checks(only: str | None = None) -> list[CheckResult]:
     names = [n for n in CHECKS if only is None or only in n]
     if not names:
         raise ValueError(f"no check matches {only!r}; available: {', '.join(CHECKS)}")
-    return [CHECKS[n]() for n in names]
+    return [run_check(n) for n in names]

@@ -22,6 +22,8 @@ MIN_POINTS_PER_PERIOD = 10
 _KET01 = np.array([0.0, 1.0, 0.0, 0.0])
 _KET10 = np.array([0.0, 0.0, 1.0, 0.0])
 SINGLET = np.outer(_KET01 - _KET10, _KET01 - _KET10) / 2
+_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+_PAULI_PAIRS = np.einsum("iac,jbd->ijabcd", _PAULIS, _PAULIS).reshape(9, 4, 4)   # [3i + j] = s_i (x) s_j
 
 
 class CurvePoint(NamedTuple):
@@ -68,15 +70,8 @@ def teleport_fidelity(map_: DynamicalMap, t: float) -> tuple[float, float]:
     correlation matrix of the output state; the optimal teleportation
     fidelity is (1 + n/3)/2 when n > 1 and the classical 2/3 otherwise.
     """
-    ch = map_.evaluate(t)
-    if ch.din != 2 or ch.dout != 2:
-        raise ValueError("teleportation witness requires a qubit map")
-    rho = one_sided_apply(ch, SINGLET)
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    s = np.empty((3, 3))
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            s[i, j] = np.trace(rho @ np.kron(si, sj)).real
+    rho = one_sided_apply(map_.evaluate(t), SINGLET)   # rejects a non-qubit map
+    s = np.trace(rho @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3)
     n_value = trace_norm(s)
     f_max = 0.5 * (1 + n_value / 3) if n_value > 1 else 2 / 3
     return n_value, f_max

@@ -36,7 +36,7 @@ def test_criteria_registry_is_complete():
 
 @pytest.mark.parametrize("name", CRITERIA)
 def test_acceptance(name):
-    result = CHECKS[name]()
+    result = validation.run_check(name)
     print(f"[{'PASS' if result.passed else 'FAIL'}] {name}: {result.detail}")
     assert result.passed, result.detail
 
@@ -44,7 +44,7 @@ def test_acceptance(name):
 def test_noise_dominance_cap_names_indeterminate_records(monkeypatch):
     flagged = SweepRecord(t=0.7, r_generic=0.1, r_cd=0.2, trace_distance=0.5, indeterminate=True)
     monkeypatch.setattr(validation, "_figure_records", lambda fig: (flagged,) if fig == 6 else ())
-    result = validation.check_noise_dominance_cap()
+    result = validation.run_check("noise_dominance_cap")
     assert not result.passed
     assert "(6, 0.7)" in result.detail
 
@@ -71,9 +71,9 @@ def test_figure_checks_fail_on_one_indeterminate_record(name, fig, monkeypatch):
         return recs[:50] + (replace(recs[50], indeterminate=True),) + recs[51:]
 
     monkeypatch.setattr(validation, "_figure_records", one_flagged)
-    result = CHECKS[name]()
+    result = validation.run_check(name)
     assert not result.passed
-    assert f"indeterminate (figure, t): [({fig}, 0.5)]" in result.detail
+    assert f"; indeterminate: [({fig}, 0.5)]" in result.detail
 
 
 def test_upward_closure_records_unconverged_probe(monkeypatch):
@@ -81,24 +81,24 @@ def test_upward_closure_records_unconverged_probe(monkeypatch):
         raise RuntimeError(f"solver did not converge for probe at r={r} (max_iterations)")
 
     monkeypatch.setattr(validation, "feasibility_q", unconverged)
-    result = validation.check_upward_closure()
+    result = validation.run_check("upward_closure")
     assert not result.passed
-    assert "(0, 0.05, 'q did not converge')" in result.detail
+    assert "(0, 0.05)" in result.detail
 
 
 @pytest.mark.parametrize(
     "name, phrase",
     [
         ("identity_self_robustness", "; indeterminate"),
-        ("measurement_channel_bound", "; 5 indeterminate values"),
-        ("upward_closure", "(19, 'r* indeterminate')"),
+        ("measurement_channel_bound", "; indeterminate: [(0.05, 'channel')"),
+        ("upward_closure", "(19, 'r*')"),
     ],
 )
 def test_checks_fail_on_indeterminate_values_within_bounds(name, phrase, monkeypatch):
     # channel values that would pass, flagged as unconverged
     monkeypatch.setattr(validation, "robustness", lambda *a, **k: RobustnessResult(0.5, True))
     monkeypatch.setattr(validation, "measurement_robustness", lambda *a, **k: RobustnessResult(0.0))
-    result = CHECKS[name]()
+    result = validation.run_check(name)
     assert not result.passed
     assert phrase in result.detail
     if name == "measurement_channel_bound":

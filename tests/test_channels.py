@@ -222,6 +222,11 @@ class TestDynamicalMap:
         stepped = compose(depolarizing_choi(math.exp(-lam * delta)), m.evaluate(t))
         assert np.max(np.abs(direct.choi - stepped.choi)) < 1e-10
 
+    def test_negative_alpha_is_rejected_not_clamped(self):
+        # w(0.2) = 1 - exp(0.1) < 0: an unphysical map, not the identity
+        with pytest.raises(ValueError, match="outside"):
+            amplitude_damping_map(-0.5, 5 * math.pi).evaluate(0.2)
+
     def test_choi_roundtrip_through_apply(self, rng):
         ch = eternal_choi(0.4)
         rebuilt = choi_from_map(lambda e: apply(ch, e), 2)
@@ -289,6 +294,26 @@ class TestPovm:
         rho = random_density(rng, m.dimension)
         probs = [np.trace(e @ rho) for e in m.effects]
         assert np.allclose(apply(ch, rho), np.diag(probs), atol=1e-12)
+
+
+NON_HERMITIAN = np.array([[0.5, 0.1], [0.0, 0.5]])   # with 1 - itself, it sums to the identity
+
+
+@pytest.mark.parametrize(
+    "build, phrase",
+    [
+        (lambda: Channel(2, 2, np.eye(3, dtype=complex)), "choi must be 4x4"),
+        (lambda: dual_apply(identity_channel(2), np.eye(3)), "effect must be 2x2"),
+        (lambda: Povm((np.eye(3),), 2), "effect shape"),
+        (lambda: Povm((NON_HERMITIAN, np.eye(2) - NON_HERMITIAN), 2), "Hermitian"),
+        (lambda: projective_povm(np.array([[1.0, 1.0], [0.0, 1.0]])), "orthonormal"),
+        (lambda: pushforward_povm(identity_channel(2), projective_povm(np.eye(3))), "dimension must match"),
+    ],
+    ids=["channel-shape", "dual-apply-shape", "povm-shape", "povm-hermitian", "basis", "pushforward-dim"],
+)
+def test_rejects_malformed_input(build, phrase):
+    with pytest.raises(ValueError, match=phrase):
+        build()
 
 
 class TestJson:

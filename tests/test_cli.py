@@ -149,6 +149,23 @@ def test_bad_flags_exit_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code, phrase",
+    [
+        (["teleport", "--t-step", "0"], 2, "t_step must be positive"),
+        (["teleport", "--t-min", "1", "--t-max", "0.5"], 2, "below t_min"),
+        (["teleport", "--family", "amplitude-damping", "--alpha", "-0.5"], 2, "outside [0, 1]"),
+        (["teleport", "-o", "."], 1, "I/O error"),
+        (["figure", "--id", "1", "--t-max", "0", "-o", "."], 1, "I/O error"),
+    ],
+    ids=["zero-step", "reversed-range", "negative-alpha", "teleport-to-dir", "figure-to-dir"],
+)
+def test_bad_input_exits_with_message(argv, code, phrase, capsys):
+    got, out, err = run_cli(argv, capsys)
+    assert (got, out) == (code, "")
+    assert phrase in err
+
+
 def test_measure_command(capsys):
     code, out, _ = run_cli(
         [
@@ -207,7 +224,7 @@ def test_validate_reports_failure_with_nonzero_exit(capsys, monkeypatch):
     from chancompat import validation
 
     def broken():
-        return validation.CheckResult("teleportation_curve", False, "forced failure")
+        return False, "forced failure", []
 
     monkeypatch.setitem(validation.CHECKS, "teleportation_curve", broken)
     code, out, _ = run_cli(["validate", "--only", "teleportation_curve"], capsys)

@@ -58,6 +58,20 @@ class TestPartialTrace:
             partial_trace(np.eye(4), [2, 2], keep={2})
 
 
+@pytest.mark.parametrize(
+    "call, phrase",
+    [
+        (lambda: partial_trace(np.ones((2, 4)), [2, 2], keep={0}), "square"),
+        (lambda: partial_trace(np.eye(4), [-2, -2], keep={0}), "positive"),
+        (lambda: trace_distance(np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2) / 2), "Hermitian"),
+    ],
+    ids=["non-square", "non-positive-dims", "non-hermitian"],
+)
+def test_rejects_malformed_input(call, phrase):
+    with pytest.raises(ValueError, match=phrase):
+        call()
+
+
 class TestTraceNorm:
     def test_negative_diagonal(self):
         w = 0.37

@@ -80,6 +80,11 @@ class TestFeasibilityQ:
         with pytest.raises(ValueError):
             feasibility_q(IDENT, IDENT, -0.1, GEN)
 
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            feasibility_q(IDENT, IDENT, 0.3, GEN)
+
     def test_rejects_input_dim_mismatch(self):
         wide = completely_depolarizing(np.eye(2) / 2, din=3)
         with pytest.raises(ValueError):

@@ -5,10 +5,13 @@ import pytest
 
 from chancompat.channels import (
     amplitude_damping_map,
+    constant_map,
     depolarizing_map,
     eternal_map,
+    identity_channel,
     identity_map,
 )
+from chancompat.figures import default_t_grid
 from chancompat.witness import (
     SINGLET,
     blp_curve,
@@ -70,6 +73,20 @@ class TestTeleportFidelity:
         assert abs(np.trace(SINGLET) - 1) < 1e-12
         out = one_sided_apply(identity_map().evaluate(0.0), SINGLET)
         assert np.max(np.abs(out - SINGLET)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: one_sided_apply(identity_channel(3), SINGLET),
+        lambda: one_sided_apply(identity_channel(2), np.eye(3)),
+        lambda: teleport_fidelity(constant_map(identity_channel(3)), 0.0),
+    ],
+    ids=["qutrit-channel", "qutrit-state", "qutrit-map"],
+)
+def test_teleportation_rejects_non_qubit_input(call):
+    with pytest.raises(ValueError, match="qubit"):
+        call()
 
 
 class TestRisingSegments:
@@ -149,6 +166,13 @@ class TestIndivisibilityMeasure:
             cp_indivisibility_measure(
                 depolarizing_map(0.5), [0.0, 0.5, 1.0], reference=depolarizing_map(0.5, 5 * math.pi)
             )
+
+    def test_negative_omega_measures_like_positive(self):
+        # cos^2(omega t) is even in omega, so the period is pi / |omega|
+        grid = default_t_grid()
+        rep = cp_indivisibility_measure(depolarizing_map(0.5, -5 * math.pi), grid)
+        assert rep == cp_indivisibility_measure(depolarizing_map(0.5, 5 * math.pi), grid)
+        assert format(rep.n_raw, ".9g") == "0.046225"
 
     def test_normalization_identity(self):
         ts = list(np.linspace(0, 2, 9))
