@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import dagger, is_hermitian, partial_trace
+from .linalg import is_hermitian, partial_trace
 
 CP_EIG_FLOOR = -1e-9
 TP_TOL = 1e-9
@@ -46,16 +46,11 @@ class Channel:
 
 def choi_from_map(fn: Callable[[np.ndarray], np.ndarray], din: int) -> np.ndarray:
     """Choi matrix of a linear map given by its action on matrices."""
+    e = np.eye(din, dtype=complex)
     blocks = [
-        [fn(_basis_unit(din, i, j)) for j in range(din)] for i in range(din)
+        [fn(np.outer(e[i], e[j])) for j in range(din)] for i in range(din)
     ]
     return np.block(blocks)
-
-
-def _basis_unit(d: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((d, d), dtype=complex)
-    e[i, j] = 1.0
-    return e
 
 
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
@@ -89,13 +84,6 @@ def identity_channel(d: int = 2) -> Channel:
     return Channel(d, d, choi)
 
 
-def completely_depolarizing(eta: np.ndarray, din: int | None = None) -> Channel:
-    """Channel sending every input to the fixed state eta; Choi is 1_in (x) eta."""
-    dout = eta.shape[0]
-    din = dout if din is None else din
-    return Channel(din, dout, np.kron(np.eye(din), eta).astype(complex))
-
-
 def depolarizing_choi(w: float) -> Channel:
     """Qubit map rho -> w rho + (1-w) 1/2.
 
@@ -124,7 +112,7 @@ def eternal_choi(t: float) -> Channel:
     trace-distance backflow; a(t) = (1+exp(-2t))/2 and the corner weight
     b(t) = exp(-t) cosh(t) (the closed form of exp(-int_0^t (1-tanh x) dx)).
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     a = (1 + math.exp(-2 * t)) / 2
     b = math.exp(-t) * math.cosh(t)
@@ -147,7 +135,7 @@ class DynamicalMap:
 
     def evaluate(self, t: float) -> Channel:
         """Channel at time t >= 0."""
-        if t < 0:
+        if not t >= 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         return self.channel_at(t)
 
@@ -215,7 +203,7 @@ class Povm:
 def projective_povm(basis: np.ndarray) -> Povm:
     """Rank-1 projective measurement onto the columns of a unitary."""
     d = basis.shape[0]
-    if np.max(np.abs(dagger(basis) @ basis - np.eye(d))) > 1e-10:
+    if np.max(np.abs(basis.conj().T @ basis - np.eye(d))) > 1e-10:
         raise ValueError("basis columns must be orthonormal")
     effects = tuple(np.outer(basis[:, k], basis[:, k].conj()) for k in range(d))
     return Povm(effects, d)
@@ -250,8 +238,10 @@ def channel_to_json(ch: Channel) -> str:
 def channel_from_json(text: str) -> Channel:
     data = json.loads(text)
     try:
-        din, dout = int(data["din"]), int(data["dout"])
+        din, dout = data["din"], data["dout"]
         choi = np.array(data["choi_re"], dtype=float) + 1j * np.array(data["choi_im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
+    if type(din) is not int or type(dout) is not int:   # bool is an int subclass
+        raise ValueError(f"malformed channel JSON: din and dout must be integers, got {din!r}, {dout!r}")
     return Channel(din, dout, choi)

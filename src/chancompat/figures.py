@@ -27,6 +27,9 @@ DR = 0.005
 
 def default_t_grid(t_min: float = 0.0, t_max: float = T_MAX, t_step: float = T_STEP) -> list[float]:
     """t_min + k * t_step with exactly floor((t_max - t_min)/t_step) + 1 points."""
+    for name, value in (("t_min", t_min), ("t_max", t_max), ("t_step", t_step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if t_step <= 0:
         raise ValueError(f"t_step must be positive, got {t_step}")
     if t_max < t_min:

@@ -19,14 +19,9 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Entrywise check of a = a^dagger within tol."""
-    return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - dagger(a))) <= tol)
+    return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> None:

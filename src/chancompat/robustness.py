@@ -141,8 +141,8 @@ def channel_feasibility_problem(
     """
     if ch1.din != ch2.din:
         raise ValueError("channels must share the input dimension")
-    if r is not None and r < 0:
-        raise ValueError(f"mixing weight must be nonnegative, got {r}")
+    if r is not None and not 0 <= r < math.inf:
+        raise ValueError(f"mixing weight must be nonnegative and finite, got {r}")
     din, d1, d2 = ch1.din, ch1.dout, ch2.dout
     real = _is_real(ch1.choi, ch2.choi)
     n_in = 1 if noise is NoiseClass.COMPLETELY_DEPOLARIZING else din
@@ -219,8 +219,8 @@ def robustness(
 ) -> RobustnessResult:
     """Smallest grid multiple of dr at which the noisy pair turns compatible,
     or with refine=True the solver's r itself."""
-    if dr <= 0:
-        raise ValueError(f"grid step dr must be positive, got {dr}")
+    if not 0 < dr < math.inf:
+        raise ValueError(f"grid step dr must be positive and finite, got {dr}")
     problem = channel_feasibility_problem(ch1, ch2, None, NoiseClass(noise))
     return _robustness_value(problem, None if refine else dr)
 
@@ -253,7 +253,7 @@ def sweep(
     t_grid = list(t_grid)
     if not t_grid:
         raise ValueError("t_grid must be non-empty")
-    if t_grid[0] < 0 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+    if not t_grid[0] >= 0 or any(not b > a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be nonnegative and strictly increasing")
     classes = tuple(NoiseClass) if noise == "both" else (NoiseClass(noise),)
     records = []

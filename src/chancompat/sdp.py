@@ -66,33 +66,21 @@ def pack(h: np.ndarray, real: bool = False) -> np.ndarray:
     return np.concatenate([np.diag(h).real, _SQRT2 * off.real, _SQRT2 * off.imag])
 
 
-def unpack(v: np.ndarray, d: int, real: bool = False) -> np.ndarray:
-    """Inverse of pack."""
-    iu = _triu(d)
-    m = d * (d - 1) // 2
-    if real:
-        h = np.zeros((d, d))
-        h[np.diag_indices(d)] = v[:d]
-        h[iu] = v[d:] / _SQRT2
-        return h + np.triu(h, 1).T
-    h = np.zeros((d, d), dtype=complex)
-    h[np.diag_indices(d)] = v[:d]
-    h[iu] = (v[d : d + m] + 1j * v[d + m :]) / _SQRT2
-    return h + np.triu(h, 1).conj().T
-
-
 @lru_cache(maxsize=None)
 def _coord_map(d: int, real: bool) -> np.ndarray:
-    """Columns are the flattened basis matrices of the pack coordinates, so
-    unpacking is one matvec and packing is one matvec with the adjoint."""
-    size = vec_size(d, real)
-    u = np.zeros((d * d, size), dtype=float if real else complex)
-    e = np.zeros(size)
-    for a in range(size):
-        e[a] = 1.0
-        u[:, a] = unpack(e, d, real).ravel()
-        e[a] = 0.0
-    return u
+    """Columns are the flattened basis matrices of the pack coordinates: the
+    diagonal units E_kk, then (E_ij + E_ji) / sqrt(2) and, on complex blocks,
+    1j (E_ij - E_ji) / sqrt(2) for i < j. Unpacking is one matvec and packing
+    is one matvec with the adjoint."""
+    i, j = _triu(d)
+    k, off = np.arange(d), d + np.arange(i.size)
+    u = np.zeros((d, d, vec_size(d, real)), dtype=float if real else complex)
+    u[k, k, k] = 1.0
+    u[i, j, off] = u[j, i, off] = 1 / _SQRT2
+    if not real:
+        u[i, j, off + i.size] = 1j / _SQRT2
+        u[j, i, off + i.size] = u[i, j, off + i.size].conj()
+    return u.reshape(d * d, -1)
 
 
 def linear_map_matrix(

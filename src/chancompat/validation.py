@@ -34,7 +34,6 @@ from .robustness import (
     sweep,
 )
 from .witness import (
-    DEAD_BAND,
     cp_indivisibility_measure,
     indivisibility_from_curve,
     rising_segments,
@@ -139,11 +138,11 @@ def check_monotonicity() -> Verdict:
 def _backflow_check(figure_id: int) -> Verdict:
     recs = _figure_records(figure_id)
     ts = [rec.t for rec in recs]
-    ref = rising_segments(ts, _closed_form_distance(), DEAD_BAND)
+    ref = rising_segments(ts, _closed_form_distance())
     ok = True
     counts = {}
     for column in ("r_generic", "r_cd"):
-        segs = rising_segments(ts, [getattr(rec, column) for rec in recs], DEAD_BAND)
+        segs = rising_segments(ts, [getattr(rec, column) for rec in recs])
         counts[column] = len(segs)
         ok = ok and len(segs) >= 4 and _segments_aligned(segs, ref)
     return (
@@ -157,8 +156,8 @@ def _backflow_check(figure_id: int) -> Verdict:
 def check_eternal_no_backflow() -> Verdict:
     recs = _figure_records(6)
     ts = [rec.t for rec in recs]
-    n_gen = len(rising_segments(ts, [rec.r_generic for rec in recs], DEAD_BAND))
-    n_cd = len(rising_segments(ts, [rec.r_cd for rec in recs], DEAD_BAND))
+    n_gen = len(rising_segments(ts, [rec.r_generic for rec in recs]))
+    n_cd = len(rising_segments(ts, [rec.r_cd for rec in recs]))
     return (
         n_gen == 0 and n_cd == 0,
         f"rising segments generic={n_gen}, cd={n_cd} (need 0)",

@@ -1,8 +1,9 @@
 """Physical witnesses along dynamical maps.
 
-Trace-distance (information backflow) curves, the Horodecki teleportation
-criterion for one-sided evolved singlets, and the CP-indivisibility
-measure of a channel-robustness curve (defined in indivisibility_from_curve).
+The Horodecki teleportation criterion for one-sided evolved singlets, and
+the CP-indivisibility measure of a channel-robustness curve (defined in
+indivisibility_from_curve). The trace-distance (information backflow)
+witness is the trace_distance column of robustness.sweep.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import Channel, DynamicalMap, apply, identity_map
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, trace_distance, trace_norm
+from .channels import Channel, DynamicalMap, identity_map
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, trace_norm
 from .robustness import NoiseClass, sweep
 
 DEAD_BAND = 2e-3
@@ -40,20 +41,6 @@ class IndivisibilityReport:
     indeterminate: tuple[float, ...] = ()   # t of unconverged solves
 
 
-def blp_curve(
-    map_: DynamicalMap,
-    rho1: np.ndarray,
-    rho2: np.ndarray,
-    t_grid: Sequence[float],
-) -> list[CurvePoint]:
-    """Trace distance between the two evolved states along the grid."""
-    points = []
-    for t in t_grid:
-        ch = map_.evaluate(t)
-        points.append(CurvePoint(t, trace_distance(apply(ch, rho1), apply(ch, rho2))))
-    return points
-
-
 def one_sided_apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """(1 (x) L)(rho) for a two-qubit state rho, acting on the second factor."""
     if ch.din != 2 or ch.dout != 2 or rho.shape != (4, 4):
@@ -77,13 +64,11 @@ def teleport_fidelity(map_: DynamicalMap, t: float) -> tuple[float, float]:
     return n_value, f_max
 
 
-def rising_segments(
-    ts: Sequence[float], values: Sequence[float], dead_band: float = DEAD_BAND
-) -> list[tuple[float, float]]:
+def rising_segments(ts: Sequence[float], values: Sequence[float]) -> list[tuple[float, float]]:
     """Maximal rising stretches of a sampled curve.
 
-    A segment opens on a grid interval climbing by more than dead_band and
-    closes on one falling by more than dead_band; smaller moves in between
+    A segment opens on a grid interval climbing by more than DEAD_BAND and
+    closes on one falling by more than DEAD_BAND; smaller moves in between
     (the grid-search curve is a step function, so genuine rises contain flat
     treads) neither close the segment nor extend its reported end, which is
     the last climbing interval.
@@ -95,11 +80,11 @@ def rising_segments(
     end = None
     for k in range(len(ts) - 1):
         step = values[k + 1] - values[k]
-        if step > dead_band:
+        if step > DEAD_BAND:
             if start is None:
                 start = ts[k]
             end = ts[k + 1]
-        elif step < -dead_band and start is not None:
+        elif step < -DEAD_BAND and start is not None:
             segments.append((start, end))
             start = end = None
     if start is not None:

@@ -14,7 +14,6 @@ from chancompat.channels import (
     channel_from_json,
     channel_to_json,
     choi_from_map,
-    completely_depolarizing,
     compose,
     constant_map,
     depolarizing_choi,
@@ -118,7 +117,7 @@ class TestCompose:
             assert np.max(np.abs(apply(comp, rho) - apply(a, apply(b, rho)))) < 1e-12
 
     def test_dimension_mismatch(self):
-        wide = completely_depolarizing(np.eye(3) / 3, din=2)
+        wide = Channel(2, 3, np.eye(6) / 3)
         with pytest.raises(ValueError):
             compose(wide, wide)
 
@@ -326,3 +325,11 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(ValueError):
             channel_from_json(json.dumps({"din": 2, "dout": 2}))
+
+    @pytest.mark.parametrize("din", [2.7, 2.0, "2", True], ids=["fraction", "float", "string", "bool"])
+    def test_dimensions_must_be_json_integers(self, din):
+        data = json.loads(channel_to_json(identity_channel(2)))
+        with pytest.raises(ValueError, match="must be integers"):
+            channel_from_json(json.dumps({**data, "din": din}))
+        with pytest.raises(ValueError, match="must be integers"):
+            channel_from_json(json.dumps({**data, "dout": din}))

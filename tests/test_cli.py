@@ -140,6 +140,18 @@ def test_malformed_choi_returns_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("spelling", ['2.7', '"2"', "true"], ids=["fraction", "string", "bool"])
+def test_choi_dimensions_must_be_json_integers(tmp_path, capsys, spelling):
+    text = channel_to_json(identity_channel(2)).replace('"din": 2', f'"din": {spelling}')
+    path = tmp_path / "chan.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        ["sweep", "--family", "custom", "--choi", str(path), "--family2", "identity"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "din and dout must be integers" in err
+
+
 def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["figure"])
@@ -157,8 +169,14 @@ def test_bad_flags_exit_two():
         (["teleport", "--family", "amplitude-damping", "--alpha", "-0.5"], 2, "outside [0, 1]"),
         (["teleport", "-o", "."], 1, "I/O error"),
         (["figure", "--id", "1", "--t-max", "0", "-o", "."], 1, "I/O error"),
+        (["teleport", "--t-max", "inf"], 2, "t_max must be finite"),
+        (["teleport", "--t-min", "nan"], 2, "t_min must be finite"),
+        (["figure", "--id", "1", "--t-step", "nan"], 2, "t_step must be finite"),
+        (["figure", "--id", "1", "--dr", "nan"], 2, "dr must be positive and finite"),
+        (["measure", "--dr", "inf"], 2, "dr must be positive and finite"),
     ],
-    ids=["zero-step", "reversed-range", "negative-alpha", "teleport-to-dir", "figure-to-dir"],
+    ids=["zero-step", "reversed-range", "negative-alpha", "teleport-to-dir", "figure-to-dir",
+         "t-max-inf", "t-min-nan", "t-step-nan", "dr-nan", "measure-dr-inf"],
 )
 def test_bad_input_exits_with_message(argv, code, phrase, capsys):
     got, out, err = run_cli(argv, capsys)

@@ -9,16 +9,16 @@ from chancompat.channels import (
     Channel,
     Povm,
     choi_from_map,
-    completely_depolarizing,
     depolarizing_choi,
     depolarizing_map,
+    eternal_choi,
     identity_channel,
     identity_map,
     measurement_channel,
     projective_povm,
 )
 from chancompat.linalg import partial_trace
-from chancompat.figures import DR, FIGURES, LAM, OMEGA
+from chancompat.figures import DR, FIGURES, LAM, OMEGA, default_t_grid
 from chancompat.robustness import (
     NoiseClass,
     RobustnessResult,
@@ -37,7 +37,7 @@ CD = NoiseClass.COMPLETELY_DEPOLARIZING
 GEN = NoiseClass.GENERIC
 
 IDENT = identity_channel(2)
-CD_CHANNEL = completely_depolarizing(np.eye(2) / 2)
+CD_CHANNEL = Channel(2, 2, np.eye(4) / 2)   # rho -> 1/2, Choi 1 (x) 1/2
 
 
 class TestNoiseClass:
@@ -86,7 +86,7 @@ class TestFeasibilityQ:
             feasibility_q(IDENT, IDENT, 0.3, GEN)
 
     def test_rejects_input_dim_mismatch(self):
-        wide = completely_depolarizing(np.eye(2) / 2, din=3)
+        wide = Channel(3, 2, np.eye(6) / 2)
         with pytest.raises(ValueError):
             feasibility_q(IDENT, wide, 0.0, GEN)
 
@@ -285,6 +285,34 @@ class TestSweep:
             sweep(identity_map(), identity_map(), [0.3, 0.2], noise="cd")
         with pytest.raises(ValueError):
             sweep(identity_map(), identity_map(), [-0.1, 0.2], noise="cd")
+
+
+@pytest.mark.parametrize(
+    "call, phrase",
+    [
+        (lambda: default_t_grid(math.nan), "t_min must be finite"),
+        (lambda: default_t_grid(0.0, math.inf), "t_max must be finite"),
+        (lambda: default_t_grid(0.0, 1.0, math.nan), "t_step must be finite"),
+        (lambda: sweep(identity_map(), identity_map(), [0.0, math.nan]), "strictly increasing"),
+        (lambda: sweep(identity_map(), identity_map(), [math.nan]), "nonnegative"),
+        (lambda: identity_map().evaluate(math.nan), "nonnegative"),
+        (lambda: eternal_choi(math.nan), "nonnegative"),
+        (lambda: robustness(IDENT, IDENT, dr=math.nan), "dr must be positive and finite"),
+        (lambda: robustness(IDENT, IDENT, dr=math.inf), "dr must be positive and finite"),
+        (lambda: feasibility_q(IDENT, IDENT, math.nan, GEN), "nonnegative and finite"),
+    ],
+    ids=["t-min-nan", "t-max-inf", "t-step-nan", "grid-nan", "grid-start-nan", "evaluate-nan",
+         "eternal-nan", "dr-nan", "dr-inf", "pinned-r-nan"],
+)
+def test_non_finite_input_is_rejected_before_building(call, phrase, monkeypatch):
+    # NaN fails every comparison, so each check is written to fail on it
+    def build(*args, **kwargs):
+        raise AssertionError("program built or solved for non-finite input")
+
+    monkeypatch.setattr(sys.modules["chancompat.robustness"], "_program", build)
+    monkeypatch.setattr(sdp, "solve", build)
+    with pytest.raises(ValueError, match=phrase):
+        call()
 
 
 class TestDynamicalMapRobustness:

@@ -17,7 +17,7 @@ class TestCoordinates:
         h = random_hermitian(rng, d)
         v = sdp.pack(h)
         assert v.shape == (d * d,)
-        assert np.max(np.abs(sdp.unpack(v, d) - h)) < 1e-14
+        assert np.max(np.abs((sdp._coord_map(d, False) @ v).reshape(d, d) - h)) < 1e-14
 
     def test_isometry(self, rng):
         a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
@@ -29,7 +29,23 @@ class TestCoordinates:
         s = s + s.T
         v = sdp.pack(s, real=True)
         assert v.shape == (10,)
-        assert np.max(np.abs(sdp.unpack(v, 4, real=True) - s)) < 1e-14
+        assert np.max(np.abs((sdp._coord_map(4, True) @ v).reshape(4, 4) - s)) < 1e-14
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_coord_map_matches_loop_reference(self, d, real):
+        # one basis matrix per pack coordinate, in pack's order
+        dtype, s = (float if real else complex), np.sqrt(2.0)
+        pairs = list(zip(*np.triu_indices(d, 1)))
+        units = [((k, k, 1.0),) for k in range(d)]
+        units += [((i, j, 1 / s), (j, i, 1 / s)) for i, j in pairs]
+        units += [] if real else [((i, j, 1j / s), (j, i, -1j / s)) for i, j in pairs]
+        want = np.zeros((d * d, len(units)), dtype)
+        for a, entries in enumerate(units):
+            for i, j, value in entries:
+                want[i * d + j, a] = value
+        got = sdp._coord_map(d, real)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("d", [2, 4, 8])
@@ -40,7 +56,7 @@ class TestCoordinates:
     def test_linear_map_matrix_partial_trace(self, rng):
         op = sdp.linear_map_matrix(lambda x: partial_trace(x, (2, 2), {0}), 4, 2)
         h = random_hermitian(rng, 4)
-        got = sdp.unpack(op @ sdp.pack(h), 2)
+        got = (sdp._coord_map(2, False) @ (op @ sdp.pack(h))).reshape(2, 2)
         assert np.max(np.abs(got - partial_trace(h, (2, 2), {0}))) < 1e-12
 
 

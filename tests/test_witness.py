@@ -7,14 +7,13 @@ from chancompat.channels import (
     amplitude_damping_map,
     constant_map,
     depolarizing_map,
-    eternal_map,
     identity_channel,
     identity_map,
 )
 from chancompat.figures import default_t_grid
+from chancompat.robustness import sweep
 from chancompat.witness import (
     SINGLET,
-    blp_curve,
     cp_indivisibility_measure,
     indivisibility_from_curve,
     one_sided_apply,
@@ -22,29 +21,23 @@ from chancompat.witness import (
     teleport_fidelity,
 )
 
-KET0 = np.diag([1.0, 0.0]).astype(complex)
-KET1 = np.diag([0.0, 1.0]).astype(complex)
-
-
-class TestBlpCurve:
+class TestTraceDistanceWitness:
+    # sweep's trace_distance column: |0><0| and |1><1| evolved by map2, whose
+    # distance is the depolarizing shrink factor w(t)
     def test_divisible_depolarizing_closed_form(self):
         grid = [0.1 * k for k in range(11)]
-        curve = blp_curve(depolarizing_map(0.5), KET0, KET1, grid)
-        for point in curve:
-            assert abs(point.value - math.exp(-0.5 * point.t)) < 1e-12
-        vals = [p.value for p in curve]
+        recs = sweep(identity_map(), depolarizing_map(0.5), grid, noise="cd")
+        for rec in recs:
+            assert abs(rec.trace_distance - math.exp(-0.5 * rec.t)) < 1e-12
+        vals = [rec.trace_distance for rec in recs]
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
     def test_oscillating_depolarizing_closed_form(self):
         grid = [0.05 * k for k in range(21)]
-        curve = blp_curve(depolarizing_map(0.5, 5 * math.pi), KET0, KET1, grid)
-        for point in curve:
-            want = math.exp(-0.5 * point.t) * math.cos(5 * math.pi * point.t) ** 2
-            assert abs(point.value - want) < 1e-12
-
-    def test_identical_states_give_zero(self):
-        curve = blp_curve(eternal_map(), KET0, KET0, [0.0, 0.5, 1.0])
-        assert all(p.value < 1e-12 for p in curve)
+        recs = sweep(identity_map(), depolarizing_map(0.5, 5 * math.pi), grid, noise="cd")
+        for rec in recs:
+            want = math.exp(-0.5 * rec.t) * math.cos(5 * math.pi * rec.t) ** 2
+            assert abs(rec.trace_distance - want) < 1e-12
 
 
 class TestTeleportFidelity:
@@ -100,10 +93,10 @@ class TestRisingSegments:
         assert rising_segments(ts, vals) == [(1, 3)]
 
     def test_dead_band_filters_noise(self):
+        # steps of 1e-3 sit inside DEAD_BAND = 2e-3; a step of 3e-3 climbs out of it
         ts = [0, 1, 2]
-        vals = [0.0, 1e-3, 2e-3]
-        assert rising_segments(ts, vals, dead_band=2e-3) == []
-        assert rising_segments(ts, vals, dead_band=5e-4) == [(0, 2)]
+        assert rising_segments(ts, [0, 1e-3, 2e-3]) == []
+        assert rising_segments(ts, [0, 1e-3, 4e-3]) == [(1, 2)]
 
     def test_open_segment_closes_at_end(self):
         assert rising_segments([0, 1, 2], [0.0, 0.5, 1.0]) == [(0, 2)]
