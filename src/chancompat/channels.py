@@ -112,8 +112,8 @@ def eternal_choi(t: float) -> Channel:
     trace-distance backflow; a(t) = (1+exp(-2t))/2 and the corner weight
     b(t) = exp(-t) cosh(t) (the closed form of exp(-int_0^t (1-tanh x) dx)).
     """
-    if not t >= 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     a = (1 + math.exp(-2 * t)) / 2
     b = math.exp(-t) * math.cosh(t)
     c = np.diag([a, 1 - a, 1 - a, a]).astype(complex)
@@ -134,9 +134,9 @@ class DynamicalMap:
     period: float | None = None
 
     def evaluate(self, t: float) -> Channel:
-        """Channel at time t >= 0."""
-        if not t >= 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        """Channel at a finite time t >= 0."""
+        if not 0 <= t < math.inf:
+            raise ValueError(f"time must be nonnegative and finite, got {t}")
         return self.channel_at(t)
 
 

@@ -32,8 +32,8 @@ from .channels import (
     eternal_map,
     identity_map,
 )
-from .figures import ALPHA, DR, FIGURES, LAM, OMEGA, T_MAX, T_STEP, default_t_grid
-from .robustness import NoiseClass, sweep
+from .figures import ALPHA, FIGURES, LAM, OMEGA, T_MAX, T_STEP, default_t_grid
+from .robustness import DR, NoiseClass, sweep
 from .validation import run_checks
 from .witness import cp_indivisibility_measure, teleport_fidelity
 
@@ -76,9 +76,8 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
 
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     _add_grid_args(p)
-    p.add_argument("--dr", type=float, default=DR, help="robustness grid step")
     p.add_argument("--noise", choices=("generic", "cd", "both"), default="both")
-    p.add_argument("--refine", action="store_true", help="report the solver's r instead of rounding it up to the dr grid")
+    p.add_argument("--refine", action="store_true", help=f"report the solver's r, not its grid value (r rounded up to a multiple of {DR})")
     p.add_argument("--output", "-o", help="CSV path (default: stdout)")
 
 
@@ -116,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("--noise", choices=("generic", "cd"), default="generic")
     _add_family_args(p_meas)
     _add_grid_args(p_meas)
-    p_meas.add_argument("--dr", type=float, default=DR)
     p_meas.add_argument("--output", "-o", help="optional CSV of the robustness curve")
     p_meas.set_defaults(func=cmd_measure)
 
@@ -149,7 +147,7 @@ def _sweep_to_csv(records, noise: str, teleport_map=None) -> list[str]:
 
 def _run_sweep(args, map1, map2, teleport_map=None) -> int:
     grid = default_t_grid(args.t_min, args.t_max, args.t_step)
-    records = sweep(map1, map2, grid, noise=args.noise, dr=args.dr, refine=args.refine)
+    records = sweep(map1, map2, grid, noise=args.noise, refine=args.refine)
     _write_lines(args.output, _sweep_to_csv(records, args.noise, teleport_map))
     return _report_indeterminate([rec.t for rec in records if rec.indeterminate])
 
@@ -188,13 +186,7 @@ def cmd_measure(args) -> int:
     map_ = FAMILIES[args.family](args)
     reference = FAMILIES[args.reference](args)
     grid = default_t_grid(args.t_min, args.t_max, args.t_step)
-    report = cp_indivisibility_measure(
-        map_,
-        grid,
-        reference=reference,
-        noise=args.noise,
-        dr=args.dr,
-    )
+    report = cp_indivisibility_measure(map_, grid, reference=reference, noise=args.noise)
     print(f"family:          {map_.label}")
     print(f"reference:       {reference.label}")
     print(f"measure_raw:     {_fmt(report.n_raw)}")

@@ -1,7 +1,7 @@
 """Built-in figure definitions: map pairs, default parameters, and columns.
 
 Defaults follow the reference setup: lam = alpha = 0.5, omega = 5*pi,
-t from 0 to 1 in steps of 0.01, grid step dr = 0.005.
+t from 0 to 1 in steps of 0.01 (robustness values use the grid robustness.DR).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ OMEGA = 5 * math.pi
 ALPHA = 0.5
 T_STEP = 0.01
 T_MAX = 1.0
-DR = 0.005
 
 
 def default_t_grid(t_min: float = 0.0, t_max: float = T_MAX, t_step: float = T_STEP) -> list[float]:

@@ -34,6 +34,7 @@ from .channels import Channel, DynamicalMap, Povm, apply, measurement_channel
 from .linalg import partial_trace, trace_distance
 
 MAX_MIXING = 1.0          # any pair is compatible at r = 1 for both noise classes
+DR = 0.005                # grid step of a reported (unrefined) robustness value
 R_TOL = 1e-6              # solver accuracy of r: a value this close above a grid
                           # point belongs to it, and a refined value below it is 0
 
@@ -181,15 +182,15 @@ def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:
 # Robustness values
 # ---------------------------------------------------------------------------
 
-def _robustness_value(problem: sdp.SdpProblem, dr: float | None) -> RobustnessResult:
-    """Solve a direct program once and report r itself (dr=None) or its grid
-    value: the smallest multiple of dr at or above r - R_TOL, capped at 1."""
+def _robustness_value(problem: sdp.SdpProblem, refine: bool) -> RobustnessResult:
+    """Solve a direct program once and report r itself (refine=True) or its
+    grid value: the smallest multiple of DR at or above r - R_TOL, capped at 1."""
     sol = sdp.solve(problem)
     r = min(max(sol.scalar_values["r"], 0.0), MAX_MIXING)
-    if dr is None:
+    if refine:
         r_star = 0.0 if r <= R_TOL else r
     else:
-        r_star = min(max(math.ceil((r - R_TOL) / dr), 0) * dr, MAX_MIXING)
+        r_star = min(math.ceil((r - R_TOL) / DR) * DR, MAX_MIXING)
     return RobustnessResult(r_star=r_star, indeterminate=sol.status != "optimal")
 
 
@@ -214,22 +215,19 @@ def robustness(
     ch1: Channel,
     ch2: Channel,
     noise: NoiseClass = NoiseClass.GENERIC,
-    dr: float = 0.005,
     refine: bool = False,
 ) -> RobustnessResult:
-    """Smallest grid multiple of dr at which the noisy pair turns compatible,
+    """Smallest grid multiple of DR at which the noisy pair turns compatible,
     or with refine=True the solver's r itself."""
-    if not 0 < dr < math.inf:
-        raise ValueError(f"grid step dr must be positive and finite, got {dr}")
     problem = channel_feasibility_problem(ch1, ch2, None, NoiseClass(noise))
-    return _robustness_value(problem, None if refine else dr)
+    return _robustness_value(problem, refine)
 
 
 def measurement_robustness(m1: Povm, m2: Povm) -> RobustnessResult:
     """Incompatibility robustness of two measurements under generic noise:
     the solver's r of the channel program on their quantum-classical
     channels, with r <= R_TOL reported as 0 (no grid)."""
-    return _robustness_value(measurement_feasibility_problem(m1, m2), None)
+    return _robustness_value(measurement_feasibility_problem(m1, m2), True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,6 @@ def sweep(
     map2: DynamicalMap,
     t_grid: Sequence[float],
     noise="both",
-    dr: float = 0.005,
     refine: bool = False,
 ) -> list[SweepRecord]:
     """Robustness and trace-distance witness along a pair of dynamical maps.
@@ -253,8 +250,8 @@ def sweep(
     t_grid = list(t_grid)
     if not t_grid:
         raise ValueError("t_grid must be non-empty")
-    if not t_grid[0] >= 0 or any(not b > a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be nonnegative and strictly increasing")
+    if not 0 <= t_grid[0] <= t_grid[-1] < math.inf or any(not b > a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("t_grid must be nonnegative, finite and strictly increasing")
     classes = tuple(NoiseClass) if noise == "both" else (NoiseClass(noise),)
     records = []
     for t in t_grid:
@@ -262,7 +259,7 @@ def sweep(
         if ch2.din < 2:
             raise ValueError(f"trace distance needs two input states, but map2 has din={ch2.din}")
         rho0, rho1 = (np.diag(np.eye(ch2.din, dtype=complex)[k]) for k in (0, 1))
-        results = {nc: robustness(ch1, ch2, nc, dr=dr, refine=refine) for nc in classes}
+        results = {nc: robustness(ch1, ch2, nc, refine=refine) for nc in classes}
         gen = results.get(NoiseClass.GENERIC)
         cd = results.get(NoiseClass.COMPLETELY_DEPOLARIZING)
         records.append(SweepRecord(
@@ -280,14 +277,13 @@ def dynamical_map_robustness(
     map2: DynamicalMap,
     t_grid: Sequence[float],
     noise: NoiseClass = NoiseClass.GENERIC,
-    dr: float = 0.005,
 ) -> RobustnessResult:
     """Map-level robustness: the maximum per-time robustness over the grid,
     indeterminate when any solve along the grid did not converge.
 
     The supremum over continuous time is approximated at grid resolution.
     """
-    records = sweep(map1, map2, t_grid, noise=NoiseClass(noise), dr=dr)
+    records = sweep(map1, map2, t_grid, noise=NoiseClass(noise))
     return RobustnessResult(
         r_star=max(rec.r(noise) for rec in records),
         indeterminate=any(rec.indeterminate for rec in records),

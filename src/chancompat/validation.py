@@ -24,7 +24,7 @@ from .channels import (
     projective_povm,
     pushforward_povm,
 )
-from .figures import DR, FIGURES, LAM, OMEGA, default_t_grid
+from .figures import FIGURES, LAM, OMEGA, default_t_grid
 from .robustness import (
     NoiseClass,
     SweepRecord,
@@ -52,12 +52,13 @@ Verdict = tuple[bool, str, list]   # (within_bounds, detail, unconverged)
 
 
 _T_GRID = tuple(default_t_grid())
+SEGMENT_TOL = 0.02   # how far a robustness segment's ends may sit from a trace-distance segment's
 
 
 @lru_cache(maxsize=None)
 def _figure_records(figure_id: int) -> tuple[SweepRecord, ...]:
     spec = FIGURES[figure_id]
-    return tuple(sweep(spec.map1, spec.map2, _T_GRID, noise="both", dr=DR))
+    return tuple(sweep(spec.map1, spec.map2, _T_GRID, noise="both"))
 
 
 def _flagged(*figure_ids: int) -> list[tuple[int, float]]:
@@ -71,11 +72,9 @@ def _closed_form_distance() -> list[float]:
     return [math.exp(-LAM * t) * math.cos(OMEGA * t) ** 2 for t in _T_GRID]
 
 
-def _segments_aligned(
-    segs: list[tuple[float, float]], ref: list[tuple[float, float]], tol: float = 0.02
-) -> bool:
+def _segments_aligned(segs: list[tuple[float, float]], ref: list[tuple[float, float]]) -> bool:
     return all(
-        any(abs(a - ra) <= tol + 1e-9 and abs(b - rb) <= tol + 1e-9 for ra, rb in ref)
+        any(abs(a - ra) <= SEGMENT_TOL + 1e-9 and abs(b - rb) <= SEGMENT_TOL + 1e-9 for ra, rb in ref)
         for a, b in segs
     )
 
@@ -148,7 +147,7 @@ def _backflow_check(figure_id: int) -> Verdict:
     return (
         ok,
         f"rising segments generic={counts['r_generic']}, cd={counts['r_cd']}"
-        f" (need >= 4, aligned within 0.02 of {len(ref)} trace-distance segments)",
+        f" (need >= 4, aligned within {SEGMENT_TOL} of {len(ref)} trace-distance segments)",
         _flagged(figure_id),
     )
 
@@ -258,7 +257,7 @@ def check_teleportation_curve() -> Verdict:
 
 def check_measure_signs() -> Verdict:
     ts = list(_T_GRID)
-    rep_d1 = cp_indivisibility_measure(depolarizing_map(LAM), ts, dr=DR)
+    rep_d1 = cp_indivisibility_measure(depolarizing_map(LAM), ts)
     rep_d2 = indivisibility_from_curve(
         ts, [r.r_generic for r in _figure_records(4)]
     )

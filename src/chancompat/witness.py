@@ -117,7 +117,6 @@ def cp_indivisibility_measure(
     t_grid: Sequence[float],
     reference: DynamicalMap | None = None,
     noise: NoiseClass = NoiseClass.GENERIC,
-    dr: float = 0.005,
 ) -> IndivisibilityReport:
     """The measure of indivisibility_from_curve on the robustness curve
     r(t) of (reference_t, map_t).
@@ -138,6 +137,6 @@ def cp_indivisibility_measure(
                 f"t_grid step {max_step:g} undersamples the oscillation"
                 f" (need <= {period / MIN_POINTS_PER_PERIOD:g})"
             )
-    records = sweep(reference, map_, t_grid, noise=NoiseClass(noise), dr=dr)
+    records = sweep(reference, map_, t_grid, noise=NoiseClass(noise))
     report = indivisibility_from_curve([rec.t for rec in records], [rec.r(noise) for rec in records])
     return replace(report, indeterminate=tuple(rec.t for rec in records if rec.indeterminate))

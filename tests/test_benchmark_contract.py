@@ -17,7 +17,7 @@ def test_benchmark_call_sites_fire(tmp_path):
     try:
         # 22 solves, so that at least one problem is kept for the replay
         code = chancompat.cli.main(
-            ["figure", "--id", "7", "--t-step", "0.1", "--dr", "0.1", "-o", str(tmp_path / "f.csv")]
+            ["figure", "--id", "7", "--t-step", "0.1", "-o", str(tmp_path / "f.csv")]
         )
         assert code == 0
         assert tracing.EXPECTED["sweep-light"] <= tracer.fired()

@@ -34,7 +34,7 @@ def test_sweep_smoke_two_rows(capsys):
     code, out, err = run_cli(
         [
             "sweep", "--family", "identity", "--family2", "depolarizing-indiv",
-            "--t-step", "0.5", "--t-max", "0.5", "--dr", "0.05",
+            "--t-step", "0.5", "--t-max", "0.5",
         ],
         capsys,
     )
@@ -48,7 +48,7 @@ def test_sweep_smoke_two_rows(capsys):
 def test_figure_row_count_and_determinism(tmp_path, capsys):
     args = [
         "figure", "--id", "1", "--t-step", "0.25", "--t-max", "0.75",
-        "--dr", "0.05", "--output", str(tmp_path / "a.csv"),
+        "--output", str(tmp_path / "a.csv"),
     ]
     assert main(args) == 0
     args[-1] = str(tmp_path / "b.csv")
@@ -62,7 +62,7 @@ def test_figure_row_count_and_determinism(tmp_path, capsys):
 
 def test_figure_seven_has_teleport_columns(capsys):
     code, out, _ = run_cli(
-        ["figure", "--id", "7", "--t-step", "0.5", "--dr", "0.1"], capsys
+        ["figure", "--id", "7", "--t-step", "0.5"], capsys
     )
     assert code == 0
     header = out.splitlines()[0]
@@ -75,7 +75,7 @@ def test_noise_selection_controls_columns(capsys):
     code, out, _ = run_cli(
         [
             "sweep", "--family", "identity", "--family2", "eternal",
-            "--t-step", "1", "--t-max", "1", "--noise", "cd", "--dr", "0.1",
+            "--t-step", "1", "--t-max", "1", "--noise", "cd",
         ],
         capsys,
     )
@@ -100,7 +100,7 @@ def test_custom_choi_input(tmp_path, capsys):
     code, out, _ = run_cli(
         [
             "sweep", "--family", "custom", "--choi", str(path),
-            "--family2", "identity", "--t-step", "1", "--t-max", "1", "--dr", "0.1",
+            "--family2", "identity", "--t-step", "1", "--t-max", "1",
         ],
         capsys,
     )
@@ -162,6 +162,23 @@ def test_bad_flags_exit_two():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "--id", "1", "--t-max", "0.02"],
+        ["sweep", "--family", "identity", "--family2", "identity", "--t-max", "0"],
+        ["measure"],
+    ],
+    ids=["figure", "sweep", "measure"],
+)
+def test_grid_step_is_not_a_flag(argv, capsys):
+    # the robustness grid step is the constant robustness.DR, not a setting
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--dr", "2"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --dr 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, code, phrase",
     [
         (["teleport", "--t-step", "0"], 2, "t_step must be positive"),
@@ -172,11 +189,9 @@ def test_bad_flags_exit_two():
         (["teleport", "--t-max", "inf"], 2, "t_max must be finite"),
         (["teleport", "--t-min", "nan"], 2, "t_min must be finite"),
         (["figure", "--id", "1", "--t-step", "nan"], 2, "t_step must be finite"),
-        (["figure", "--id", "1", "--dr", "nan"], 2, "dr must be positive and finite"),
-        (["measure", "--dr", "inf"], 2, "dr must be positive and finite"),
     ],
     ids=["zero-step", "reversed-range", "negative-alpha", "teleport-to-dir", "figure-to-dir",
-         "t-max-inf", "t-min-nan", "t-step-nan", "dr-nan", "measure-dr-inf"],
+         "t-max-inf", "t-min-nan", "t-step-nan"],
 )
 def test_bad_input_exits_with_message(argv, code, phrase, capsys):
     got, out, err = run_cli(argv, capsys)
@@ -188,7 +203,7 @@ def test_measure_command(capsys):
     code, out, _ = run_cli(
         [
             "measure", "--family", "depolarizing-div", "--t-step", "0.25",
-            "--t-max", "0.5", "--dr", "0.05",
+            "--t-max", "0.5",
         ],
         capsys,
     )

@@ -12,14 +12,16 @@ from chancompat.channels import (
     depolarizing_choi,
     depolarizing_map,
     eternal_choi,
+    eternal_map,
     identity_channel,
     identity_map,
     measurement_channel,
     projective_povm,
 )
 from chancompat.linalg import partial_trace
-from chancompat.figures import DR, FIGURES, LAM, OMEGA, default_t_grid
+from chancompat.figures import FIGURES, LAM, OMEGA, default_t_grid
 from chancompat.robustness import (
+    DR,
     NoiseClass,
     RobustnessResult,
     SweepRecord,
@@ -161,15 +163,16 @@ class TestChannelRobustness:
         assert res.r_star == 0.0
 
     @pytest.mark.parametrize(
-        "ch, dr, expect",
-        [(IDENT, 0.005, 0.5), (depolarizing_choi(0.75), 0.01, 0.13)],
+        "ch, expect",
+        # CD robustness 1.5 w - 1: 0.5 sits on the grid, 0.3125 halfway between two points
+        [(IDENT, 0.5), (depolarizing_choi(0.875), 63 * DR)],
         ids=["identity", "depolarizing"],
     )
-    def test_grid_bracketing_probe(self, ch, dr, expect):
-        # the grid value is the first multiple of dr at which the pair is compatible
-        r_star = robustness(ch, ch, CD, dr=dr).r_star
+    def test_grid_bracketing_probe(self, ch, expect):
+        # the grid value is the first multiple of DR at which the pair is compatible
+        r_star = robustness(ch, ch, CD).r_star
         assert r_star == expect
-        assert feasibility_q(ch, ch, r_star, CD) >= 0 > feasibility_q(ch, ch, r_star - dr, CD)
+        assert feasibility_q(ch, ch, r_star, CD) >= 0 > feasibility_q(ch, ch, r_star - DR, CD)
 
     def test_symmetry(self, rng):
         ch1, ch2 = random_channel(rng), random_channel(rng)
@@ -183,15 +186,6 @@ class TestChannelRobustness:
             r_star = robustness(ch1, ch2, GEN, refine=True).r_star
             for bump in (0.05, 0.5):
                 assert feasibility_q(ch1, ch2, r_star + bump, GEN) >= 0
-
-    def test_rejects_bad_dr(self, monkeypatch):
-        # the step is checked before any program is built
-        def build(*args):
-            raise AssertionError("program built for a rejected dr")
-
-        monkeypatch.setattr(sys.modules["chancompat.robustness"], "channel_feasibility_problem", build)
-        with pytest.raises(ValueError):
-            robustness(IDENT, IDENT, CD, dr=0.0)
 
 
 Z = projective_povm(np.eye(2))
@@ -234,7 +228,7 @@ class TestMeasurementRobustness:
 class TestSweep:
     def test_constant_identity_pair(self):
         grid = [0.0, 0.5, 1.0]
-        recs = sweep(identity_map(), identity_map(), grid, noise="both", dr=0.05)
+        recs = sweep(identity_map(), identity_map(), grid, noise="both")
         assert [r.t for r in recs] == grid
         assert len({r.r_cd for r in recs}) == 1
         assert len({r.r_generic for r in recs}) == 1
@@ -249,24 +243,24 @@ class TestSweep:
             return robustness(ch1, ch2, noise, **kwargs)
 
         monkeypatch.setattr(module, "robustness", traced)
-        recs = sweep(identity_map(), identity_map(), [0.0, 0.5], noise="both", dr=0.05)
+        recs = sweep(identity_map(), identity_map(), [0.0, 0.5], noise="both")
         assert calls == [GEN, CD, GEN, CD]
         # the identity pair: generic 1/3 and CD 1/2, each in its own column
-        assert [(r.r_generic, r.r_cd) for r in recs] == [pytest.approx((0.35, 0.5))] * 2
+        assert [(r.r_generic, r.r_cd) for r in recs] == [pytest.approx((0.335, 0.5))] * 2
 
     def test_single_noise_class_leaves_other_none(self):
-        recs = sweep(identity_map(), depolarizing_map(0.5), [0.0, 0.4], noise="cd", dr=0.05)
+        recs = sweep(identity_map(), depolarizing_map(0.5), [0.0, 0.4], noise="cd")
         assert recs[0].r_generic is None and recs[0].r_cd is not None
 
     def test_dominance_on_small_grid(self):
-        recs = sweep(depolarizing_map(0.5), depolarizing_map(0.5), [0.0, 0.3, 0.6], noise="both", dr=0.02)
+        recs = sweep(depolarizing_map(0.5), depolarizing_map(0.5), [0.0, 0.3, 0.6], noise="both")
         for rec in recs:
             assert 0 <= rec.r_generic <= rec.r_cd <= 1 + 1e-6
 
     def test_unconverged_solve_is_flagged(self, monkeypatch):
         monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
         assert robustness(IDENT, IDENT, CD).indeterminate
-        (rec,) = sweep(identity_map(), identity_map(), [0.0], noise="both", dr=0.05)
+        (rec,) = sweep(identity_map(), identity_map(), [0.0], noise="both")
         assert rec.indeterminate
 
     def test_one_dimensional_input_is_rejected_before_solving(self, monkeypatch):
@@ -297,12 +291,14 @@ class TestSweep:
         (lambda: sweep(identity_map(), identity_map(), [math.nan]), "nonnegative"),
         (lambda: identity_map().evaluate(math.nan), "nonnegative"),
         (lambda: eternal_choi(math.nan), "nonnegative"),
-        (lambda: robustness(IDENT, IDENT, dr=math.nan), "dr must be positive and finite"),
-        (lambda: robustness(IDENT, IDENT, dr=math.inf), "dr must be positive and finite"),
         (lambda: feasibility_q(IDENT, IDENT, math.nan, GEN), "nonnegative and finite"),
+        (lambda: sweep(identity_map(), depolarizing_map(0.5), [0.0, math.inf], noise="cd"), "finite"),
+        (lambda: sweep(identity_map(), eternal_map(), [math.inf]), "finite"),
+        (lambda: depolarizing_map(LAM, OMEGA).evaluate(math.inf), "nonnegative and finite"),
+        (lambda: eternal_choi(math.inf), "nonnegative and finite"),
     ],
     ids=["t-min-nan", "t-max-inf", "t-step-nan", "grid-nan", "grid-start-nan", "evaluate-nan",
-         "eternal-nan", "dr-nan", "dr-inf", "pinned-r-nan"],
+         "eternal-nan", "pinned-r-nan", "grid-inf", "grid-start-inf", "evaluate-inf", "eternal-inf"],
 )
 def test_non_finite_input_is_rejected_before_building(call, phrase, monkeypatch):
     # NaN fails every comparison, so each check is written to fail on it
@@ -319,8 +315,8 @@ class TestDynamicalMapRobustness:
     def test_divisible_pair_attains_max_at_zero(self):
         m = depolarizing_map(0.5)
         grid = [0.0, 0.25, 0.5]
-        r_map = dynamical_map_robustness(m, m, grid, CD, dr=0.01)
-        r_zero = robustness(m.evaluate(0.0), m.evaluate(0.0), CD, dr=0.01).r_star
+        r_map = dynamical_map_robustness(m, m, grid, CD)
+        r_zero = robustness(m.evaluate(0.0), m.evaluate(0.0), CD).r_star
         assert r_map.r_star == r_zero and not r_map.indeterminate
 
     def test_cd_constant_maps(self):

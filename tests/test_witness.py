@@ -139,12 +139,10 @@ class TestIndivisibilityMeasure:
 
     def test_divisible_map_measures_zero(self):
         grid = [0.1 * k for k in range(11)]
-        rep = cp_indivisibility_measure(depolarizing_map(0.5), grid, dr=0.02)
+        rep = cp_indivisibility_measure(depolarizing_map(0.5), grid)
         assert rep.n_raw == 0.0
         # the default reference is the identity map
-        assert rep == cp_indivisibility_measure(
-            depolarizing_map(0.5), grid, reference=identity_map(), dr=0.02
-        )
+        assert rep == cp_indivisibility_measure(depolarizing_map(0.5), grid, reference=identity_map())
         assert len(rep.curve) == len(grid)
 
     def test_rejects_coarse_grid(self):
