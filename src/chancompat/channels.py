@@ -44,15 +44,6 @@ class Channel:
             raise ValueError("Tr_out(choi) != identity: map is not trace preserving")
 
 
-def choi_from_map(fn: Callable[[np.ndarray], np.ndarray], din: int) -> np.ndarray:
-    """Choi matrix of a linear map given by its action on matrices."""
-    e = np.eye(din, dtype=complex)
-    blocks = [
-        [fn(np.outer(e[i], e[j])) for j in range(din)] for i in range(din)
-    ]
-    return np.block(blocks)
-
-
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """Act with the channel on a matrix: L(rho) = Tr_in[(rho^T (x) 1) C]."""
     if rho.shape != (ch.din, ch.din):
@@ -70,18 +61,20 @@ def dual_apply(ch: Channel, effect: np.ndarray) -> np.ndarray:
 
 
 def compose(after: Channel, before: Channel) -> Channel:
-    """Choi matrix of after o before."""
+    """Choi matrix of after o before: the link product of the two Choi matrices."""
     if after.din != before.dout:
         raise ValueError(
             f"cannot compose: after.din={after.din} != before.dout={before.dout}"
         )
-    choi = choi_from_map(lambda e: apply(after, apply(before, e)), before.din)
-    return Channel(before.din, after.dout, choi)
+    c1 = before.choi.reshape(before.din, before.dout, before.din, before.dout)
+    c2 = after.choi.reshape(after.din, after.dout, after.din, after.dout)
+    d = before.din * after.dout
+    return Channel(before.din, after.dout, np.einsum("iajb,acbd->icjd", c1, c2).reshape(d, d))
 
 
 def identity_channel(d: int = 2) -> Channel:
-    choi = choi_from_map(lambda e: e, d)
-    return Channel(d, d, choi)
+    v = np.eye(d, dtype=complex).reshape(d * d)   # vec(1) = sum_i |i>|i>
+    return Channel(d, d, np.outer(v, v))
 
 
 def depolarizing_choi(w: float) -> Channel:

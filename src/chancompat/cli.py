@@ -140,7 +140,7 @@ def _sweep_to_csv(records, noise: str, teleport_map=None) -> list[str]:
     for rec in records:
         row = [_fmt(getattr(rec, col)) for col in cols]
         if teleport_map is not None:
-            row += map(_fmt, teleport_fidelity(teleport_map, rec.t))
+            row += map(_fmt, teleport_fidelity(teleport_map.evaluate(rec.t)))
         lines.append(",".join(row))
     return lines
 
@@ -176,7 +176,7 @@ def cmd_teleport(args) -> int:
     map_ = FAMILIES[args.family](args)
     lines = ["t,n_value,f_max"]
     for t in default_t_grid(args.t_min, args.t_max, args.t_step):
-        n, f = teleport_fidelity(map_, t)
+        n, f = teleport_fidelity(map_.evaluate(t))
         lines.append(",".join([_fmt(t), _fmt(n), _fmt(f)]))
     _write_lines(args.output, lines)
     return 0

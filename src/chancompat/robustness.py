@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sdp
-from .channels import Channel, DynamicalMap, Povm, apply, measurement_channel
+from .channels import Channel, DynamicalMap, Povm, measurement_channel
 from .linalg import partial_trace, trace_distance
 
 MAX_MIXING = 1.0          # any pair is compatible at r = 1 for both noise classes
@@ -243,9 +243,9 @@ def sweep(
 ) -> list[SweepRecord]:
     """Robustness and trace-distance witness along a pair of dynamical maps.
 
-    The trace-distance column evolves the first two basis states |0><0|,
-    |1><1| of map2's input through map2 (the map under study), so map2 needs
-    din >= 2. Each time point is solved cold and independently of the others.
+    The trace-distance column compares map2's images of |0><0| and |1><1|
+    (map2 is the map under study), the first two diagonal blocks of its Choi
+    matrix, so map2 needs din >= 2. Each time point is solved cold.
     """
     t_grid = list(t_grid)
     if not t_grid:
@@ -258,7 +258,7 @@ def sweep(
         ch1, ch2 = map1.evaluate(t), map2.evaluate(t)
         if ch2.din < 2:
             raise ValueError(f"trace distance needs two input states, but map2 has din={ch2.din}")
-        rho0, rho1 = (np.diag(np.eye(ch2.din, dtype=complex)[k]) for k in (0, 1))
+        d = ch2.dout
         results = {nc: robustness(ch1, ch2, nc, refine=refine) for nc in classes}
         gen = results.get(NoiseClass.GENERIC)
         cd = results.get(NoiseClass.COMPLETELY_DEPOLARIZING)
@@ -266,7 +266,7 @@ def sweep(
             t=t,
             r_generic=None if gen is None else gen.r_star,
             r_cd=None if cd is None else cd.r_star,
-            trace_distance=trace_distance(apply(ch2, rho0), apply(ch2, rho1)),
+            trace_distance=trace_distance(ch2.choi[:d, :d], ch2.choi[d:2 * d, d:2 * d]),
             indeterminate=any(res.indeterminate for res in results.values()),
         ))
     return records

@@ -243,7 +243,7 @@ def check_teleportation_curve() -> Verdict:
     worst = 0.0
     plateau_ok = True
     for t in _T_GRID:
-        n, f = teleport_fidelity(d2, t)
+        n, f = teleport_fidelity(d2.evaluate(t))
         w = math.exp(-LAM * t) * math.cos(OMEGA * t) ** 2
         worst = max(worst, abs(n - 3 * w))
         expected = 2 / 3 if n <= 1 else 0.5 * (1 + n / 3)

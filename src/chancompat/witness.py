@@ -1,9 +1,12 @@
 """Physical witnesses along dynamical maps.
 
-The Horodecki teleportation criterion for one-sided evolved singlets, and
-the CP-indivisibility measure of a channel-robustness curve (defined in
-indivisibility_from_curve). The trace-distance (information backflow)
-witness is the trace_distance column of robustness.sweep.
+The Horodecki teleportation criterion for the one-sidedly evolved singlet,
+read from the channel's Choi matrix C, and the CP-indivisibility measure of a
+channel-robustness curve (defined in indivisibility_from_curve). The evolved
+singlet (1 (x) L)(psi-) is C/2 conjugated by i sigma_y on the input factor,
+which only flips the signs of two rows of its Pauli correlation matrix. The
+trace-distance (information backflow) witness is the trace_distance column of
+robustness.sweep.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ from .robustness import NoiseClass, sweep
 DEAD_BAND = 2e-3
 MIN_POINTS_PER_PERIOD = 10
 
-_KET01 = np.array([0.0, 1.0, 0.0, 0.0])
-_KET10 = np.array([0.0, 0.0, 1.0, 0.0])
-SINGLET = np.outer(_KET01 - _KET10, _KET01 - _KET10) / 2
 _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _PAULI_PAIRS = np.einsum("iac,jbd->ijabcd", _PAULIS, _PAULIS).reshape(9, 4, 4)   # [3i + j] = s_i (x) s_j
 
@@ -41,24 +41,17 @@ class IndivisibilityReport:
     indeterminate: tuple[float, ...] = ()   # t of unconverged solves
 
 
-def one_sided_apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """(1 (x) L)(rho) for a two-qubit state rho, acting on the second factor."""
-    if ch.din != 2 or ch.dout != 2 or rho.shape != (4, 4):
-        raise ValueError("one_sided_apply expects a qubit channel and a two-qubit state")
-    r = rho.reshape(2, 2, 2, 2)
-    c = ch.choi.reshape(2, 2, 2, 2)
-    return np.einsum("ikjl,kalb->iajb", r, c).reshape(4, 4)
-
-
-def teleport_fidelity(map_: DynamicalMap, t: float) -> tuple[float, float]:
-    """Horodecki criterion for the singlet evolved one-sidedly to time t.
+def teleport_fidelity(ch: Channel) -> tuple[float, float]:
+    """Horodecki criterion for the singlet evolved one-sidedly by a qubit channel.
 
     Returns (n_value, f_max): n_value is the trace norm of the 3x3 Pauli
-    correlation matrix of the output state; the optimal teleportation
-    fidelity is (1 + n/3)/2 when n > 1 and the classical 2/3 otherwise.
+    correlation matrix S_ij = Re Tr[(s_i (x) s_j) C] / 2, equal up to row
+    signs to that of the evolved singlet; the optimal teleportation fidelity
+    is (1 + n/3)/2 when n > 1 and the classical 2/3 otherwise.
     """
-    rho = one_sided_apply(map_.evaluate(t), SINGLET)   # rejects a non-qubit map
-    s = np.trace(rho @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3)
+    if ch.din != 2 or ch.dout != 2:
+        raise ValueError(f"teleport_fidelity expects a qubit channel, got {ch.din} -> {ch.dout}")
+    s = 0.5 * np.trace(ch.choi @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3)
     n_value = trace_norm(s)
     f_max = 0.5 * (1 + n_value / 3) if n_value > 1 else 2 / 3
     return n_value, f_max

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from chancompat import validation
+from chancompat import sdp, validation
 from chancompat.robustness import RobustnessResult, SweepRecord
 from chancompat.validation import CHECKS
 
@@ -104,3 +104,31 @@ def test_checks_fail_on_indeterminate_values_within_bounds(name, phrase, monkeyp
     if name == "measurement_channel_bound":
         # each value is named: the channel value at t, or measurement pair k at t
         assert "(0.05, 'channel')" in result.detail
+
+
+# failing verdicts: each check is driven to False through its inputs
+
+
+def test_zero_crossing_fails_when_the_curve_never_settles(monkeypatch):
+    recs = tuple(SweepRecord(t=0.1 * k, r_generic=0.1, r_cd=0.2, trace_distance=0.5) for k in range(5))
+    monkeypatch.setattr(validation, "_figure_records", lambda fig: recs)
+    result = validation.run_check("depolarizing_zero_crossing")
+    assert not result.passed
+    assert result.detail == "robustness never settles at 0"
+
+
+def test_upward_closure_lists_its_violations(monkeypatch):
+    monkeypatch.setattr(validation, "robustness", lambda *a, **k: RobustnessResult(0.25))
+    monkeypatch.setattr(validation, "feasibility_q", lambda *a: -0.01)
+    result = validation.run_check("upward_closure")
+    assert not result.passed
+    assert result.detail.startswith("violations: [(0, 0.05, -0.01), (0, 0.5, -0.01), (1, 0.05, -0.01)")
+    assert result.detail.count("-0.01") == 40
+
+
+def test_solver_suite_fails_on_a_planted_residual(monkeypatch):
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda problem: replace(solve(problem), primal_residual=2e-7))
+    result = validation.run_check("solver_suite")
+    assert not result.passed
+    assert "planted max error inf (allowed 1e-6)" in result.detail

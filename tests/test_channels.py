@@ -13,7 +13,6 @@ from chancompat.channels import (
     apply,
     channel_from_json,
     channel_to_json,
-    choi_from_map,
     compose,
     constant_map,
     depolarizing_choi,
@@ -228,7 +227,9 @@ class TestDynamicalMap:
 
     def test_choi_roundtrip_through_apply(self, rng):
         ch = eternal_choi(0.4)
-        rebuilt = choi_from_map(lambda e: apply(ch, e), 2)
+        # block (i, j) of the Choi matrix is the image of |i><j|
+        e = np.eye(2)
+        rebuilt = np.block([[apply(ch, np.outer(e[i], e[j])) for j in range(2)] for i in range(2)])
         assert np.max(np.abs(rebuilt - ch.choi)) < 1e-12
 
     def test_constant_map(self):

@@ -5,7 +5,11 @@ sweeps the acceptance suite already caches, so these tests add no solves.
 The `measure` goldens replay two stored runs through `cli.main`: the default
 `chancompat measure` (tests/data/measure.txt), and
 `chancompat measure --family amplitude-damping --noise cd --t-step 0.02
--o tests/data/measure_ad_cd.csv` with its stdout in measure_ad_cd.txt."""
+-o tests/data/measure_ad_cd.csv` with its stdout in measure_ad_cd.txt. The
+teleport goldens are `chancompat teleport --family amplitude-damping -o
+tests/data/teleport_ad.csv` and `--family eternal -o
+tests/data/teleport_eternal.csv`, the two families whose Pauli correlations
+are not those of a depolarizing map (figure 7 pins that case)."""
 
 from pathlib import Path
 
@@ -39,3 +43,10 @@ def test_measure_curve_csv_is_byte_identical(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (DATA / "measure_ad_cd.txt").read_bytes()
     assert path.read_bytes() == (DATA / "measure_ad_cd.csv").read_bytes()
+
+
+@pytest.mark.parametrize("family,name", [("amplitude-damping", "ad"), ("eternal", "eternal")])
+def test_teleport_csv_is_byte_identical(tmp_path, family, name):
+    path = tmp_path / "teleport.csv"
+    assert main(["teleport", "--family", family, "-o", str(path)]) == 0
+    assert path.read_bytes() == (DATA / f"teleport_{name}.csv").read_bytes()

@@ -8,7 +8,6 @@ from chancompat import sdp
 from chancompat.channels import (
     Channel,
     Povm,
-    choi_from_map,
     depolarizing_choi,
     depolarizing_map,
     eternal_choi,
@@ -94,7 +93,9 @@ class TestFeasibilityQ:
 
 
 def _isometry_channel(v):
-    return Channel(v.shape[1], v.shape[0], choi_from_map(lambda rho: v @ rho @ v.T, v.shape[1]))
+    # the Choi matrix of rho -> v rho v^T is |vec v><vec v|, vec v = sum_i |i> (x) v|i>
+    vec = v.T.reshape(-1).astype(complex)
+    return Channel(v.shape[1], v.shape[0], np.outer(vec, vec))
 
 
 def test_solution_satisfies_compatibility_equations(rng):

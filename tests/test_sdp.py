@@ -145,6 +145,23 @@ class TestSolve:
         assert sol.iterations == 3
         assert sdp.solve(problem, max_iters=0).iterations == 0
 
+    def test_failed_factorization_returns_the_last_iterate(self, rng, monkeypatch):
+        # a LinAlgError inside a step ends the solve, like a non-finite step
+        problem = _eigenvalue_lp(random_hermitian(rng, 4), real=False)
+        calls, cholesky = [], np.linalg.cholesky
+
+        def failing(a):
+            calls.append(a)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        sol = sdp.solve(problem)
+        assert sol.status == "max_iterations"
+        assert sol.iterations == 2
+        assert all(np.isfinite(v).all() for v in sol.block_values.values())
+
     def test_dim_guard(self):
         prob = sdp.SdpProblem(
             blocks={"big": (40, False)},

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from chancompat.channels import (
+    Channel,
     amplitude_damping_map,
-    constant_map,
     depolarizing_map,
+    eternal_map,
     identity_channel,
     identity_map,
 )
-from chancompat.figures import default_t_grid
+from chancompat.figures import ALPHA, OMEGA, default_t_grid
 from chancompat.robustness import sweep
 from chancompat.witness import (
-    SINGLET,
     cp_indivisibility_measure,
     indivisibility_from_curve,
-    one_sided_apply,
     rising_segments,
     teleport_fidelity,
 )
@@ -40,46 +39,59 @@ class TestTraceDistanceWitness:
             assert abs(rec.trace_distance - want) < 1e-12
 
 
+def _depolarizing_n(t):
+    return 3 * math.exp(-0.5 * t) * math.cos(5 * math.pi * t) ** 2
+
+
+def _amplitude_damping_n(t):
+    # non-unital: the Pauli correlations are sqrt(w), -sqrt(w), w with w = 1 - decay
+    w = math.exp(-ALPHA * t) * math.cos(OMEGA * t) ** 2
+    return 2 * math.sqrt(w) + w
+
+
+def _eternal_n(t):
+    # Pauli map with correlations b, -b, 2a - 1 (a, b as in eternal_choi)
+    a, b = (1 + math.exp(-2 * t)) / 2, math.exp(-t) * math.cosh(t)
+    return 2 * b + abs(2 * a - 1)
+
+
 class TestTeleportFidelity:
     def test_initial_time_is_perfect(self):
-        n, f = teleport_fidelity(identity_map(), 0.0)
+        n, f = teleport_fidelity(identity_map().evaluate(0.0))
         assert abs(n - 3) < 1e-12 and abs(f - 1) < 1e-12
 
     def test_classical_boundary(self):
         # w = 1/3 makes the correlation norm exactly 1
         lam = 0.5
         t = math.log(3) / lam
-        n, f = teleport_fidelity(depolarizing_map(lam), t)
+        n, f = teleport_fidelity(depolarizing_map(lam).evaluate(t))
         assert abs(n - 1) < 1e-9
         assert f == 2 / 3
 
     def test_closed_form_along_grid(self):
-        m = depolarizing_map(0.5, 5 * math.pi)
-        for t in (0.04, 0.22, 0.4, 0.77):
-            n, f = teleport_fidelity(m, t)
-            w = math.exp(-0.5 * t) * math.cos(5 * math.pi * t) ** 2
-            assert abs(n - 3 * w) < 1e-10
-            assert 2 / 3 <= f <= 1
-            assert (f > 2 / 3) == (n > 1)
-
-    def test_singlet_is_normalized(self):
-        assert abs(np.trace(SINGLET) - 1) < 1e-12
-        out = one_sided_apply(identity_map().evaluate(0.0), SINGLET)
-        assert np.max(np.abs(out - SINGLET)) < 1e-12
+        # n from the Choi matrix against the closed form of each family,
+        # unital (depolarizing, eternal) and non-unital (amplitude damping)
+        cases = [
+            (depolarizing_map(0.5, 5 * math.pi), _depolarizing_n, 1e-10),
+            (amplitude_damping_map(ALPHA, OMEGA), _amplitude_damping_n, 1e-14),
+            (eternal_map(), _eternal_n, 1e-14),
+        ]
+        for m, closed_form, tol in cases:
+            for t in default_t_grid():
+                n, f = teleport_fidelity(m.evaluate(t))
+                assert abs(n - closed_form(t)) < tol, (m.label, t)
+                assert 2 / 3 <= f <= 1
+                assert (f > 2 / 3) == (n > 1)
 
 
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: one_sided_apply(identity_channel(3), SINGLET),
-        lambda: one_sided_apply(identity_channel(2), np.eye(3)),
-        lambda: teleport_fidelity(constant_map(identity_channel(3)), 0.0),
-    ],
-    ids=["qutrit-channel", "qutrit-state", "qutrit-map"],
+    "ch",
+    [identity_channel(3), Channel(2, 3, np.eye(6) / 3)],
+    ids=["qutrit-channel", "qubit-to-qutrit"],
 )
-def test_teleportation_rejects_non_qubit_input(call):
-    with pytest.raises(ValueError, match="qubit"):
-        call()
+def test_teleportation_rejects_non_qubit_input(ch):
+    with pytest.raises(ValueError, match="expects a qubit channel"):
+        teleport_fidelity(ch)
 
 
 class TestRisingSegments:
