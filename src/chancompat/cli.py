@@ -153,7 +153,7 @@ def _run_sweep(args, map1, map2, teleport_map=None) -> int:
 
 
 def _report_indeterminate(ts: list[float]) -> int:
-    """Name the times of unconverged solves on stderr and return the exit code."""
+    """Name the times of indeterminate values on stderr and return the exit code."""
     if not ts:
         return 0
     print(f"indeterminate solves at t = {ts}", file=sys.stderr)

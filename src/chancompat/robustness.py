@@ -22,7 +22,7 @@ quantum-classical channels under generic noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -49,10 +49,13 @@ class NoiseClass(Enum):
 @dataclass(frozen=True)
 class RobustnessResult:
     """r_star is trustworthy only when indeterminate is False, i.e. the
-    solve reached its optimality tolerance."""
+    solver's certified bracket (r_lo, r_hi), which contains r*, settles it:
+    both ends lie in one grid cell, or a refined bracket is at most R_TOL
+    wide."""
 
     r_star: float
     indeterminate: bool = False
+    bracket: tuple[float, float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.r_star <= MAX_MIXING:
@@ -62,7 +65,7 @@ class RobustnessResult:
 @dataclass(frozen=True)
 class SweepRecord:
     """One time point of a sweep; the CSV row unit. An indeterminate record
-    skips the generic <= CD dominance check, so that an unconverged point
+    skips the generic <= CD dominance check, so that an unsettled point
     comes back flagged instead of aborting the sweep."""
 
     t: float
@@ -139,6 +142,13 @@ def channel_feasibility_problem(
     r=None pins q = 0 and minimizes r (the robustness); a number pins r and
     maximizes q (the feasibility margin, scaled by 1 + r). Only b depends on
     the Choi matrices and on r; (a, c) are compiled once per shape.
+
+    The robustness program carries the certificate of its bracket. Its
+    optimum lies at r <= 1, where Tr J = din (1 + r) <= 2 din,
+    Tr N_i = n_in r <= n_in and q = 0. Its strictly feasible point is
+    J = C_1 (x) 1/d_2 + 1/d_1 (x) C_2 + 1 (the middle factor on out1),
+    N_i = (1/d_i + d_j) 1 and q = 0: then r = 1 + d_1 d_2, and every block
+    is >= 1.
     """
     if ch1.din != ch2.din:
         raise ValueError("channels must share the input dimension")
@@ -163,6 +173,12 @@ def channel_feasibility_problem(
         b=b,
         c=c,
         sense="min" if r is None else "max",
+        certificate=None if r is not None else sdp.Certificate(
+            trace_bound=2.0 * (din + n_in),
+            scalar_bounds=(0.0, MAX_MIXING),
+            interior_value=1.0 + d1 * d2,
+            interior_margin=1.0,
+        ),
     )
 
 
@@ -182,16 +198,39 @@ def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:
 # Robustness values
 # ---------------------------------------------------------------------------
 
+def _grid(r: float) -> float:
+    """The grid cell of r: the smallest multiple of DR at or above r - R_TOL, capped at 1."""
+    return min(math.ceil((r - R_TOL) / DR) * DR, MAX_MIXING)
+
+
+def _clip(r: float) -> float:
+    return min(max(r, 0.0), MAX_MIXING)
+
+
 def _robustness_value(problem: sdp.SdpProblem, refine: bool) -> RobustnessResult:
-    """Solve a direct program once and report r itself (refine=True) or its
-    grid value: the smallest multiple of DR at or above r - R_TOL, capped at 1."""
-    sol = sdp.solve(problem)
-    r = min(max(sol.scalar_values["r"], 0.0), MAX_MIXING)
+    """Solve a direct program once and report r itself (refine=True, with
+    r <= R_TOL as 0) or its certified grid cell.
+
+    The solver's bracket [r_lo, r_hi], clipped to [0, 1], contains r*. A grid
+    value stops as soon as both ends lie in one cell and reports that cell; it
+    is indeterminate when the last bracket straddles a cell boundary
+    k * DR + R_TOL, and then reports the cell of the iterate's r. A refined
+    value iterates to the solver's tolerance, stopping early only when
+    r_hi <= R_TOL certifies a 0, and is indeterminate when its bracket is
+    wider than R_TOL.
+    """
+    def settled(lo: float, hi: float) -> bool:
+        return hi <= R_TOL if refine else _grid(_clip(lo)) == _grid(hi)
+
+    sol = sdp.solve(problem, settled=settled)
+    r = _clip(sol.scalar_values["r"])
+    lo, hi = (_clip(v) for v in sol.bracket or (0.0, MAX_MIXING))
     if refine:
-        r_star = 0.0 if r <= R_TOL else r
+        r_star, indeterminate = (0.0 if r <= R_TOL else r), hi - lo > R_TOL
     else:
-        r_star = min(math.ceil((r - R_TOL) / DR) * DR, MAX_MIXING)
-    return RobustnessResult(r_star=r_star, indeterminate=sol.status != "optimal")
+        indeterminate = _grid(lo) != _grid(hi)
+        r_star = _grid(r if indeterminate else hi)
+    return RobustnessResult(r_star, indeterminate, (lo, hi))
 
 
 def feasibility_q(ch1: Channel, ch2: Channel, r: float, noise: NoiseClass) -> float:
@@ -271,20 +310,3 @@ def sweep(
         ))
     return records
 
-
-def dynamical_map_robustness(
-    map1: DynamicalMap,
-    map2: DynamicalMap,
-    t_grid: Sequence[float],
-    noise: NoiseClass = NoiseClass.GENERIC,
-) -> RobustnessResult:
-    """Map-level robustness: the maximum per-time robustness over the grid,
-    indeterminate when any solve along the grid did not converge.
-
-    The supremum over continuous time is approximated at grid resolution.
-    """
-    records = sweep(map1, map2, t_grid, noise=NoiseClass(noise))
-    return RobustnessResult(
-        r_star=max(rec.r(noise) for rec in records),
-        indeterminate=any(rec.indeterminate for rec in records),
-    )

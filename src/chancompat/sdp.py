@@ -99,12 +99,27 @@ def linear_map_matrix(
 # Problem record
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Certificate:
+    """What a minimization needs for a bracket of its optimum at every
+    iterate (see solve): on the feasible points that can be optimal, the
+    trace of all blocks together is at most trace_bound and each free scalar
+    is at most its scalar_bounds entry in size; and some feasible point has
+    objective interior_value and every block >= interior_margin * 1."""
+
+    trace_bound: float
+    scalar_bounds: tuple[float, ...]
+    interior_value: float
+    interior_margin: float
+
+
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
     """A compiled program: optimize c @ x subject to a @ x = b.
 
     x holds the pack coordinates of the PSD blocks (name -> (dim, real)) in
-    the order given, then the free scalars in the order given.
+    the order given, then the free scalars in the order given. A
+    minimization may carry a Certificate.
     """
 
     blocks: dict[str, tuple[int, bool]]
@@ -113,6 +128,7 @@ class SdpProblem:
     b: np.ndarray
     c: np.ndarray
     sense: str
+    certificate: Certificate | None = None
 
     def __post_init__(self):
         n = sum(vec_size(d, real) for d, real in self.blocks.values()) + len(self.scalars)
@@ -123,6 +139,9 @@ class SdpProblem:
             )
         if self.sense not in ("min", "max"):
             raise SdpBuildError(f"objective sense must be 'min' or 'max', got {self.sense!r}")
+        cert = self.certificate
+        if cert is not None and (self.sense != "min" or len(cert.scalar_bounds) != len(self.scalars)):
+            raise SdpBuildError("a certificate needs a minimization and one bound per scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +159,7 @@ class SdpSolution:
     iterations: int
     dual_objective: float
     seconds: float = field(compare=False)   # wall time of the solve
+    bracket: tuple[float, float] | None = None   # (lower, upper) bound on the optimum
 
 
 def _vec(h: np.ndarray) -> np.ndarray:
@@ -184,7 +204,11 @@ def check_dim_guard(blocks: dict[str, tuple[int, bool]]) -> None:
         raise SdpBuildError(f"embedded PSD dimension {embedded} exceeds guard {DIM_GUARD}")
 
 
-def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
+def solve(
+    problem: SdpProblem,
+    max_iters: int | None = None,
+    settled: Callable[[float, float], bool] | None = None,
+) -> SdpSolution:
     """Solve a compiled problem by the interior-point method (see _step).
 
     X and the dual slack Z are block-diagonal D x D matrices, complex if any
@@ -199,6 +223,19 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     objective_value is that of the primal iterate and dual_objective that of
     the dual one, both in the problem's sense. Problems whose embedded PSD
     dimension exceeds DIM_GUARD are rejected before iterating.
+
+    A problem with a Certificate and consistent equalities gets a bracket
+    [lo, hi] of its optimum at every iterate, from the residuals the
+    iteration forms anyway (the rigorous bounds of Jansson, Chaykin and
+    Keil, SIAM J. Numer. Anal. 2007). lo is weak duality: as Z > 0,
+    c @ x >= b @ y - trace_bound * |R_d|_F - sum_i scalar_bounds_i * |R_d,i|
+    on the feasible points the certificate covers. hi comes from a feasible
+    point: moving the iterate by a^T R_p onto a @ x = b (a has orthonormal
+    reduced rows) changes the objective by at most |c| delta, delta = |R_p|,
+    and leaves every eigenvalue >= -delta; mixing in the certificate's
+    interior point with weight delta / (interior_margin + delta) restores
+    X >= 0. solution.bracket is the last one; when settled(lo, hi) holds,
+    the loop ends there with status "bracketed".
     """
     start = time.perf_counter()
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
@@ -210,21 +247,33 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
     c_min, b_unit = sign * problem.c, problem.b / norms
     b, leak = (u.T @ b_unit) / s, b_unit - u @ (u.T @ b_unit)
     consistent = np.linalg.norm(leak) <= DEFAULT_EPS * (1.0 + np.linalg.norm(b_unit))
+    cert = problem.certificate if consistent else None
     # X, Z and C are D x D matrices; y and the free scalars xf are vectors
     c = _embed(np.zeros(mats.shape[1:], mats.dtype), c_min, layout)
     c_free, x = c_min[c_min.size - len(problem.scalars) :], np.eye(len(c), dtype=c.dtype)
     z, y, xf = x.copy(), np.zeros(b.size), np.zeros(c_free.size)
     b_norm, c_norm = np.linalg.norm(b), np.linalg.norm(c_min)
-    status, iterations = "max_iterations", 0
+    status, iterations, bracket = "max_iterations", 0, None
     with np.errstate(all="ignore"):    # a non-finite step is caught below
         while True:
             rd = c - (y @ flat).view(c.dtype).reshape(c.shape) - z
             rp, rdf = b - flat @ _vec(x) - a_free @ xf, c_free - y @ a_free
             pobj, dobj = np.vdot(c, x).real + c_free @ xf, b @ y
-            rd_norm = np.sqrt(np.vdot(rd, rd).real + rdf @ rdf)
+            rd_sq, rp_norm = np.vdot(rd, rd).real, np.linalg.norm(rp)
+            rd_norm = np.sqrt(rd_sq + rdf @ rdf)
+            if cert is not None:
+                shift = c_norm * rp_norm
+                bracket = (
+                    float(dobj - cert.trace_bound * np.sqrt(rd_sq) - np.abs(rdf) @ cert.scalar_bounds),
+                    float(pobj + shift + rp_norm * (abs(cert.interior_value) + abs(pobj) + shift)
+                          / cert.interior_margin),
+                )
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-            if max(np.linalg.norm(rp) / (1.0 + b_norm), rd_norm / (1.0 + c_norm), gap) <= DEFAULT_EPS:
+            if max(rp_norm / (1.0 + b_norm), rd_norm / (1.0 + c_norm), gap) <= DEFAULT_EPS:
                 status = "optimal" if consistent else status
+                break
+            if bracket is not None and settled is not None and settled(*bracket):
+                status = "bracketed"
                 break
             if iterations == max_iters:
                 break
@@ -252,6 +301,7 @@ def solve(problem: SdpProblem, max_iters: int | None = None) -> SdpSolution:
         iterations=iterations,
         dual_objective=float(sign * dobj),
         seconds=time.perf_counter() - start,
+        bracket=bracket,
     )
 
 

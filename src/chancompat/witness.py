@@ -38,7 +38,7 @@ class IndivisibilityReport:
     n_normalized: float
     rising_segments: tuple[tuple[float, float], ...]
     curve: tuple[CurvePoint, ...]
-    indeterminate: tuple[float, ...] = ()   # t of unconverged solves
+    indeterminate: tuple[float, ...] = ()   # t of indeterminate values
 
 
 def teleport_fidelity(ch: Channel) -> tuple[float, float]:
@@ -116,7 +116,7 @@ def cp_indivisibility_measure(
 
     The reference defaults to the identity map and is a fixed choice, not
     optimized over. A grid must resolve the shorter oscillation period of the
-    two maps. The times of unconverged solves are listed in the report's
+    two maps. The times of indeterminate values are listed in the report's
     indeterminate field.
     """
     if len(t_grid) < 3:

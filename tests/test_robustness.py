@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from chancompat import sdp
 from chancompat.channels import (
     Channel,
     Povm,
+    compose,
     depolarizing_choi,
     depolarizing_map,
     eternal_choi,
@@ -21,11 +23,11 @@ from chancompat.linalg import partial_trace
 from chancompat.figures import FIGURES, LAM, OMEGA, default_t_grid
 from chancompat.robustness import (
     DR,
+    R_TOL,
     NoiseClass,
     RobustnessResult,
     SweepRecord,
     channel_feasibility_problem,
-    dynamical_map_robustness,
     feasibility_q,
     measurement_robustness,
     robustness,
@@ -313,23 +315,11 @@ def test_non_finite_input_is_rejected_before_building(call, phrase, monkeypatch)
 
 
 class TestDynamicalMapRobustness:
-    def test_divisible_pair_attains_max_at_zero(self):
-        m = depolarizing_map(0.5)
-        grid = [0.0, 0.25, 0.5]
-        r_map = dynamical_map_robustness(m, m, grid, CD)
-        r_zero = robustness(m.evaluate(0.0), m.evaluate(0.0), CD).r_star
-        assert r_map.r_star == r_zero and not r_map.indeterminate
-
-    def test_cd_constant_maps(self):
-        from chancompat.channels import constant_map
-
-        m = constant_map(CD_CHANNEL)
-        assert dynamical_map_robustness(m, m, [0.0, 0.5, 1.0], GEN).r_star == 0.0
-
     def test_unconverged_solve_is_flagged(self, monkeypatch):
+        # robustness along a dynamical map's grid: unconverged points stay flagged
         monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 3)
-        res = dynamical_map_robustness(identity_map(), depolarizing_map(0.5, 15.708), [0, 0.1, 0.2])
-        assert res.indeterminate
+        recs = sweep(identity_map(), depolarizing_map(0.5, 15.708), [0, 0.1, 0.2], noise=GEN)
+        assert any(rec.indeterminate for rec in recs)
 
 
 class TestRecords:
@@ -412,3 +402,81 @@ def test_refined_values_match_closed_form(fig, noise):
         assert not res.indeterminate
         r_cf = closed_form(*FIGURE_WEIGHTS[fig](t))
         assert abs(res.r_star - (0.0 if r_cf <= 1e-6 else r_cf)) <= 1e-8, (t, res.r_star, r_cf)
+
+
+def _interior_point(ch1, ch2, noise):
+    """The certificate's strictly feasible point: its blocks and its r."""
+    din, d1, d2 = ch1.din, ch1.dout, ch2.dout
+    n_in = din if noise is GEN else 1
+    # 1/d_1 (x) C_2 with the identity on the middle factor, out1
+    mid = np.einsum("ibjd,ac->iabjcd", ch2.choi.reshape(din, d2, din, d2), np.eye(d1) / d1)
+    joint = np.kron(ch1.choi, np.eye(d2) / d2) + mid.reshape(din * d1 * d2, -1) + np.eye(din * d1 * d2)
+    return (joint, (1 / d1 + d2) * np.eye(n_in * d1), (1 / d2 + d1) * np.eye(n_in * d2)), 1 + d1 * d2
+
+
+class TestBracket:
+    @pytest.mark.parametrize("shape", ["real", "complex", "qubit-qutrit"])
+    @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
+    def test_interior_point_is_strictly_feasible(self, shape, noise, rng):
+        v = np.linalg.qr(rng.normal(size=(3, 2)))[0]
+        ch1, ch2 = {
+            "real": (IDENT, depolarizing_choi(0.7)),
+            "complex": (random_channel(rng), random_channel(rng)),
+            "qubit-qutrit": (compose(_isometry_channel(v), depolarizing_choi(0.6)), IDENT),
+        }[shape]
+        problem = channel_feasibility_problem(ch1, ch2, None, noise)
+        blocks, r0 = _interior_point(ch1, ch2, noise)
+        real = problem.blocks["joint"][1]
+        x0 = np.concatenate([sdp.pack(blk, real) for blk in blocks] + [[0.0, r0]])
+        assert np.max(np.abs(problem.a @ x0 - problem.b)) <= 1e-12
+        assert min(np.linalg.eigvalsh(blk)[0] for blk in blocks) >= 1 - 1e-12
+        cert = problem.certificate
+        assert (cert.interior_value, cert.interior_margin, cert.scalar_bounds) == (r0, 1.0, (0.0, 1.0))
+        # the trace bound holds at the optimum, which lies at r <= 1
+        sol = sdp.solve(problem)
+        lo, hi = sol.bracket
+        assert sol.status == "optimal" and lo <= sol.scalar_values["r"] <= hi <= lo + 1e-7
+        assert sum(np.trace(blk).real for blk in sol.block_values.values()) <= cert.trace_bound
+        assert channel_feasibility_problem(ch1, ch2, 0.5, noise).certificate is None
+
+    def test_settled_bracket_ends_the_solve(self):
+        problem = channel_feasibility_problem(IDENT, IDENT, None, GEN)   # r* = 1/3
+        full = sdp.solve(problem)
+        sol = sdp.solve(problem, settled=lambda lo, hi: hi - lo <= 0.01)
+        assert sol.status == "bracketed" and sol.iterations < full.iterations
+        assert sol.bracket[0] <= 1 / 3 <= sol.bracket[1] <= sol.bracket[0] + 0.01
+        # without a certificate there is no bracket, and the predicate is never asked
+        pinned = channel_feasibility_problem(IDENT, IDENT, 0.5, GEN)
+        sol = sdp.solve(pinned, settled=lambda lo, hi: True)
+        assert sol.status == "optimal" and sol.bracket is None
+        with pytest.raises(sdp.SdpBuildError, match="certificate"):
+            replace(pinned, certificate=problem.certificate)
+
+    @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
+    @pytest.mark.parametrize("fig", sorted(FIGURE_WEIGHTS))
+    def test_grid_brackets_contain_closed_form(self, fig, noise):
+        # the brackets of solves stopped at their grid cell still contain r*
+        spec = FIGURES[fig]
+        closed_form = closed_form_r_cd if noise is CD else closed_form_r_generic
+        for t in default_t_grid():
+            res = robustness(spec.map1.evaluate(t), spec.map2.evaluate(t), noise)
+            r_cf = closed_form(*FIGURE_WEIGHTS[fig](t))
+            lo, hi = res.bracket
+            assert not res.indeterminate and lo <= r_cf <= hi, (t, res.bracket, r_cf)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_truncated_solve_has_wide_bracket(self, refine, monkeypatch):
+        monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 2)
+        res = robustness(IDENT, IDENT, GEN, refine=refine)   # r* = 1/3
+        lo, hi = res.bracket
+        assert res.indeterminate and hi - lo > DR and lo <= 1 / 3 <= hi
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
+    def test_near_zero_point_is_certified(self, noise, refine):
+        # at t = 0.099, next to a zero of cos(5 pi t), r* is positive but below
+        # R_TOL; the solver does not reach its tolerance there, the bracket does
+        spec = FIGURES[4]
+        res = robustness(spec.map1.evaluate(0.099), spec.map2.evaluate(0.099), noise, refine=refine)
+        assert res.r_star == 0.0 and not res.indeterminate
+        assert 0.0 <= res.bracket[0] <= res.bracket[1] <= R_TOL
