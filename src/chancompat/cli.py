@@ -133,22 +133,22 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
         Path(path).write_text(text)
 
 
-def _sweep_to_csv(records, noise: str, teleport_map=None) -> list[str]:
+def _sweep_to_csv(records, noise: str, teleport_columns: bool = False) -> list[str]:
     r_cols = [f"r_{nc.value}" for nc in NoiseClass if noise in (nc.value, "both")]
     cols = ["t", *r_cols, "trace_distance"]
-    lines = [",".join(cols + (["n_value", "f_max"] if teleport_map is not None else []))]
+    lines = [",".join(cols + (["n_value", "f_max"] if teleport_columns else []))]
     for rec in records:
         row = [_fmt(getattr(rec, col)) for col in cols]
-        if teleport_map is not None:
-            row += map(_fmt, teleport_fidelity(teleport_map.evaluate(rec.t)))
+        if teleport_columns:
+            row += map(_fmt, teleport_fidelity(rec.channel))
         lines.append(",".join(row))
     return lines
 
 
-def _run_sweep(args, map1, map2, teleport_map=None) -> int:
+def _run_sweep(args, map1, map2, teleport_columns: bool = False) -> int:
     grid = default_t_grid(args.t_min, args.t_max, args.t_step)
     records = sweep(map1, map2, grid, noise=args.noise, refine=args.refine)
-    _write_lines(args.output, _sweep_to_csv(records, args.noise, teleport_map))
+    _write_lines(args.output, _sweep_to_csv(records, args.noise, teleport_columns))
     return _report_indeterminate([rec.t for rec in records if rec.indeterminate])
 
 
@@ -162,8 +162,7 @@ def _report_indeterminate(ts: list[float]) -> int:
 
 def cmd_figure(args) -> int:
     spec = FIGURES[args.id]
-    teleport_map = spec.map2 if spec.teleport_columns else None
-    return _run_sweep(args, spec.map1, spec.map2, teleport_map)
+    return _run_sweep(args, spec.map1, spec.map2, spec.teleport_columns)
 
 
 def cmd_sweep(args) -> int:

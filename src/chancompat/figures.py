@@ -39,11 +39,9 @@ def default_t_grid(t_min: float = 0.0, t_max: float = T_MAX, t_step: float = T_S
 
 @dataclass(frozen=True)
 class FigureSpec:
-    figure_id: int
     map1: DynamicalMap
     map2: DynamicalMap
     teleport_columns: bool
-    description: str
 
 
 def _specs() -> dict[int, FigureSpec]:
@@ -52,16 +50,15 @@ def _specs() -> dict[int, FigureSpec]:
     ad = amplitude_damping_map(ALPHA, OMEGA)
     et = eternal_map()
     ident = identity_map()
-    entries = [
-        FigureSpec(1, d1, d1, False, "two copies of the divisible depolarizing map"),
-        FigureSpec(2, d2, d2, False, "two copies of the oscillating depolarizing map"),
-        FigureSpec(3, d1, d2, False, "divisible vs oscillating depolarizing maps"),
-        FigureSpec(4, ident, d2, False, "identity reference vs oscillating depolarizing map"),
-        FigureSpec(5, ident, ad, False, "identity reference vs oscillating amplitude damping"),
-        FigureSpec(6, ident, et, False, "identity reference vs eternal map"),
-        FigureSpec(7, ident, d2, True, "teleportation fidelity alongside robustness"),
-    ]
-    return {spec.figure_id: spec for spec in entries}
+    return {
+        1: FigureSpec(d1, d1, False),      # two copies of the divisible depolarizing map
+        2: FigureSpec(d2, d2, False),      # two copies of the oscillating depolarizing map
+        3: FigureSpec(d1, d2, False),      # divisible vs oscillating depolarizing maps
+        4: FigureSpec(ident, d2, False),   # identity reference vs oscillating depolarizing map
+        5: FigureSpec(ident, ad, False),   # identity reference vs oscillating amplitude damping
+        6: FigureSpec(ident, et, False),   # identity reference vs eternal map
+        7: FigureSpec(ident, d2, True),    # teleportation fidelity alongside robustness
+    }
 
 
 FIGURES = _specs()

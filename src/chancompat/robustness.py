@@ -64,15 +64,16 @@ class RobustnessResult:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One time point of a sweep; the CSV row unit. An indeterminate record
-    skips the generic <= CD dominance check, so that an unsettled point
-    comes back flagged instead of aborting the sweep."""
+    """One time point of a sweep and its CSV row, with map2's channel at t.
+    An indeterminate record skips the generic <= CD dominance check, so that
+    an unsettled point comes back flagged instead of aborting the sweep."""
 
     t: float
     r_generic: float | None
     r_cd: float | None
     trace_distance: float
     indeterminate: bool = False
+    channel: Channel | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for r in (self.r_generic, self.r_cd):
@@ -237,11 +238,11 @@ def feasibility_q(ch1: Channel, ch2: Channel, r: float, noise: NoiseClass) -> fl
     """Compatibility margin at mixing weight r: the largest q with
     joint - q * 1 >= 0; q >= 0 iff the noisy pair is compatible.
 
-    q is read from the solver's dual objective, which bounds q* from above,
-    as robustness reads r from the primal iterate, which bounds r* from
-    above. Up to the solver's residuals, both values thus sit on the
-    compatible side of the optimum, the side toward which the grid rule
-    resolves ties. A negative q still certifies incompatibility.
+    q is read from the solver's dual objective, which bounds q* from above.
+    Up to the solver's residuals, q thus sits on the compatible side of the
+    optimum, as a grid robustness value does: that value is the upper end
+    of the grid cell that holds its certified bracket. A negative q still
+    certifies incompatibility.
     """
     problem = channel_feasibility_problem(ch1, ch2, r, NoiseClass(noise))
     sol = sdp.solve(problem)
@@ -307,6 +308,7 @@ def sweep(
             r_cd=None if cd is None else cd.r_star,
             trace_distance=trace_distance(ch2.choi[:d, :d], ch2.choi[d:2 * d, d:2 * d]),
             indeterminate=any(res.indeterminate for res in results.values()),
+            channel=ch2,
         ))
     return records
 

@@ -24,7 +24,7 @@ from .channels import (
     projective_povm,
     pushforward_povm,
 )
-from .figures import FIGURES, LAM, OMEGA, default_t_grid
+from .figures import ALPHA, FIGURES, LAM, OMEGA, default_t_grid
 from .robustness import (
     NoiseClass,
     SweepRecord,
@@ -68,8 +68,9 @@ def _flagged(*figure_ids: int) -> list[tuple[int, float]]:
     ]
 
 
-def _closed_form_distance() -> list[float]:
-    return [math.exp(-LAM * t) * math.cos(OMEGA * t) ** 2 for t in _T_GRID]
+def _closed_form_distance(rate: float) -> list[float]:
+    """exp(-rate t) cos^2(OMEGA t): the trace distance of figure 4 (rate LAM) or 5 (rate ALPHA)."""
+    return [math.exp(-rate * t) * math.cos(OMEGA * t) ** 2 for t in _T_GRID]
 
 
 def _segments_aligned(segs: list[tuple[float, float]], ref: list[tuple[float, float]]) -> bool:
@@ -134,10 +135,10 @@ def check_monotonicity() -> Verdict:
     return ok, f"largest consecutive increase {worst:.2e} (allowed 2e-3)", _flagged(1)
 
 
-def _backflow_check(figure_id: int) -> Verdict:
+def _backflow_check(figure_id: int, rate: float) -> Verdict:
     recs = _figure_records(figure_id)
     ts = [rec.t for rec in recs]
-    ref = rising_segments(ts, _closed_form_distance())
+    ref = rising_segments(ts, _closed_form_distance(rate))
     ok = True
     counts = {}
     for column in ("r_generic", "r_cd"):
@@ -242,9 +243,8 @@ def check_teleportation_curve() -> Verdict:
     d2 = depolarizing_map(LAM, OMEGA)
     worst = 0.0
     plateau_ok = True
-    for t in _T_GRID:
+    for t, w in zip(_T_GRID, _closed_form_distance(LAM)):
         n, f = teleport_fidelity(d2.evaluate(t))
-        w = math.exp(-LAM * t) * math.cos(OMEGA * t) ** 2
         worst = max(worst, abs(n - 3 * w))
         expected = 2 / 3 if n <= 1 else 0.5 * (1 + n / 3)
         plateau_ok = plateau_ok and f == expected
@@ -345,8 +345,8 @@ def check_solver_suite() -> Verdict:
 CHECKS: dict[str, Callable[[], Verdict]] = {
     "depolarizing_zero_crossing": check_depolarizing_zero_crossing,
     "monotonicity": check_monotonicity,
-    "backflow_depolarizing": lambda: _backflow_check(4),
-    "backflow_amplitude_damping": lambda: _backflow_check(5),
+    "backflow_depolarizing": lambda: _backflow_check(4, LAM),
+    "backflow_amplitude_damping": lambda: _backflow_check(5, ALPHA),
     "eternal_no_backflow": check_eternal_no_backflow,
     "upward_closure": check_upward_closure,
     "measurement_channel_bound": check_measurement_channel_bound,

@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from chancompat import sdp, validation
+from chancompat.figures import ALPHA, LAM
 from chancompat.robustness import RobustnessResult, SweepRecord
 from chancompat.validation import CHECKS
 
@@ -74,6 +75,27 @@ def test_figure_checks_fail_on_one_indeterminate_record(name, fig, monkeypatch):
     result = validation.run_check(name)
     assert not result.passed
     assert f"; indeterminate: [({fig}, 0.5)]" in result.detail
+
+
+@pytest.mark.parametrize(
+    "name, fig, other",
+    [("backflow_depolarizing", 4, "ALPHA"), ("backflow_amplitude_damping", 5, "LAM")],
+)
+def test_backflow_reference_is_the_figures_trace_distance(name, fig, other, monkeypatch):
+    # the other family's rate, set wrong here, must not enter the reference
+    references = []
+    closed_form = validation._closed_form_distance
+
+    def recorded(rate):
+        references.append(closed_form(rate))
+        return references[-1]
+
+    monkeypatch.setattr(validation, other, 2 * (LAM + ALPHA))
+    monkeypatch.setattr(validation, "_closed_form_distance", recorded)
+    validation.run_check(name)
+    distances = [rec.trace_distance for rec in validation._figure_records(fig)]
+    assert len(references) == 1
+    assert max(abs(a - b) for a, b in zip(references[0], distances)) <= 1e-12
 
 
 def test_upward_closure_records_unconverged_probe(monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chancompat import sdp
-from chancompat.channels import amplitude_damping_choi, channel_to_json, identity_channel
+from chancompat.channels import DynamicalMap, amplitude_damping_choi, channel_to_json, identity_channel
 from chancompat.cli import main
 
 
@@ -69,6 +69,23 @@ def test_figure_seven_has_teleport_columns(capsys):
     assert header == "t,r_generic,r_cd,trace_distance,n_value,f_max"
     first = out.splitlines()[1].split(",")
     assert first[-2] == "3" and first[-1] == "1"
+
+
+def test_figure_seven_evaluates_each_map_once_per_time(tmp_path, monkeypatch):
+    # the teleportation columns read map2's channel from the sweep's records
+    calls = []
+    evaluate = DynamicalMap.evaluate
+
+    def counted(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(DynamicalMap, "evaluate", counted)
+    path = tmp_path / "f.csv"
+    assert main(["figure", "--id", "7", "--t-step", "0.1", "-o", str(path)]) == 0
+    assert len(calls) == 22
+    golden = Path(__file__).parent / "data" / "fig7.csv"
+    assert set(path.read_text().splitlines()) <= set(golden.read_text().splitlines())
 
 
 def test_noise_selection_controls_columns(capsys):

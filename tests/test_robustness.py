@@ -33,7 +33,8 @@ from chancompat.robustness import (
     robustness,
     sweep,
 )
-from chancompat.validation import _figure_records
+from chancompat.validation import _figure_records, random_basis
+from chancompat.witness import indivisibility_from_curve
 from conftest import random_channel, trine_povm
 
 CD = NoiseClass.COMPLETELY_DEPOLARIZING
@@ -95,9 +96,9 @@ class TestFeasibilityQ:
 
 
 def _isometry_channel(v):
-    # the Choi matrix of rho -> v rho v^T is |vec v><vec v|, vec v = sum_i |i> (x) v|i>
+    # the Choi matrix of rho -> v rho v^+ is |vec v><vec v|, vec v = sum_i |i> (x) v|i>
     vec = v.T.reshape(-1).astype(complex)
-    return Channel(v.shape[1], v.shape[0], np.outer(vec, vec))
+    return Channel(v.shape[1], v.shape[0], np.outer(vec, vec.conj()))
 
 
 def test_solution_satisfies_compatibility_equations(rng):
@@ -128,6 +129,57 @@ def test_solution_satisfies_compatibility_equations(rng):
     p1 = channel_feasibility_problem(IDENT, depolarizing_choi(0.7), None, GEN)
     p2 = channel_feasibility_problem(depolarizing_choi(0.5), depolarizing_choi(0.9), None, GEN)
     assert p1.a is p2.a and not p1.a.flags.writeable
+
+
+def _near_unitary(rng, dout=2):
+    # a random qubit -> dout isometry channel mixed with random_channel at weight 0.85-1:
+    # pairs of random_channel alone are almost always compatible
+    p = rng.uniform(0.85, 1.0)
+    v = random_basis(rng, dout)[:, :2]
+    return Channel(2, dout, p * _isometry_channel(v).choi + (1 - p) * random_channel(rng, 2, dout).choi)
+
+
+class TestDataProcessing:
+    """The paper's theorem: if G is a joint channel of (F1, F2), then
+    (V1 (x) V2) o G o E is one of (V1 o F1 o E, V2 o F2 o E), and V o noise
+    and noise o E are noise of the same class. So local post-processing and
+    common pre-processing never raise the robustness, and along a
+    CP-divisible map it never rises. This checks the theorem, not the
+    program's equations, which test_solution_satisfies_compatibility_equations
+    checks."""
+
+    def test_processing_never_raises_robustness(self):
+        rng = np.random.default_rng(2023)
+        values = []
+        for k in range(16):
+            f1, f2, v2, e = (_near_unitary(rng) for _ in range(4))
+            v1 = _near_unitary(rng, 3 if k % 4 == 0 else 2)   # qubit -> qutrit: the d1 = 3, d2 = 2 program
+            processed = [(compose(v1, f1), compose(v2, f2)), (compose(f1, e), compose(f2, e))]
+            for noise in (GEN, CD):
+                before = robustness(f1, f2, noise, refine=True)
+                for g1, g2 in processed:
+                    after = robustness(g1, g2, noise, refine=True)
+                    assert not (before.indeterminate or after.indeterminate)
+                    assert after.r_star <= before.r_star + 1e-7
+                    values.append(after.r_star)
+        assert len(values) == 64 and sum(r > 0 for r in values) >= 48
+
+    def test_cp_divisible_chain_never_rises(self):
+        # r(1, L_k) along L_k = V_k o ... o V_1, the measure's identity reference
+        rng = np.random.default_rng(2024)
+        positive = 0
+        for noise in (GEN, CD):
+            for _ in range(3):
+                chain, curve = IDENT, []
+                for _ in range(11):
+                    res = robustness(IDENT, chain, noise, refine=True)
+                    assert not res.indeterminate
+                    curve.append(res.r_star)
+                    chain = compose(_near_unitary(rng), chain)
+                assert all(b <= a + 1e-7 for a, b in zip(curve, curve[1:]))
+                assert indivisibility_from_curve(range(11), curve).n_raw == 0
+                positive += sum(r > 0 for r in curve)
+        assert positive >= 50
 
 
 def test_size_guard_runs_before_compiling(monkeypatch):
