@@ -13,7 +13,7 @@ input of dimension n, embedded as 1_(d_in / n) (x) N_i: n = d_in for generic
 noise, and n = 1 for completely depolarizing (CD) noise, which is generic
 noise from a one-dimensional input. The robustness is one SDP:
 minimize r with q = 0. It is always feasible, as every pair is compatible at
-r = 1. feasibility_q pins r instead and maximizes q; q / (1 + r) is the
+r = 1. feasibility_q pins r instead and minimizes -q; q / (1 + r) is the
 margin of the unscaled joint matrix, nonnegative exactly when the noisy pair
 is compatible. A measurement pair is solved as the pair of its
 quantum-classical channels under generic noise.
@@ -99,7 +99,7 @@ def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool):
     """Read-only (a, c) of the compatibility program of one shape, shared by
     every pair of that shape. Columns: joint, noise1, noise2, q, r. Rows: the
     two marginal equalities, the two trace equalities, then the pin of q to 0
-    (min_r) or of r to its given value."""
+    (min_r, with objective r) or of r to its given value (objective -q)."""
     def op(fn, d_in, d_out):
         return sdp.linear_map_matrix(fn, d_in, d_out, real)
 
@@ -126,7 +126,7 @@ def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool):
         [z((1, nj + n1 + n2)), np.array([[float(min_r), float(not min_r)]])],
     ])
     c = np.zeros(a.shape[1])
-    c[-1 if min_r else -2] = 1.0
+    c[-1 if min_r else -2] = 1.0 if min_r else -1.0
     a.flags.writeable = c.flags.writeable = False
     return a, c
 
@@ -141,8 +141,8 @@ def channel_feasibility_problem(
     """Compile the scaled compatibility SDP for a channel pair.
 
     r=None pins q = 0 and minimizes r (the robustness); a number pins r and
-    maximizes q (the feasibility margin, scaled by 1 + r). Only b depends on
-    the Choi matrices and on r; (a, c) are compiled once per shape.
+    minimizes -q, minus the feasibility margin scaled by 1 + r. Only b depends
+    on the Choi matrices and on r; (a, c) are compiled once per shape.
 
     The robustness program carries the certificate of its bracket. Its
     optimum lies at r <= 1, where Tr J = din (1 + r) <= 2 din,
@@ -173,7 +173,6 @@ def channel_feasibility_problem(
         a=a,
         b=b,
         c=c,
-        sense="min" if r is None else "max",
         certificate=None if r is not None else sdp.Certificate(
             trace_bound=2.0 * (din + n_in),
             scalar_bounds=(0.0, MAX_MIXING),
@@ -238,17 +237,17 @@ def feasibility_q(ch1: Channel, ch2: Channel, r: float, noise: NoiseClass) -> fl
     """Compatibility margin at mixing weight r: the largest q with
     joint - q * 1 >= 0; q >= 0 iff the noisy pair is compatible.
 
-    q is read from the solver's dual objective, which bounds q* from above.
-    Up to the solver's residuals, q thus sits on the compatible side of the
-    optimum, as a grid robustness value does: that value is the upper end
-    of the grid cell that holds its certified bracket. A negative q still
-    certifies incompatibility.
+    The pinned program minimizes -q, so q is minus its dual objective over
+    1 + r, which bounds q* from above. Up to the solver's residuals, q thus
+    sits on the compatible side of the optimum, as a grid robustness value
+    does: that value is the upper end of the grid cell that holds its
+    certified bracket. A negative q still certifies incompatibility.
     """
     problem = channel_feasibility_problem(ch1, ch2, r, NoiseClass(noise))
     sol = sdp.solve(problem)
     if sol.status != "optimal":
         raise RuntimeError(f"solver did not converge at pinned r={r} ({sol.status})")
-    return sol.dual_objective / (1 + r)
+    return -sol.dual_objective / (1 + r)
 
 
 def robustness(

@@ -3,14 +3,15 @@
 A problem is data: a linear objective and affine equalities over a product
 of PSD matrix blocks X_k and free scalars,
 
-    min/max  c @ x   s.t.  a @ x = b,  X_k >= 0,
+    minimize  c @ x   s.t.  a @ x = b,  X_k >= 0,
 
 where x stacks the isometric real coordinates of each block (diagonal, then
 sqrt(2) * real and sqrt(2) * imaginary upper-triangular parts; blocks
 declared real use the symmetric restriction), then the scalars. A d x d
 matrix equality thus takes d * d rows, or d(d+1)/2 on real blocks, and
-linear_map_matrix gives the rows of a linear map. Callers compile (a, b, c)
-themselves, so a program shape is compiled once and only b follows the data.
+linear_map_matrix gives the rows of a linear map. A caller maximizes by
+negating c. Callers compile (a, b, c) themselves, so a program shape is
+compiled once and only b follows the data.
 
 The solver follows the central path with HKM predictor-corrector steps
 (Helmberg, Rendl, Vanderbei and Wolkowicz; the Mehrotra corrector as in
@@ -70,8 +71,7 @@ def pack(h: np.ndarray, real: bool = False) -> np.ndarray:
 def _coord_map(d: int, real: bool) -> np.ndarray:
     """Columns are the flattened basis matrices of the pack coordinates: the
     diagonal units E_kk, then (E_ij + E_ji) / sqrt(2) and, on complex blocks,
-    1j (E_ij - E_ji) / sqrt(2) for i < j. Unpacking is one matvec and packing
-    is one matvec with the adjoint."""
+    1j (E_ij - E_ji) / sqrt(2) for i < j. Unpacking is one matvec."""
     i, j = _triu(d)
     k, off = np.arange(d), d + np.arange(i.size)
     u = np.zeros((d, d, vec_size(d, real)), dtype=float if real else complex)
@@ -101,7 +101,7 @@ def linear_map_matrix(
 
 @dataclass(frozen=True)
 class Certificate:
-    """What a minimization needs for a bracket of its optimum at every
+    """What a program needs for a bracket of its optimum at every
     iterate (see solve): on the feasible points that can be optimal, the
     trace of all blocks together is at most trace_bound and each free scalar
     is at most its scalar_bounds entry in size; and some feasible point has
@@ -115,11 +115,11 @@ class Certificate:
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """A compiled program: optimize c @ x subject to a @ x = b.
+    """A compiled program: minimize c @ x subject to a @ x = b.
 
     x holds the pack coordinates of the PSD blocks (name -> (dim, real)) in
-    the order given, then the free scalars in the order given. A
-    minimization may carry a Certificate.
+    the order given, then the free scalars in the order given. It may carry
+    a Certificate.
     """
 
     blocks: dict[str, tuple[int, bool]]
@@ -127,7 +127,6 @@ class SdpProblem:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    sense: str
     certificate: Certificate | None = None
 
     def __post_init__(self):
@@ -137,11 +136,8 @@ class SdpProblem:
                 f"shapes a {self.a.shape}, b {self.b.shape}, c {self.c.shape} do not fit"
                 f" {n} coordinates"
             )
-        if self.sense not in ("min", "max"):
-            raise SdpBuildError(f"objective sense must be 'min' or 'max', got {self.sense!r}")
-        cert = self.certificate
-        if cert is not None and (self.sense != "min" or len(cert.scalar_bounds) != len(self.scalars)):
-            raise SdpBuildError("a certificate needs a minimization and one bound per scalar")
+        if self.certificate is not None and len(self.certificate.scalar_bounds) != len(self.scalars):
+            raise SdpBuildError("a certificate needs one bound per scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +217,8 @@ def solve(
     non-finite and the last finite iterate is returned, or the equalities
     are inconsistent; a program with no feasible point ends so too.
     objective_value is that of the primal iterate and dual_objective that of
-    the dual one, both in the problem's sense. Problems whose embedded PSD
-    dimension exceeds DIM_GUARD are rejected before iterating.
+    the dual one. Problems whose embedded PSD dimension exceeds DIM_GUARD
+    are rejected before iterating.
 
     A problem with a Certificate and consistent equalities gets a bracket
     [lo, hi] of its optimum at every iterate, from the residuals the
@@ -243,16 +239,15 @@ def solve(
     a_full, blocks = np.ascontiguousarray(problem.a, dtype=float), tuple(problem.blocks.values())
     norms, (u, s), layout, mats, flat, a_free = _reduce(
         a_full.tobytes(), a_full.shape, blocks, len(problem.scalars))
-    sign = -1.0 if problem.sense == "max" else 1.0
-    c_min, b_unit = sign * problem.c, problem.b / norms
+    b_unit = problem.b / norms
     b, leak = (u.T @ b_unit) / s, b_unit - u @ (u.T @ b_unit)
     consistent = np.linalg.norm(leak) <= DEFAULT_EPS * (1.0 + np.linalg.norm(b_unit))
     cert = problem.certificate if consistent else None
     # X, Z and C are D x D matrices; y and the free scalars xf are vectors
-    c = _embed(np.zeros(mats.shape[1:], mats.dtype), c_min, layout)
-    c_free, x = c_min[c_min.size - len(problem.scalars) :], np.eye(len(c), dtype=c.dtype)
+    c = _embed(np.zeros(mats.shape[1:], mats.dtype), problem.c, layout)
+    c_free, x = problem.c[problem.c.size - len(problem.scalars) :], np.eye(len(c), dtype=c.dtype)
     z, y, xf = x.copy(), np.zeros(b.size), np.zeros(c_free.size)
-    b_norm, c_norm = np.linalg.norm(b), np.linalg.norm(c_min)
+    b_norm, c_norm = np.linalg.norm(b), np.linalg.norm(problem.c)
     status, iterations, bracket = "max_iterations", 0, None
     with np.errstate(all="ignore"):    # a non-finite step is caught below
         while True:
@@ -287,10 +282,9 @@ def solve(
             iterations += 1
 
     x_pack, values = np.concatenate([np.zeros(a_full.shape[1] - xf.size), xf]), {}
-    for (name, (_, real)), (cols, diag, cmap) in zip(problem.blocks.items(), layout):
-        xm = x[diag, diag]
-        x_pack[cols] = (xm.reshape(-1) @ cmap.conj()).real
-        values[name] = (xm.real if real else xm).copy()
+    for (name, (_, real)), (cols, diag, _) in zip(problem.blocks.items(), layout):
+        values[name] = (x[diag, diag].real if real else x[diag, diag]).copy()
+        x_pack[cols] = pack(values[name], real)
     return SdpSolution(
         status=status,
         objective_value=float(problem.c @ x_pack),
@@ -299,7 +293,7 @@ def solve(
         primal_residual=float(np.max(np.abs(a_full @ x_pack - problem.b), initial=0.0)),
         dual_residual=float(rd_norm),
         iterations=iterations,
-        dual_objective=float(sign * dobj),
+        dual_objective=float(dobj),
         seconds=time.perf_counter() - start,
         bracket=bracket,
     )

@@ -17,13 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import sdp
-from .channels import (
-    Channel,
-    depolarizing_map,
-    identity_channel,
-    projective_povm,
-    pushforward_povm,
-)
+from .channels import Channel, identity_channel, projective_povm, pushforward_povm
 from .figures import ALPHA, FIGURES, LAM, OMEGA, default_t_grid
 from .robustness import (
     NoiseClass,
@@ -53,12 +47,15 @@ Verdict = tuple[bool, str, list]   # (within_bounds, detail, unconverged)
 
 _T_GRID = tuple(default_t_grid())
 SEGMENT_TOL = 0.02   # how far a robustness segment's ends may sit from a trace-distance segment's
+_SWEEP_SECONDS: dict[int, float] = {}   # wall time of each figure's cached sweep
 
 
 @lru_cache(maxsize=None)
 def _figure_records(figure_id: int) -> tuple[SweepRecord, ...]:
-    spec = FIGURES[figure_id]
-    return tuple(sweep(spec.map1, spec.map2, _T_GRID, noise="both"))
+    spec, start = FIGURES[figure_id], time.monotonic()
+    records = tuple(sweep(spec.map1, spec.map2, _T_GRID, noise="both"))
+    _SWEEP_SECONDS[figure_id] = time.monotonic() - start
+    return records
 
 
 def _flagged(*figure_ids: int) -> list[tuple[int, float]]:
@@ -104,9 +101,7 @@ def random_basis(rng: np.random.Generator, d: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def check_depolarizing_zero_crossing() -> Verdict:
-    t0 = time.monotonic()
     recs = _figure_records(1)
-    elapsed = time.monotonic() - t0
     rs = [rec.r_cd for rec in recs]
     ts = [rec.t for rec in recs]
     idx = next((i for i in range(len(rs)) if all(v == 0 for v in rs[i:])), None)
@@ -114,7 +109,7 @@ def check_depolarizing_zero_crossing() -> Verdict:
         ok, detail = False, "robustness never settles at 0"
     else:
         t_zero = ts[idx]
-        analytic = 2 * math.log(1.5)
+        analytic, elapsed = 2 * math.log(1.5), _SWEEP_SECONDS[1]
         ok = 0.79 <= t_zero <= 0.83 and elapsed < 300
         detail = (
             f"first permanently-zero grid point t={t_zero:.2f} (analytic {analytic:.4f});"
@@ -191,13 +186,12 @@ def check_upward_closure() -> Verdict:
 def check_measurement_channel_bound() -> Verdict:
     rng = np.random.default_rng(905)
     pairs = [(random_basis(rng), random_basis(rng)) for _ in range(20)]
-    d1 = depolarizing_map(LAM)
-    d2 = depolarizing_map(LAM, OMEGA)
+    spec = FIGURES[3]   # the divisible and the oscillating depolarizing map
     times = (0.05, 0.25, 0.45, 0.65, 0.85)
     worst = -math.inf
     unconverged = []   # (t, 'channel') or (t, index of the measurement pair)
     for t in times:
-        ch1, ch2 = d1.evaluate(t), d2.evaluate(t)
+        ch1, ch2 = spec.map1.evaluate(t), spec.map2.evaluate(t)
         r_chan = robustness(ch1, ch2, NoiseClass.GENERIC, refine=True)
         if r_chan.indeterminate:
             unconverged.append((t, "channel"))
@@ -240,11 +234,10 @@ def check_identity_self_robustness() -> Verdict:
 
 
 def check_teleportation_curve() -> Verdict:
-    d2 = depolarizing_map(LAM, OMEGA)
     worst = 0.0
     plateau_ok = True
     for t, w in zip(_T_GRID, _closed_form_distance(LAM)):
-        n, f = teleport_fidelity(d2.evaluate(t))
+        n, f = teleport_fidelity(FIGURES[7].map2.evaluate(t))
         worst = max(worst, abs(n - 3 * w))
         expected = 2 / 3 if n <= 1 else 0.5 * (1 + n / 3)
         plateau_ok = plateau_ok and f == expected
@@ -257,7 +250,7 @@ def check_teleportation_curve() -> Verdict:
 
 def check_measure_signs() -> Verdict:
     ts = list(_T_GRID)
-    rep_d1 = cp_indivisibility_measure(depolarizing_map(LAM), ts)
+    rep_d1 = cp_indivisibility_measure(FIGURES[1].map1, ts)
     rep_d2 = indivisibility_from_curve(
         ts, [r.r_generic for r in _figure_records(4)]
     )
@@ -279,15 +272,14 @@ def check_measure_signs() -> Verdict:
 
 
 def _eigenvalue_lp(h: np.ndarray, real: bool) -> sdp.SdpProblem:
-    """max t s.t. X >= 0, X + t * 1 = h; the optimum is the smallest eigenvalue."""
+    """min -t s.t. X >= 0, X + t * 1 = h; the optimum is minus the smallest eigenvalue."""
     size = sdp.vec_size(h.shape[0], real)
     return sdp.SdpProblem(
         blocks={"x": (h.shape[0], real)},
         scalars=("t",),
         a=np.hstack([np.eye(size), sdp.pack(np.eye(h.shape[0]), real)[:, None]]),
         b=sdp.pack(h, real),
-        c=np.eye(size + 1)[-1],
-        sense="max",
+        c=-np.eye(size + 1)[-1],
     )
 
 
@@ -299,7 +291,7 @@ def check_solver_suite() -> Verdict:
         h = (g + g.conj().T) / 2
         h /= np.linalg.norm(h)
         sol = sdp.solve(_eigenvalue_lp(h, real=False))
-        worst_lp = max(worst_lp, abs(sol.objective_value - np.linalg.eigvalsh(h)[0]))
+        worst_lp = max(worst_lp, abs(-sol.objective_value - np.linalg.eigvalsh(h)[0]))
 
     worst_planted = 0.0
     for _ in range(20):
@@ -318,11 +310,10 @@ def check_solver_suite() -> Verdict:
             scalars=(),
             a=np.array([sdp.pack(aj) for aj in mats]),
             b=np.array([np.trace(aj @ x_star).real for aj in mats]),
-            c=sdp.pack(c),
-            sense="max",
+            c=-sdp.pack(c),
         )
         sol = sdp.solve(prob)
-        worst_planted = max(worst_planted, abs(sol.objective_value - target))
+        worst_planted = max(worst_planted, abs(-sol.objective_value - target))
         if sol.primal_residual > 1e-7:
             worst_planted = math.inf
 

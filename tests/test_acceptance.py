@@ -42,6 +42,16 @@ def test_acceptance(name):
     assert result.passed, result.detail
 
 
+def test_zero_crossing_reports_the_cached_sweeps_time():
+    # the time is recorded where the sweep runs, so a cached sweep still reports it
+    validation.run_check("monotonicity")
+    result = validation.run_check("depolarizing_zero_crossing")
+    seconds = validation._SWEEP_SECONDS[1]
+    assert seconds > 0.0
+    assert result.detail.endswith(f"; sweep took {seconds:.1f}s")
+    assert "sweep took 0.0s" not in result.detail
+
+
 def test_noise_dominance_cap_names_indeterminate_records(monkeypatch):
     flagged = SweepRecord(t=0.7, r_generic=0.1, r_cd=0.2, trace_distance=0.5, indeterminate=True)
     monkeypatch.setattr(validation, "_figure_records", lambda fig: (flagged,) if fig == 6 else ())

@@ -298,11 +298,13 @@ def test_validate_fails_on_unconverged_solves(check, capsys, monkeypatch):
 def test_measure_signs_fails_on_unconverged_sweeps(capsys, monkeypatch):
     from chancompat import validation
 
-    # a private record cache: the 2-iteration records never reach the shared
-    # one that the golden-CSV and closed-form tests read. At 3 iterations the
-    # identity pair's generic bracket already lies inside one grid cell.
+    # a private record cache: the 2-iteration records and sweep times never
+    # reach the shared ones that the golden-CSV and closed-form tests read. At
+    # 3 iterations the identity pair's generic bracket already lies inside one
+    # grid cell.
     private = lru_cache(maxsize=None)(validation._figure_records.__wrapped__)
     monkeypatch.setattr(validation, "_figure_records", private)
+    monkeypatch.setattr(validation, "_SWEEP_SECONDS", {})
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITERS", 2)
     code, out, _ = run_cli(["validate", "--only", "measure_signs"], capsys)
     assert code == 1

@@ -9,7 +9,14 @@ The `measure` goldens replay two stored runs through `cli.main`: the default
 teleport goldens are `chancompat teleport --family amplitude-damping -o
 tests/data/teleport_ad.csv` and `--family eternal -o
 tests/data/teleport_eternal.csv`, the two families whose Pauli correlations
-are not those of a depolarizing map (figure 7 pins that case)."""
+are not those of a depolarizing map (figure 7 pins that case).
+
+Figures 5 and 6 have no closed form, and a grid golden cannot see a refined
+regression that stays inside a certified cell, so their refined curves are
+pinned too: `chancompat figure --id N --refine --t-step 0.05 -o
+tests/data/figN_refine.csv`. A refined value is accurate to about the
+solver's 1e-9, so its r columns are compared within 1e-8 and the other
+columns exactly."""
 
 from pathlib import Path
 
@@ -28,6 +35,19 @@ def test_figure_csv_is_byte_identical(fig):
     records = _figure_records(4 if fig == 7 else fig)
     text = "\n".join(_sweep_to_csv(records, "both", FIGURES[fig].teleport_columns)) + "\n"
     assert text.encode() == (DATA / f"fig{fig}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fig", [5, 6])
+def test_refined_figure_csv_matches_within_solver_accuracy(tmp_path, fig):
+    path = tmp_path / "refined.csv"
+    assert main(["figure", "--id", str(fig), "--refine", "--t-step", "0.05", "-o", str(path)]) == 0
+    got = [line.split(",") for line in path.read_text().splitlines()]
+    want = [line.split(",") for line in (DATA / f"fig{fig}_refine.csv").read_text().splitlines()]
+    assert got[0] == want[0] == ["t", "r_generic", "r_cd", "trace_distance"]
+    assert len(got) == len(want) == 22
+    for row, ref in zip(got[1:], want[1:]):
+        assert (row[0], row[3]) == (ref[0], ref[3])
+        assert all(abs(float(a) - float(b)) <= 1e-8 for a, b in zip(row[1:3], ref[1:3])), (row, ref)
 
 
 def test_measure_stdout_is_byte_identical(capsys):

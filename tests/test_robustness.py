@@ -501,8 +501,9 @@ class TestBracket:
         pinned = channel_feasibility_problem(IDENT, IDENT, 0.5, GEN)
         sol = sdp.solve(pinned, settled=lambda lo, hi: True)
         assert sol.status == "optimal" and sol.bracket is None
-        with pytest.raises(sdp.SdpBuildError, match="certificate"):
-            replace(pinned, certificate=problem.certificate)
+        # a certificate bounds each free scalar
+        with pytest.raises(sdp.SdpBuildError, match="one bound per scalar"):
+            replace(problem, certificate=replace(problem.certificate, scalar_bounds=(1.0,)))
 
     @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
     @pytest.mark.parametrize("fig", sorted(FIGURE_WEIGHTS))
@@ -528,7 +529,10 @@ class TestBracket:
     def test_near_zero_point_is_certified(self, noise, refine):
         # at t = 0.099, next to a zero of cos(5 pi t), r* is positive but below
         # R_TOL; the solver does not reach its tolerance there, the bracket does
+        # the pinned program cross-checks the certified 0: the pair is compatible at R_TOL
         spec = FIGURES[4]
-        res = robustness(spec.map1.evaluate(0.099), spec.map2.evaluate(0.099), noise, refine=refine)
+        ch1, ch2 = spec.map1.evaluate(0.099), spec.map2.evaluate(0.099)
+        res = robustness(ch1, ch2, noise, refine=refine)
         assert res.r_star == 0.0 and not res.indeterminate
         assert 0.0 <= res.bracket[0] <= res.bracket[1] <= R_TOL
+        assert feasibility_q(ch1, ch2, R_TOL, noise) >= 0

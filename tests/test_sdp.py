@@ -62,9 +62,10 @@ class TestCoordinates:
 
 class TestSolve:
     def test_eigenvalue_lp_diag(self):
+        # the program is min -t: its optimum is minus the smallest eigenvalue
         sol = sdp.solve(_eigenvalue_lp(np.diag([1.0, 2.0]), real=True))
         assert sol.status == "optimal"
-        assert abs(sol.objective_value - 1.0) < 1e-7
+        assert abs(-sol.objective_value - 1.0) < 1e-7
         assert sol.primal_residual < 1e-7 and sol.dual_residual < 1e-7
 
     def test_eigenvalue_lp_random(self, rng):
@@ -73,7 +74,7 @@ class TestSolve:
             h /= np.linalg.norm(h)
             sol = sdp.solve(_eigenvalue_lp(h, real=False))
             assert sol.status == "optimal"
-            assert abs(sol.objective_value - np.linalg.eigvalsh(h)[0]) < 1e-7
+            assert abs(-sol.objective_value - np.linalg.eigvalsh(h)[0]) < 1e-7
 
     def test_solution_blocks_are_psd(self, rng):
         sol = sdp.solve(_eigenvalue_lp(random_hermitian(rng, 4), real=False))
@@ -93,12 +94,11 @@ class TestSolve:
             scalars=(),
             a=np.array([sdp.pack(aj) for aj in mats]),
             b=b,
-            c=sdp.pack(c),
-            sense="max",
+            c=-sdp.pack(c),
         )
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
-        assert abs(sol.objective_value - y @ b) < 1e-6
+        assert abs(-sol.objective_value - y @ b) < 1e-6
 
     def test_infeasible_program_runs_out_of_iterations(self):
         # there is no infeasibility exit: a program without a feasible point
@@ -110,7 +110,6 @@ class TestSolve:
             a=np.eye(3),
             b=sdp.pack(-np.eye(2), real=True),
             c=sdp.pack(np.eye(2), real=True),
-            sense="min",
         )
         sol = sdp.solve(prob, max_iters=2000)
         assert sol.status == "max_iterations"
@@ -169,23 +168,21 @@ class TestSolve:
             a=np.zeros((0, 1600)),
             b=np.zeros(0),
             c=sdp.pack(np.eye(40)),
-            sense="min",
         )
         with pytest.raises(sdp.SdpBuildError):
             sdp.solve(prob)
 
 
 def _shared_eigenvalue_lp(hs: dict) -> sdp.SdpProblem:
-    """max t s.t. X_k + t * 1 = H_k, X_k >= 0 for each named (H_k, real):
-    the optimum is the smallest eigenvalue of all the H_k."""
+    """min -t s.t. X_k + t * 1 = H_k, X_k >= 0 for each named (H_k, real):
+    the optimum is minus the smallest eigenvalue of all the H_k."""
     t_col = np.concatenate([sdp.pack(np.eye(h.shape[0]), real) for h, real in hs.values()])
     return sdp.SdpProblem(
         blocks={name: (h.shape[0], real) for name, (h, real) in hs.items()},
         scalars=("t",),
         a=np.hstack([np.eye(t_col.size), t_col[:, None]]),
         b=np.concatenate([sdp.pack(h, real) for h, real in hs.values()]),
-        c=np.eye(t_col.size + 1)[-1],
-        sense="max",
+        c=-np.eye(t_col.size + 1)[-1],
     )
 
 
@@ -210,7 +207,7 @@ class TestBlockDiagonalIterate:
         s2 = sdp.solve(_shared_eigenvalue_lp({name: hs[name] for name in twin_order}))
         assert s1.status == s2.status == "optimal"
         lam_min = min(np.linalg.eigvalsh(h)[0] for h, _ in hs.values())
-        assert abs(s1.objective_value - lam_min) < 1e-7
+        assert abs(-s1.objective_value - lam_min) < 1e-7
         assert abs(s1.objective_value - s2.objective_value) <= 1e-9
         for name, (h, real) in hs.items():
             assert s1.block_values[name].dtype == (float if real else complex)
@@ -256,10 +253,10 @@ class TestBlockDiagonalIterate:
     def test_mutated_rows_give_the_new_program(self):
         # the shape cache keys on the content of a, not on the array
         prob = _eigenvalue_lp(np.diag([1.0, 3.0]), real=True)
-        assert abs(sdp.solve(prob).objective_value - 1.0) < 1e-7
+        assert abs(-sdp.solve(prob).objective_value - 1.0) < 1e-7
         prob.a[:, -1] *= 2.0    # X + 2 t 1 = h: the optimum halves
         sol = sdp.solve(prob)
-        assert abs(sol.objective_value - 0.5) < 1e-7
+        assert abs(-sol.objective_value - 0.5) < 1e-7
         assert sol.objective_value == sdp.solve(replace(prob, a=prob.a.copy())).objective_value
 
 
@@ -279,7 +276,3 @@ class TestProblemValidation:
             replace(prob, c=np.zeros(4))
         with pytest.raises(sdp.SdpBuildError):
             replace(prob, blocks={"x": (3, False)})
-
-    def test_rejects_bad_sense(self):
-        with pytest.raises(sdp.SdpBuildError):
-            replace(_eigenvalue_lp(np.eye(2), real=False), sense="maximize")
