@@ -7,8 +7,9 @@ Subcommands:
   measure   CP-indivisibility measure of a family against a reference
   validate  run the named end-to-end checks
 
-FAMILIES builds each named map family from the --lam/--omega/--alpha flags;
-`sweep` also takes `custom`, a constant map around a --choi JSON channel.
+Every named map family is built from figures.FAMILIES at the --lam/--omega/
+--alpha flags; `sweep` also takes `custom`, a constant map around the JSON
+channel of --choi (for --family) or --choi2 (for --family2).
 
 CSV output uses 9 significant digits, '\\n' line endings, and a fixed column
 order, so repeated runs with the same configuration are byte-identical. A
@@ -21,29 +22,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
-from .channels import (
-    DynamicalMap,
-    amplitude_damping_map,
-    channel_from_json,
-    constant_map,
-    depolarizing_map,
-    eternal_map,
-    identity_map,
-)
-from .figures import ALPHA, FIGURES, LAM, OMEGA, T_MAX, T_STEP, default_t_grid
+from .channels import DynamicalMap, channel_from_json, constant_map
+from .figures import ALPHA, FAMILIES, FIGURES, LAM, OMEGA, T_MAX, T_STEP, default_t_grid
 from .robustness import DR, NoiseClass, sweep
 from .validation import run_checks
 from .witness import cp_indivisibility_measure, teleport_fidelity
-
-FAMILIES: dict[str, Callable[[argparse.Namespace], DynamicalMap]] = {
-    "identity": lambda args: identity_map(),
-    "depolarizing-div": lambda args: depolarizing_map(args.lam),
-    "depolarizing-indiv": lambda args: depolarizing_map(args.lam, args.omega),
-    "amplitude-damping": lambda args: amplitude_damping_map(args.alpha, args.omega),
-    "eternal": lambda args: eternal_map(),
-}
 
 
 class UsageError(Exception):
@@ -54,12 +38,20 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _resolve_family(name: str, args, choi_path: str | None) -> DynamicalMap:
-    if name != "custom":
-        return FAMILIES[name](args)
-    if choi_path is None:
-        raise UsageError("family 'custom' requires a --choi JSON file")
-    return constant_map(channel_from_json(Path(choi_path).read_text()))
+def _family_map(name: str, args) -> DynamicalMap:
+    return FAMILIES[name](args.lam, args.omega, args.alpha)
+
+
+def _sweep_map(args, position: str) -> DynamicalMap:
+    """The map of --family<position>; a custom one reads --choi<position>."""
+    name, path = getattr(args, f"family{position}"), getattr(args, f"choi{position}")
+    if name == "custom" and path is None:
+        raise UsageError(f"--family{position} custom requires a --choi{position} JSON file")
+    if name != "custom" and path is not None:
+        raise UsageError(f"--choi{position} is read only with --family{position} custom")
+    if path is None:
+        return _family_map(name, args)
+    return constant_map(channel_from_json(Path(path).read_text()))
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -76,7 +68,7 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
 
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     _add_grid_args(p)
-    p.add_argument("--noise", choices=("generic", "cd", "both"), default="both")
+    p.add_argument("--noise", choices=[*(nc.value for nc in NoiseClass), "both"], default="both")
     p.add_argument("--refine", action="store_true", help=f"report the solver's r, not its grid value (r rounded up to a multiple of {DR})")
     p.add_argument("--output", "-o", help="CSV path (default: stdout)")
 
@@ -112,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas = sub.add_parser("measure", help="CP-indivisibility measure")
     p_meas.add_argument("--family", choices=FAMILIES, default="depolarizing-indiv")
     p_meas.add_argument("--reference", choices=FAMILIES, default="identity")
-    p_meas.add_argument("--noise", choices=("generic", "cd"), default="generic")
+    p_meas.add_argument("--noise", choices=[nc.value for nc in NoiseClass], default="generic")
     _add_family_args(p_meas)
     _add_grid_args(p_meas)
     p_meas.add_argument("--output", "-o", help="optional CSV of the robustness curve")
@@ -166,13 +158,11 @@ def cmd_figure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    map1 = _resolve_family(args.family, args, args.choi)
-    map2 = _resolve_family(args.family2, args, args.choi2)
-    return _run_sweep(args, map1, map2)
+    return _run_sweep(args, _sweep_map(args, ""), _sweep_map(args, "2"))
 
 
 def cmd_teleport(args) -> int:
-    map_ = FAMILIES[args.family](args)
+    map_ = _family_map(args.family, args)
     lines = ["t,n_value,f_max"]
     for t in default_t_grid(args.t_min, args.t_max, args.t_step):
         n, f = teleport_fidelity(map_.evaluate(t))
@@ -182,8 +172,8 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    map_ = FAMILIES[args.family](args)
-    reference = FAMILIES[args.reference](args)
+    map_ = _family_map(args.family, args)
+    reference = _family_map(args.reference, args)
     grid = default_t_grid(args.t_min, args.t_max, args.t_step)
     report = cp_indivisibility_measure(map_, grid, reference=reference, noise=args.noise)
     print(f"family:          {map_.label}")

@@ -1,4 +1,4 @@
-"""Built-in figure definitions: map pairs, default parameters, and columns.
+"""Named map families, default parameters, and the figures as family pairs.
 
 Defaults follow the reference setup: lam = alpha = 0.5, omega = 5*pi,
 t from 0 to 1 in steps of 0.01 (robustness values use the grid robustness.DR).
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .channels import (
     DynamicalMap,
@@ -37,6 +38,17 @@ def default_t_grid(t_min: float = 0.0, t_max: float = T_MAX, t_step: float = T_S
     return [round(t_min + k * t_step, 12) for k in range(count)]
 
 
+# family name -> its map at decay rates lam (depolarizing) and alpha (damping)
+# and oscillation frequency omega; a family ignores the rates it does not use
+FAMILIES: dict[str, Callable[[float, float, float], DynamicalMap]] = {
+    "identity": lambda lam, omega, alpha: identity_map(),
+    "depolarizing-div": lambda lam, omega, alpha: depolarizing_map(lam),
+    "depolarizing-indiv": lambda lam, omega, alpha: depolarizing_map(lam, omega),
+    "amplitude-damping": lambda lam, omega, alpha: amplitude_damping_map(alpha, omega),
+    "eternal": lambda lam, omega, alpha: eternal_map(),
+}
+
+
 @dataclass(frozen=True)
 class FigureSpec:
     map1: DynamicalMap
@@ -44,21 +56,18 @@ class FigureSpec:
     teleport_columns: bool
 
 
-def _specs() -> dict[int, FigureSpec]:
-    d1 = depolarizing_map(LAM)
-    d2 = depolarizing_map(LAM, OMEGA)
-    ad = amplitude_damping_map(ALPHA, OMEGA)
-    et = eternal_map()
-    ident = identity_map()
-    return {
-        1: FigureSpec(d1, d1, False),      # two copies of the divisible depolarizing map
-        2: FigureSpec(d2, d2, False),      # two copies of the oscillating depolarizing map
-        3: FigureSpec(d1, d2, False),      # divisible vs oscillating depolarizing maps
-        4: FigureSpec(ident, d2, False),   # identity reference vs oscillating depolarizing map
-        5: FigureSpec(ident, ad, False),   # identity reference vs oscillating amplitude damping
-        6: FigureSpec(ident, et, False),   # identity reference vs eternal map
-        7: FigureSpec(ident, d2, True),    # teleportation fidelity alongside robustness
-    }
+def _figure(family1: str, family2: str, teleport_columns: bool = False) -> FigureSpec:
+    """The sweep of two families at the default parameters."""
+    map1, map2 = (FAMILIES[name](LAM, OMEGA, ALPHA) for name in (family1, family2))
+    return FigureSpec(map1, map2, teleport_columns)
 
 
-FIGURES = _specs()
+FIGURES = {
+    1: _figure("depolarizing-div", "depolarizing-div"),
+    2: _figure("depolarizing-indiv", "depolarizing-indiv"),
+    3: _figure("depolarizing-div", "depolarizing-indiv"),
+    4: _figure("identity", "depolarizing-indiv"),
+    5: _figure("identity", "amplitude-damping"),
+    6: _figure("identity", "eternal"),
+    7: _figure("identity", "depolarizing-indiv", teleport_columns=True),
+}

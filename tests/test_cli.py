@@ -141,9 +141,46 @@ def test_qutrit_pair_sweeps_its_trace_distance(tmp_path, capsys):
 
 
 def test_custom_without_choi_is_usage_error(capsys):
+    # each position names its own channel file flag
+    for argv, phrase in [
+        (["--family", "custom", "--family2", "identity"], "--family custom requires a --choi JSON file"),
+        (["--family", "identity", "--family2", "custom"], "--family2 custom requires a --choi2 JSON file"),
+    ]:
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", *argv])
+        assert err.value.code == 2
+        assert phrase in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("position", ["", "2"], ids=["choi", "choi2"])
+def test_stray_choi_is_usage_error(position, capsys):
+    # a channel file that no custom family reads is refused before it is opened
+    argv = ["sweep", "--family", "identity", "--family2", "identity", "--t-max", "0"]
     with pytest.raises(SystemExit) as err:
-        main(["sweep", "--family", "custom", "--family2", "identity"])
-    assert err.value.code == 2
+        main([*argv, f"--choi{position}", "/nonexistent.json"])
+    out = capsys.readouterr()
+    assert (err.value.code, out.out) == (2, "")
+    assert f"--choi{position} is read only with --family{position} custom" in out.err
+
+
+@pytest.mark.parametrize(
+    "fig, family1, family2",
+    [
+        (1, "depolarizing-div", "depolarizing-div"),
+        (2, "depolarizing-indiv", "depolarizing-indiv"),
+        (3, "depolarizing-div", "depolarizing-indiv"),
+        (4, "identity", "depolarizing-indiv"),
+        (5, "identity", "amplitude-damping"),
+        (6, "identity", "eternal"),
+    ],
+)
+def test_figure_is_the_sweep_of_its_family_pair(fig, family1, family2, capsys):
+    # the paper's pairs at the default parameters, written out rather than read from the table
+    step = ["--t-step", "0.25"]
+    figure = run_cli(["figure", "--id", str(fig), *step], capsys)
+    pair = run_cli(["sweep", "--family", family1, "--family2", family2, *step], capsys)
+    assert figure == pair
+    assert figure[0] == 0 and len(figure[1].splitlines()) == 6
 
 
 def test_malformed_choi_returns_error(tmp_path, capsys):
