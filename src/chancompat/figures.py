@@ -34,7 +34,10 @@ def default_t_grid(t_min: float = 0.0, t_max: float = T_MAX, t_step: float = T_S
         raise ValueError(f"t_step must be positive, got {t_step}")
     if t_max < t_min:
         raise ValueError(f"t_max {t_max} below t_min {t_min}")
-    count = int(math.floor((t_max - t_min) / t_step + 1e-9)) + 1
+    steps = (t_max - t_min) / t_step
+    if not math.isfinite(steps):
+        raise ValueError(f"t_step {t_step} over the span {t_max - t_min} gives {steps} steps")
+    count = int(math.floor(steps + 1e-9)) + 1
     return [round(t_min + k * t_step, 12) for k in range(count)]
 
 

@@ -15,7 +15,8 @@ compiled once and only b follows the data.
 
 The solver follows the central path with HKM predictor-corrector steps
 (Helmberg, Rendl, Vanderbei and Wolkowicz; the Mehrotra corrector as in
-SDPT3), in about ten iterations and with no tuning. Each program shape is
+SDPT3), with no tuning: a grid value settles in about four iterations and a
+refined value runs to tolerance in about ten. Each program shape is
 factored once, cached on the content of a: an orthonormal row basis, and the
 rows as block-diagonal matrices. The iterate is one block-diagonal D x D
 matrix, D the sum of the block dimensions, so that each iteration makes one

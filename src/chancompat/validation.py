@@ -1,9 +1,11 @@
 """Named end-to-end checks behind the `validate` command and the acceptance
-test suite. Each check returns a verdict (within_bounds, detail, unconverged),
-where unconverged names the values whose solves did not converge; run_check
-turns it into a CheckResult that fails on any such value, whatever the bounds
-say, and appends "; indeterminate: [...]". Expensive sweeps are cached so
-checks sharing a figure pay for it once per process.
+test suite. The figure criteria read only their figure's cached sweep
+records: robustness by noise class and the `trace_distance` column. Each
+check returns a verdict (within_bounds, detail, unconverged), where
+unconverged names the values whose solves did not converge; run_check turns
+it into a CheckResult that fails on any such value, whatever the bounds say,
+and appends "; indeterminate: [...]". Expensive sweeps are cached so checks
+sharing a figure pay for it once per process.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import sdp
 from .channels import Channel, identity_channel, projective_povm, pushforward_povm
-from .figures import ALPHA, FIGURES, LAM, OMEGA, default_t_grid
+from .figures import FIGURES, LAM, OMEGA, default_t_grid
 from .robustness import (
     NoiseClass,
     SweepRecord,
@@ -63,11 +65,6 @@ def _flagged(*figure_ids: int) -> list[tuple[int, float]]:
     return [
         (fig, rec.t) for fig in figure_ids for rec in _figure_records(fig) if rec.indeterminate
     ]
-
-
-def _closed_form_distance(rate: float) -> list[float]:
-    """exp(-rate t) cos^2(OMEGA t): the trace distance of figure 4 (rate LAM) or 5 (rate ALPHA)."""
-    return [math.exp(-rate * t) * math.cos(OMEGA * t) ** 2 for t in _T_GRID]
 
 
 def _segments_aligned(segs: list[tuple[float, float]], ref: list[tuple[float, float]]) -> bool:
@@ -122,27 +119,22 @@ def check_monotonicity() -> Verdict:
     recs = _figure_records(1)
     ok = True
     worst = -math.inf
-    for column in ("r_generic", "r_cd"):
-        vals = [getattr(rec, column) for rec in recs]
+    for nc in NoiseClass:
+        vals = [rec.r(nc) for rec in recs]
         jumps = [b - a for a, b in zip(vals, vals[1:])]
         worst = max(worst, max(jumps))
         ok = ok and all(j <= 2e-3 for j in jumps)
     return ok, f"largest consecutive increase {worst:.2e} (allowed 2e-3)", _flagged(1)
 
 
-def _backflow_check(figure_id: int, rate: float) -> Verdict:
+def _backflow_check(figure_id: int) -> Verdict:
     recs = _figure_records(figure_id)
     ts = [rec.t for rec in recs]
-    ref = rising_segments(ts, _closed_form_distance(rate))
-    ok = True
-    counts = {}
-    for column in ("r_generic", "r_cd"):
-        segs = rising_segments(ts, [getattr(rec, column) for rec in recs])
-        counts[column] = len(segs)
-        ok = ok and len(segs) >= 4 and _segments_aligned(segs, ref)
+    ref = rising_segments(ts, [rec.trace_distance for rec in recs])
+    gen, cd = (rising_segments(ts, [rec.r(nc) for rec in recs]) for nc in NoiseClass)
     return (
-        ok,
-        f"rising segments generic={counts['r_generic']}, cd={counts['r_cd']}"
+        all(len(segs) >= 4 and _segments_aligned(segs, ref) for segs in (gen, cd)),
+        f"rising segments generic={len(gen)}, cd={len(cd)}"
         f" (need >= 4, aligned within {SEGMENT_TOL} of {len(ref)} trace-distance segments)",
         _flagged(figure_id),
     )
@@ -151,8 +143,7 @@ def _backflow_check(figure_id: int, rate: float) -> Verdict:
 def check_eternal_no_backflow() -> Verdict:
     recs = _figure_records(6)
     ts = [rec.t for rec in recs]
-    n_gen = len(rising_segments(ts, [rec.r_generic for rec in recs]))
-    n_cd = len(rising_segments(ts, [rec.r_cd for rec in recs]))
+    n_gen, n_cd = (len(rising_segments(ts, [rec.r(nc) for rec in recs])) for nc in NoiseClass)
     return (
         n_gen == 0 and n_cd == 0,
         f"rising segments generic={n_gen}, cd={n_cd} (need 0)",
@@ -236,7 +227,8 @@ def check_identity_self_robustness() -> Verdict:
 def check_teleportation_curve() -> Verdict:
     worst = 0.0
     plateau_ok = True
-    for t, w in zip(_T_GRID, _closed_form_distance(LAM)):
+    for t in _T_GRID:
+        w = math.exp(-LAM * t) * math.cos(OMEGA * t) ** 2   # figure 7's trace distance
         n, f = teleport_fidelity(FIGURES[7].map2.evaluate(t))
         worst = max(worst, abs(n - 3 * w))
         expected = 2 / 3 if n <= 1 else 0.5 * (1 + n / 3)
@@ -336,8 +328,8 @@ def check_solver_suite() -> Verdict:
 CHECKS: dict[str, Callable[[], Verdict]] = {
     "depolarizing_zero_crossing": check_depolarizing_zero_crossing,
     "monotonicity": check_monotonicity,
-    "backflow_depolarizing": lambda: _backflow_check(4, LAM),
-    "backflow_amplitude_damping": lambda: _backflow_check(5, ALPHA),
+    "backflow_depolarizing": lambda: _backflow_check(4),
+    "backflow_amplitude_damping": lambda: _backflow_check(5),
     "eternal_no_backflow": check_eternal_no_backflow,
     "upward_closure": check_upward_closure,
     "measurement_channel_bound": check_measurement_channel_bound,

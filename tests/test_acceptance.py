@@ -11,7 +11,6 @@ from dataclasses import replace
 import pytest
 
 from chancompat import sdp, validation
-from chancompat.figures import ALPHA, LAM
 from chancompat.robustness import RobustnessResult, SweepRecord
 from chancompat.validation import CHECKS
 
@@ -88,24 +87,20 @@ def test_figure_checks_fail_on_one_indeterminate_record(name, fig, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, fig, other",
-    [("backflow_depolarizing", 4, "ALPHA"), ("backflow_amplitude_damping", 5, "LAM")],
+    "name, fig", [("backflow_depolarizing", 4), ("backflow_amplitude_damping", 5)], ids=["4", "5"]
 )
-def test_backflow_reference_is_the_figures_trace_distance(name, fig, other, monkeypatch):
-    # the other family's rate, set wrong here, must not enter the reference
-    references = []
-    closed_form = validation._closed_form_distance
+def test_backflow_reference_is_the_records_trace_distance(name, fig, monkeypatch):
+    # the figure's records with a flat trace distance: no reference segment is left
+    cached = validation._figure_records
 
-    def recorded(rate):
-        references.append(closed_form(rate))
-        return references[-1]
+    def flat_distance(figure_id):
+        recs = cached(figure_id)
+        return tuple(replace(rec, trace_distance=0.5) for rec in recs) if figure_id == fig else recs
 
-    monkeypatch.setattr(validation, other, 2 * (LAM + ALPHA))
-    monkeypatch.setattr(validation, "_closed_form_distance", recorded)
-    validation.run_check(name)
-    distances = [rec.trace_distance for rec in validation._figure_records(fig)]
-    assert len(references) == 1
-    assert max(abs(a - b) for a, b in zip(references[0], distances)) <= 1e-12
+    monkeypatch.setattr(validation, "_figure_records", flat_distance)
+    result = validation.run_check(name)
+    assert not result.passed
+    assert "of 0 trace-distance segments" in result.detail
 
 
 def test_upward_closure_records_unconverged_probe(monkeypatch):

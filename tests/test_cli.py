@@ -243,9 +243,11 @@ def test_grid_step_is_not_a_flag(argv, capsys):
         (["teleport", "--t-max", "inf"], 2, "t_max must be finite"),
         (["teleport", "--t-min", "nan"], 2, "t_min must be finite"),
         (["figure", "--id", "1", "--t-step", "nan"], 2, "t_step must be finite"),
+        (["figure", "--id", "1", "--t-step", "5e-324"], 2, "t_step 5e-324 over the span 1.0 gives inf steps"),
+        (["teleport", "--t-min=-1e308", "--t-max", "1e308"], 2, "t_step 0.01 over the span inf gives"),
     ],
     ids=["zero-step", "reversed-range", "negative-alpha", "teleport-to-dir", "figure-to-dir",
-         "t-max-inf", "t-min-nan", "t-step-nan"],
+         "t-max-inf", "t-min-nan", "t-step-nan", "t-step-overflow", "t-span-overflow"],
 )
 def test_bad_input_exits_with_message(argv, code, phrase, capsys):
     got, out, err = run_cli(argv, capsys)

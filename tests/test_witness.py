@@ -38,6 +38,14 @@ class TestTraceDistanceWitness:
             want = math.exp(-0.5 * rec.t) * math.cos(5 * math.pi * rec.t) ** 2
             assert abs(rec.trace_distance - want) < 1e-12
 
+    def test_amplitude_damping_closed_form(self):
+        # the images of |0><0| and |1><1| differ by the surviving population 1 - w(t)
+        grid = [0.05 * k for k in range(21)]
+        recs = sweep(identity_map(), amplitude_damping_map(0.5, 5 * math.pi), grid, noise="cd")
+        for rec in recs:
+            want = math.exp(-0.5 * rec.t) * math.cos(5 * math.pi * rec.t) ** 2
+            assert abs(rec.trace_distance - want) < 1e-12
+
 
 def _depolarizing_n(t):
     return 3 * math.exp(-0.5 * t) * math.cos(5 * math.pi * t) ** 2
