@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .channels import DynamicalMap, channel_from_json, constant_map
@@ -73,7 +74,9 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", help="CSV path (default: stdout)")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="chancompat",
         description="Incompatibility robustness of quantum channels along dynamical maps.",

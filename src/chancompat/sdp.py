@@ -20,7 +20,8 @@ refined value runs to tolerance in about ten. Each program shape is
 factored once, cached on the content of a: an orthonormal row basis, and the
 rows as block-diagonal matrices. The iterate is one block-diagonal D x D
 matrix, D the sum of the block dimensions, so that each iteration makes one
-call per numpy.linalg kernel however many blocks there are. It runs on
+call per numpy.linalg kernel however many blocks there are; the Schur
+complement alone is formed block by block, as SDPT3 and SDPA do. It runs on
 numpy.linalg alone, in a fixed order, so identical problems replay bitwise
 identically.
 """
@@ -176,10 +177,11 @@ def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int):
     """The factored shape of a program, keyed on the content of a: the row
     norms, the kept left singular vectors and values, per block its pack
     coordinates, diagonal slice and _coord_map, the reduced rows as (m, D, D)
-    block-diagonal matrices and as their real buffers, and the reduced
-    free-scalar columns. Rows are normalized, then made orthonormal by an SVD
-    whose singular values below max(shape) * 1e-12 * s_0 drop out with the
-    dependent rows."""
+    block-diagonal matrices and as their real buffers, the rows restricted
+    to each block in the two layouts from which _schur forms the Schur
+    complement block by block, and the reduced free-scalar columns. Rows are
+    normalized, then made orthonormal by an SVD whose singular values below
+    max(shape) * 1e-12 * s_0 drop out with the dependent rows."""
     a_full = np.frombuffer(a_bytes).reshape(shape)
     norms = np.linalg.norm(a_full, axis=1)
     norms[norms == 0] = 1.0
@@ -192,7 +194,12 @@ def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int):
                    for blk, j, k, p, q in zip(blocks, starts, starts[1:], diags, diags[1:]))
     dtype = float if all(real for _, real in blocks) else complex
     mats = _embed(np.zeros((rank, diags[-1], diags[-1]), dtype), a, layout)
-    return norms, (u, s[:rank]), layout, mats, _vec(mats), a[:, starts[-1] : starts[-1] + n_free]
+    restricted = [mats[:, diag, diag] for _, diag, _ in layout]
+    sides = tuple((diag, r.transpose(1, 0, 2).reshape(r.shape[1], -1))
+                  for (_, diag, _), r in zip(layout, restricted))
+    packed = np.concatenate([_vec(r) for r in restricted], axis=1)
+    return (norms, (u, s[:rank]), layout, mats, _vec(mats), (sides, packed),
+            a[:, starts[-1] : starts[-1] + n_free])
 
 
 def check_dim_guard(blocks: dict[str, tuple[int, bool]]) -> None:
@@ -238,7 +245,7 @@ def solve(
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
     check_dim_guard(problem.blocks)
     a_full, blocks = np.ascontiguousarray(problem.a, dtype=float), tuple(problem.blocks.values())
-    norms, (u, s), layout, mats, flat, a_free = _reduce(
+    norms, (u, s), layout, mats, flat, schur, a_free = _reduce(
         a_full.tobytes(), a_full.shape, blocks, len(problem.scalars))
     b_unit = problem.b / norms
     b, leak = (u.T @ b_unit) / s, b_unit - u @ (u.T @ b_unit)
@@ -274,7 +281,7 @@ def solve(
             if iterations == max_iters:
                 break
             try:
-                step = _step(x, z, y, xf, rp, rd, rdf, mats, flat, a_free)
+                step = _step(x, z, y, xf, rp, rd, rdf, flat, schur, a_free)
             except np.linalg.LinAlgError:
                 break
             if not all(np.isfinite(v).all() for v in step):
@@ -300,7 +307,25 @@ def solve(
     )
 
 
-def _step(x, z, y, xf, rp, rd, rdf, mats, flat, a_free):
+def _schur(x, w, sides, packed):
+    """The Schur matrix M_ij = Re tr(A_i X A_j W), formed block by block.
+
+    With A_i^k the row A_i restricted to block k, sides holds per block its
+    diagonal slice and the d_k x m d_k matrix [A_1^k | ... | A_m^k], and
+    row i of packed the real buffers of A_i^1, A_i^2, ... in block order.
+    Per block, two products give every X_k A_j^k W_k: X_k [A_1^k | ... ],
+    then that, read as m d_k rows of width d_k, times W_k. One contraction
+    with packed then sums Re <A_i^k, X_k A_j^k W_k> over the blocks, so no
+    product touches the zero off-diagonal blocks of X and W."""
+    m, prods = packed.shape[0], []
+    for diag, side in sides:
+        d = side.shape[0]
+        xaw = ((x[diag, diag] @ side).reshape(d * m, d) @ w[diag, diag]).reshape(d, m, d)
+        prods.append(xaw.swapaxes(0, 1).reshape(m, d * d))
+    return packed @ np.concatenate(prods, axis=1).view(float).T
+
+
+def _step(x, z, y, xf, rp, rd, rdf, flat, schur, a_free):
     """One Mehrotra predictor-corrector step along the HKM direction.
 
     Both directions solve the Schur system M = A H A^T of the operator
@@ -311,17 +336,17 @@ def _step(x, z, y, xf, rp, rd, rdf, mats, flat, a_free):
     full step. Cholesky factors, inverses and products of block-diagonal
     matrices keep the off-diagonal blocks exactly 0, so one Cholesky factor
     and one inverse of the stacked [X; Z] serve every block, and one eigh of
-    the stacked primal and dual directions gives each step length. Returns
-    the new (x, z, y, xf).
+    the stacked primal and dual directions gives each step length. The Schur
+    matrix, the one product over all m rows, is formed block by block
+    (_schur). Returns the new (x, z, y, xf).
     """
     m, n = y.size, x.shape[0]
     l_inv = np.linalg.inv(np.linalg.cholesky(np.array([x, z])))
     l_invh = l_inv.conj().swapaxes(1, 2)
     w = l_invh[1] @ l_inv[1]    # Z^-1
-    # M_ij = Re tr(A_i X A_j Z^-1)
     kkt = np.zeros((m + xf.size, m + xf.size))
     kkt[:m, m:], kkt[m:, :m] = a_free, a_free.T
-    kkt[:m, :m] = flat @ _vec(x @ mats @ w).T
+    kkt[:m, :m] = _schur(x, w, *schur)
     # dX = sym(base - X dZ Z^-1) with dZ = rd - A^T dy; the rhs needs no
     # sym, as <A_i, sym(h)> = Re <A_i, h>
     rp_xrw = rp + flat @ _vec(x @ rd @ w)

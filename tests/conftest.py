@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chancompat.channels import Povm
+from chancompat.channels import Channel, Povm
 from chancompat.validation import random_channel  # noqa: F401 - re-exported for the tests
 
 
@@ -21,6 +21,12 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def isometry_channel(v):
+    # the Choi matrix of rho -> v rho v^+ is |vec v><vec v|, vec v = sum_i |i> (x) v|i>
+    vec = v.T.reshape(-1).astype(complex)
+    return Channel(v.shape[1], v.shape[0], np.outer(vec, vec.conj()))
 
 
 def trine_povm():

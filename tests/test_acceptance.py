@@ -103,6 +103,23 @@ def test_backflow_reference_is_the_records_trace_distance(name, fig, monkeypatch
     assert "of 0 trace-distance segments" in result.detail
 
 
+@pytest.mark.parametrize("shift, passed", [(0, True), (5, False)])
+def test_backflow_segments_must_align_within_segment_tol(shift, passed, monkeypatch):
+    # five sawtooth rises of r on a step-0.01 grid; the trace distance rises
+    # on the same teeth moved by shift steps: 0.05 is beyond SEGMENT_TOL = 0.02
+    def sawtooth(figure_id):
+        return tuple(
+            SweepRecord(t=k / 100, r_generic=0.005 * (k % 20), r_cd=0.005 * (k % 20),
+                        trace_distance=0.005 * ((k - shift) % 20))
+            for k in range(101)
+        ) if figure_id == 4 else ()
+
+    monkeypatch.setattr(validation, "_figure_records", sawtooth)
+    result = validation.run_check("backflow_depolarizing")
+    assert result.passed == passed
+    assert result.detail.startswith("rising segments generic=5, cd=5")
+
+
 def test_upward_closure_records_unconverged_probe(monkeypatch):
     def unconverged(ch1, ch2, r, noise):
         raise RuntimeError(f"solver did not converge for probe at r={r} (max_iterations)")

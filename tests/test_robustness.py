@@ -35,7 +35,7 @@ from chancompat.robustness import (
 )
 from chancompat.validation import _figure_records, random_basis
 from chancompat.witness import indivisibility_from_curve
-from conftest import random_channel, trine_povm
+from conftest import isometry_channel, random_channel, trine_povm
 
 CD = NoiseClass.COMPLETELY_DEPOLARIZING
 GEN = NoiseClass.GENERIC
@@ -80,6 +80,23 @@ class TestFeasibilityQ:
         qs = [feasibility_q(IDENT, IDENT, r, CD) for r in (0.0, 0.2, 0.4, 0.5, 0.8)]
         assert all(b >= a - 1e-9 for a, b in zip(qs, qs[1:]))
 
+    @pytest.mark.parametrize("r", [0.2, 0.6])
+    def test_value_is_the_margin_of_a_joint_channel(self, r):
+        # the pinned solve's blocks give a joint channel G of the noisy pair
+        # (C_i + r N_i) / (1 + r); q is lambda_min(G), read without the dual
+        sol = sdp.solve(channel_feasibility_problem(IDENT, IDENT, r, GEN))
+        joint, q_scaled = sol.block_values["joint"], sol.scalar_values["q"]
+        g = (joint + q_scaled * np.eye(8)) / (1 + r)
+        for keep, name in (({0, 1}, "noise1"), ({0, 2}, "noise2")):
+            noise = sol.block_values[name] / r
+            assert np.linalg.eigvalsh(noise)[0] >= -1e-9
+            assert np.max(np.abs(partial_trace(noise, (2, 2), {0}) - np.eye(2))) <= 1e-9
+            marginal = partial_trace(g, (2, 2, 2), keep)
+            assert np.max(np.abs(marginal - (IDENT.choi + r * noise) / (1 + r))) <= 1e-9
+        q = feasibility_q(IDENT, IDENT, r, GEN)
+        assert abs(q - np.linalg.eigvalsh(g)[0]) <= 1e-8
+        assert (q > 0) == (r > 1 / 3)   # r* = 1/3
+
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
             feasibility_q(IDENT, IDENT, -0.1, GEN)
@@ -95,12 +112,6 @@ class TestFeasibilityQ:
             feasibility_q(IDENT, wide, 0.0, GEN)
 
 
-def _isometry_channel(v):
-    # the Choi matrix of rho -> v rho v^+ is |vec v><vec v|, vec v = sum_i |i> (x) v|i>
-    vec = v.T.reshape(-1).astype(complex)
-    return Channel(v.shape[1], v.shape[0], np.outer(vec, vec.conj()))
-
-
 def test_solution_satisfies_compatibility_equations(rng):
     # the blocks read back by name solve the program the module docstring states
     pairs = [
@@ -108,7 +119,7 @@ def test_solution_satisfies_compatibility_equations(rng):
         (random_channel(rng), random_channel(rng)),
         (measurement_channel(trine_povm()), measurement_channel(projective_povm(np.eye(2)))),
         # two real 2 -> 4 isometries: a 32 x 32 joint block, the largest that passes DIM_GUARD
-        tuple(_isometry_channel(np.linalg.qr(rng.normal(size=(4, 2)))[0]) for _ in range(2)),
+        tuple(isometry_channel(np.linalg.qr(rng.normal(size=(4, 2)))[0]) for _ in range(2)),
     ]
     for ch1, ch2 in pairs:
         din, d1, d2 = ch1.din, ch1.dout, ch2.dout
@@ -136,7 +147,7 @@ def _near_unitary(rng, dout=2):
     # pairs of random_channel alone are almost always compatible
     p = rng.uniform(0.85, 1.0)
     v = random_basis(rng, dout)[:, :2]
-    return Channel(2, dout, p * _isometry_channel(v).choi + (1 - p) * random_channel(rng, 2, dout).choi)
+    return Channel(2, dout, p * isometry_channel(v).choi + (1 - p) * random_channel(rng, 2, dout).choi)
 
 
 class TestDataProcessing:
@@ -188,7 +199,7 @@ def test_size_guard_runs_before_compiling(monkeypatch):
         raise AssertionError("program compiled before the size guard")
 
     monkeypatch.setattr(sdp, "linear_map_matrix", compile_op)
-    ch1, ch2 = _isometry_channel(np.eye(4)[:, :2]), _isometry_channel(np.eye(8)[:, :2])
+    ch1, ch2 = isometry_channel(np.eye(4)[:, :2]), isometry_channel(np.eye(8)[:, :2])
     for noise in (GEN, CD):
         with pytest.raises(sdp.SdpBuildError, match="exceeds guard"):
             robustness(ch1, ch2, noise)
@@ -474,7 +485,7 @@ class TestBracket:
         ch1, ch2 = {
             "real": (IDENT, depolarizing_choi(0.7)),
             "complex": (random_channel(rng), random_channel(rng)),
-            "qubit-qutrit": (compose(_isometry_channel(v), depolarizing_choi(0.6)), IDENT),
+            "qubit-qutrit": (compose(isometry_channel(v), depolarizing_choi(0.6)), IDENT),
         }[shape]
         problem = channel_feasibility_problem(ch1, ch2, None, noise)
         blocks, r0 = _interior_point(ch1, ch2, noise)
@@ -516,6 +527,27 @@ class TestBracket:
             r_cf = closed_form(*FIGURE_WEIGHTS[fig](t))
             lo, hi = res.bracket
             assert not res.indeterminate and lo <= r_cf <= hi, (t, res.bracket, r_cf)
+
+    def test_refined_values_lie_in_their_brackets(self, rng):
+        # a refined value is the iterate's r, not an end of the bracket: it
+        # must still lie inside [lo, hi], however its convergence tail moves
+        results = [
+            robustness(make(rng), make(rng), noise, refine=True)
+            for make in (_near_unitary, random_channel) for _ in range(3) for noise in (GEN, CD)
+        ]
+        results += [
+            measurement_robustness(projective_povm(random_basis(rng)), projective_povm(random_basis(rng)))
+            for _ in range(4)
+        ]
+        spec = FIGURES[6]
+        results += [
+            robustness(spec.map1.evaluate(t), spec.map2.evaluate(t), noise, refine=True)
+            for t in default_t_grid(t_step=0.05) for noise in (GEN, CD)
+        ]
+        assert sum(res.r_star > 0 for res in results) >= 30
+        for res in results:
+            lo, hi = res.bracket
+            assert not res.indeterminate and lo <= res.r_star <= hi, res
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_truncated_solve_has_wide_bracket(self, refine, monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 import chancompat.cli
 from chancompat import sdp
 from chancompat.linalg import partial_trace
+from chancompat.robustness import NoiseClass, channel_feasibility_problem
 from chancompat.validation import _eigenvalue_lp
-from conftest import random_hermitian
+from conftest import isometry_channel, random_channel, random_hermitian
 
 
 class TestCoordinates:
@@ -258,6 +259,43 @@ class TestBlockDiagonalIterate:
         sol = sdp.solve(prob)
         assert abs(-sol.objective_value - 0.5) < 1e-7
         assert sol.objective_value == sdp.solve(replace(prob, a=prob.a.copy())).objective_value
+
+
+def _random_pd_blocks(rng, problem, layout, dtype):
+    """A block-diagonal positive definite matrix on the program's blocks,
+    real on its real ones."""
+    n = layout[-1][1].stop
+    out = np.zeros((n, n), dtype)
+    for (d, real), (_, diag, _) in zip(problem.blocks.values(), layout):
+        g = rng.normal(size=(d, d)) + (0 if real else 1j * rng.normal(size=(d, d)))
+        out[diag, diag] = g @ g.conj().T + np.eye(d)
+    return out
+
+
+class TestSchurComplement:
+    @pytest.mark.parametrize("program", ["four_blocks", "complex_d28", "real_d48"])
+    def test_block_by_block_matches_the_dense_product(self, program, rng):
+        # the dense reference forms Re tr(A_i X A_j W) over the whole D x D
+        # iterate, zero off-diagonal blocks included
+        problem = {
+            "four_blocks": lambda: _shared_eigenvalue_lp(_four_blocks(rng)),
+            "complex_d28": lambda: channel_feasibility_problem(
+                random_channel(rng, 2, 2), random_channel(rng, 2, 4), None, NoiseClass.GENERIC),
+            "real_d48": lambda: channel_feasibility_problem(
+                *(isometry_channel(np.linalg.qr(rng.normal(size=(4, 2)))[0]) for _ in range(2)),
+                None, NoiseClass.GENERIC),
+        }[program]()
+        a = np.ascontiguousarray(problem.a)
+        _, _, layout, mats, flat, schur, _ = sdp._reduce(
+            a.tobytes(), a.shape, tuple(problem.blocks.values()), len(problem.scalars))
+        assert mats.shape[1] == {"four_blocks": 11, "complex_d28": 28, "real_d48": 48}[program]
+        x, z = (_random_pd_blocks(rng, problem, layout, mats.dtype) for _ in range(2))
+        w = np.linalg.inv(z)
+        assert not w[x == 0].any()   # Z^-1 keeps the zero off-diagonal blocks
+        dense = flat @ sdp._vec(x @ mats @ w).T
+        got = sdp._schur(x, w, *schur)
+        assert got.shape == dense.shape == (mats.shape[0],) * 2
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestProblemValidation:

@@ -125,6 +125,11 @@ class TestRisingSegments:
         ts = [0, 1, 2, 3, 4]
         assert rising_segments(ts, [0.0, 0.5, 0.5, 1.0, 0.2]) == [(0, 3)]
 
+    def test_dip_inside_dead_band_does_not_split_segment(self):
+        # a fall of 1e-3 < DEAD_BAND inside a rise neither closes the segment nor ends it
+        ts = [0, 1, 2, 3, 4]
+        assert rising_segments(ts, [0.0, 0.5, 0.499, 1.0, 0.2]) == [(0, 3)]
+
     def test_trailing_plateau_not_included(self):
         assert rising_segments([0, 1, 2, 3], [0.0, 0.5, 0.5, 0.2]) == [(0, 1)]
 
