@@ -194,10 +194,9 @@ def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int):
                    for blk, j, k, p, q in zip(blocks, starts, starts[1:], diags, diags[1:]))
     dtype = float if all(real for _, real in blocks) else complex
     mats = _embed(np.zeros((rank, diags[-1], diags[-1]), dtype), a, layout)
-    restricted = [mats[:, diag, diag] for _, diag, _ in layout]
-    sides = tuple((diag, r.transpose(1, 0, 2).reshape(r.shape[1], -1))
-                  for (_, diag, _), r in zip(layout, restricted))
-    packed = np.concatenate([_vec(r) for r in restricted], axis=1)
+    restricted = [(diag, mats[:, diag, diag]) for _, diag, _ in layout]
+    sides = tuple((diag, r.transpose(1, 0, 2).reshape(r.shape[1], -1)) for diag, r in restricted)
+    packed = np.concatenate([_vec(r) for _, r in restricted], axis=1)
     return (norms, (u, s[:rank]), layout, mats, _vec(mats), (sides, packed),
             a[:, starts[-1] : starts[-1] + n_free])
 
