@@ -51,11 +51,12 @@ class RobustnessResult:
     """r_star is trustworthy only when indeterminate is False, i.e. the
     solver's certified bracket (r_lo, r_hi), which contains r*, settles it:
     both ends lie in one grid cell, or a refined bracket is at most R_TOL
-    wide."""
+    wide. solution is the solve that gave it."""
 
     r_star: float
     indeterminate: bool = False
     bracket: tuple[float, float] | None = field(default=None, compare=False)
+    solution: sdp.SdpSolution | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.r_star <= MAX_MIXING:
@@ -207,7 +208,9 @@ def _clip(r: float) -> float:
     return min(max(r, 0.0), MAX_MIXING)
 
 
-def _robustness_value(problem: sdp.SdpProblem, refine: bool) -> RobustnessResult:
+def _robustness_value(
+    problem: sdp.SdpProblem, refine: bool, warm: RobustnessResult | None = None
+) -> RobustnessResult:
     """Solve a direct program once and report r itself (refine=True, with
     r <= R_TOL as 0) or its certified grid cell.
 
@@ -222,7 +225,8 @@ def _robustness_value(problem: sdp.SdpProblem, refine: bool) -> RobustnessResult
     def settled(lo: float, hi: float) -> bool:
         return hi <= R_TOL if refine else _grid(_clip(lo)) == _grid(hi)
 
-    sol = sdp.solve(problem, settled=settled)
+    start = None if warm is None or warm.indeterminate else warm.solution
+    sol = sdp.solve(problem, settled=settled, warm=start)
     r = _clip(sol.scalar_values["r"])
     lo, hi = (_clip(v) for v in sol.bracket or (0.0, MAX_MIXING))
     if refine:
@@ -230,7 +234,7 @@ def _robustness_value(problem: sdp.SdpProblem, refine: bool) -> RobustnessResult
     else:
         indeterminate = _grid(lo) != _grid(hi)
         r_star = _grid(r if indeterminate else hi)
-    return RobustnessResult(r_star, indeterminate, (lo, hi))
+    return RobustnessResult(r_star, indeterminate, (lo, hi), sol)
 
 
 def feasibility_q(ch1: Channel, ch2: Channel, r: float, noise: NoiseClass) -> float:
@@ -255,11 +259,14 @@ def robustness(
     ch2: Channel,
     noise: NoiseClass = NoiseClass.GENERIC,
     refine: bool = False,
+    warm: RobustnessResult | None = None,
 ) -> RobustnessResult:
     """Smallest grid multiple of DR at which the noisy pair turns compatible,
-    or with refine=True the solver's r itself."""
+    or with refine=True the solver's r itself. The solve starts from warm's
+    iterate (see sdp.solve) unless warm is indeterminate; a settled grid
+    value, the cell of r*, does not depend on the start."""
     problem = channel_feasibility_problem(ch1, ch2, None, NoiseClass(noise))
-    return _robustness_value(problem, refine)
+    return _robustness_value(problem, refine, warm)
 
 
 def measurement_robustness(m1: Povm, m2: Povm) -> RobustnessResult:
@@ -284,7 +291,10 @@ def sweep(
 
     The trace-distance column compares map2's images of |0><0| and |1><1|
     (map2 is the map under study), the first two diagonal blocks of its Choi
-    matrix, so map2 needs din >= 2. Each time point is solved cold.
+    matrix, so map2 needs din >= 2. A grid value starts from the previous
+    time point's settled result of its noise class, as consecutive programs
+    differ only a little in b; the first point and refined values are
+    solved cold, so records do not depend on where a sweep starts.
     """
     t_grid = list(t_grid)
     if not t_grid:
@@ -292,13 +302,14 @@ def sweep(
     if not 0 <= t_grid[0] <= t_grid[-1] < math.inf or any(not b > a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be nonnegative, finite and strictly increasing")
     classes = tuple(NoiseClass) if noise == "both" else (NoiseClass(noise),)
-    records = []
+    records, warm = [], {}
     for t in t_grid:
         ch1, ch2 = map1.evaluate(t), map2.evaluate(t)
         if ch2.din < 2:
             raise ValueError(f"trace distance needs two input states, but map2 has din={ch2.din}")
         d = ch2.dout
-        results = {nc: robustness(ch1, ch2, nc, refine=refine) for nc in classes}
+        results = {nc: robustness(ch1, ch2, nc, refine=refine, warm=warm.get(nc)) for nc in classes}
+        warm = {} if refine else results
         gen = results.get(NoiseClass.GENERIC)
         cd = results.get(NoiseClass.COMPLETELY_DEPOLARIZING)
         records.append(SweepRecord(

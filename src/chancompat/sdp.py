@@ -15,7 +15,8 @@ compiled once and only b follows the data.
 
 The solver follows the central path with HKM predictor-corrector steps
 (Helmberg, Rendl, Vanderbei and Wolkowicz; the Mehrotra corrector as in
-SDPT3), with no tuning: a grid value settles in about four iterations and a
+SDPT3), with no tuning: a grid value settles in about four iterations, or
+two from the iterate of a nearby program of its shape (a warm start), and a
 refined value runs to tolerance in about ten. Each program shape is
 factored once, cached on the content of a: an orthonormal row basis, and the
 rows as block-diagonal matrices. The iterate is one block-diagonal D x D
@@ -158,6 +159,8 @@ class SdpSolution:
     dual_objective: float
     seconds: float = field(compare=False)   # wall time of the solve
     bracket: tuple[float, float] | None = None   # (lower, upper) bound on the optimum
+    # the last iterate, for a warm start: (_reduce entry, X, Z, y, free scalars)
+    iterate: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _vec(h: np.ndarray) -> np.ndarray:
@@ -211,12 +214,17 @@ def solve(
     problem: SdpProblem,
     max_iters: int | None = None,
     settled: Callable[[float, float], bool] | None = None,
+    warm: SdpSolution | None = None,
 ) -> SdpSolution:
     """Solve a compiled problem by the interior-point method (see _step).
 
     X and the dual slack Z are block-diagonal D x D matrices, complex if any
     block is, with the blocks as diagonal slices. The iteration starts
-    infeasible, from X = Z = I, y = 0 and zero free scalars. Status
+    infeasible, from X = Z = I, y = 0 and zero free scalars; or, when warm
+    solved a program of the same cached shape, from warm's last iterate with
+    X and Z moved toward I by theta = min(1, |b - A x| / (1 + |b|)), the
+    share of the new b that it misses (Yildirim and Wright, SIAM J. Optim.
+    2002). Any other warm, like an evicted shape's, is ignored. Status
     "optimal": the relative primal and dual residuals and the relative
     duality gap are all at most DEFAULT_EPS, and so is the part of the
     row-normalized b outside the row space of a, relative to 1 + its norm.
@@ -242,10 +250,12 @@ def solve(
     """
     start = time.perf_counter()
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     check_dim_guard(problem.blocks)
     a_full, blocks = np.ascontiguousarray(problem.a, dtype=float), tuple(problem.blocks.values())
-    norms, (u, s), layout, mats, flat, schur, a_free = _reduce(
-        a_full.tobytes(), a_full.shape, blocks, len(problem.scalars))
+    reduced = _reduce(a_full.tobytes(), a_full.shape, blocks, len(problem.scalars))
+    norms, (u, s), layout, mats, flat, schur, a_free = reduced
     b_unit = problem.b / norms
     b, leak = (u.T @ b_unit) / s, b_unit - u @ (u.T @ b_unit)
     consistent = np.linalg.norm(leak) <= DEFAULT_EPS * (1.0 + np.linalg.norm(b_unit))
@@ -255,6 +265,10 @@ def solve(
     c_free, x = problem.c[problem.c.size - len(problem.scalars) :], np.eye(len(c), dtype=c.dtype)
     z, y, xf = x.copy(), np.zeros(b.size), np.zeros(c_free.size)
     b_norm, c_norm = np.linalg.norm(b), np.linalg.norm(problem.c)
+    if warm is not None and warm.iterate is not None and warm.iterate[0] is reduced:
+        _, x_old, z_old, y, xf = warm.iterate
+        theta = min(1.0, np.linalg.norm(b - flat @ _vec(x_old) - a_free @ xf) / (1.0 + b_norm))
+        x, z = (1 - theta) * x_old + theta * x, (1 - theta) * z_old + theta * z
     status, iterations, bracket = "max_iterations", 0, None
     with np.errstate(all="ignore"):    # a non-finite step is caught below
         while True:
@@ -303,6 +317,7 @@ def solve(
         dual_objective=float(dobj),
         seconds=time.perf_counter() - start,
         bracket=bracket,
+        iterate=(reduced, x, z, y, xf),
     )
 
 

@@ -29,6 +29,15 @@ def isometry_channel(v):
     return Channel(v.shape[1], v.shape[0], np.outer(vec, vec.conj()))
 
 
+def assert_same_solve(s1, s2):
+    """Bit for bit the same solve: every reported number and the last iterate."""
+    fields = ("status", "iterations", "objective_value", "dual_objective", "bracket", "scalar_values")
+    assert [getattr(s1, f) for f in fields] == [getattr(s2, f) for f in fields]
+    assert s1.block_values.keys() == s2.block_values.keys()
+    assert all(np.array_equal(s1.block_values[k], s2.block_values[k]) for k in s1.block_values)
+    assert all(np.array_equal(a, b) for a, b in zip(s1.iterate[1:], s2.iterate[1:]))
+
+
 def trine_povm():
     """Qubit trine: effects (2/3)|psi(theta)><psi(theta)| with
     |psi(theta)> = (cos theta/2, sin theta/2), theta in {0, 2pi/3, 4pi/3}."""

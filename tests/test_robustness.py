@@ -1,6 +1,7 @@
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from chancompat import sdp
 from chancompat.channels import (
     Channel,
     Povm,
+    channel_from_json,
     compose,
+    constant_map,
     depolarizing_choi,
     depolarizing_map,
     eternal_choi,
@@ -35,7 +38,7 @@ from chancompat.robustness import (
 )
 from chancompat.validation import _figure_records, random_basis
 from chancompat.witness import indivisibility_from_curve
-from conftest import isometry_channel, random_channel, trine_povm
+from conftest import assert_same_solve, isometry_channel, random_channel, trine_povm
 
 CD = NoiseClass.COMPLETELY_DEPOLARIZING
 GEN = NoiseClass.GENERIC
@@ -191,6 +194,53 @@ class TestDataProcessing:
                 assert indivisibility_from_curve(range(11), curve).n_raw == 0
                 positive += sum(r > 0 for r in curve)
         assert positive >= 50
+
+
+def _superoperator(ch: Channel) -> np.ndarray:
+    """S with vec(L(rho)) = S vec(rho), row-major vec: S[(k, l), (i, j)] =
+    <k|L(|i><j|)|l>, which is the Choi entry [(i, k), (j, l)] (input first)."""
+    return ch.choi.reshape(ch.din, ch.dout, ch.din, ch.dout).transpose(1, 3, 0, 2).reshape(
+        ch.dout**2, ch.din**2)
+
+
+def _divisible_on(dmap, t0: float, t1: float) -> bool:
+    """Rivas, Huelga and Plenio: the step t0 -> t1 of a qubit map is
+    CP-divisible when L(t0) is invertible and the intermediate map
+    V = L(t1) o L(t0)^-1 is CP, i.e. its Choi matrix is >= -1e-9."""
+    s0 = _superoperator(dmap.evaluate(t0))
+    if np.linalg.svd(s0, compute_uv=False)[-1] < 1e-9:
+        return False
+    v = (_superoperator(dmap.evaluate(t1)) @ np.linalg.inv(s0)).reshape(2, 2, 2, 2)
+    return np.linalg.eigvalsh(v.transpose(2, 0, 3, 1).reshape(4, 4))[0] >= -1e-9
+
+
+class TestIntermediateMapOracle:
+    """The paper: r can rise only where the pair's maps are CP-indivisible.
+    The intermediate-map test marks those intervals of the default grid
+    directly, and each rise of a refined r (by more than 1e-7, per interval
+    and noise class) must fall in one. Figures 4 and 5 rise on every
+    indivisible interval, in both classes; the eternal map of figure 6 is
+    indivisible on all but one and never rises, so the converse fails."""
+
+    @pytest.mark.parametrize("fig, indivisible, rises", [(1, 0, 0), (4, 50, 100), (5, 50, 100), (6, 99, 0)])
+    def test_rises_lie_on_indivisible_intervals(self, fig, indivisible, rises):
+        spec, grid = FIGURES[fig], default_t_grid()
+        marked = {
+            k for k, (t0, t1) in enumerate(zip(grid, grid[1:]))
+            if not (_divisible_on(spec.map1, t0, t1) and _divisible_on(spec.map2, t0, t1))
+        }
+        records = sweep(spec.map1, spec.map2, grid, refine=True)
+        assert not any(rec.indeterminate for rec in records)
+        rising = {
+            (k, nc) for k, (a, b) in enumerate(zip(records, records[1:])) for nc in NoiseClass
+            if b.r(nc) - a.r(nc) > 1e-7
+        }
+        assert {k for k, _ in rising} <= marked
+        assert len(marked) >= indivisible and len(rising) >= rises
+        if fig in (1, 6):
+            assert len(marked) == indivisible and not rising
+        else:    # the two-way match, class by class
+            assert all({k for k, n in rising if n is nc} == marked for nc in NoiseClass)
 
 
 def test_size_guard_runs_before_compiling(monkeypatch):
@@ -522,11 +572,13 @@ class TestBracket:
         # the brackets of solves stopped at their grid cell still contain r*
         spec = FIGURES[fig]
         closed_form = closed_form_r_cd if noise is CD else closed_form_r_generic
-        for t in default_t_grid():
+        # and the figure's sweep, whose solves start warm, reports these cold values
+        for t, rec in zip(default_t_grid(), _figure_records(fig), strict=True):
             res = robustness(spec.map1.evaluate(t), spec.map2.evaluate(t), noise)
             r_cf = closed_form(*FIGURE_WEIGHTS[fig](t))
             lo, hi = res.bracket
             assert not res.indeterminate and lo <= r_cf <= hi, (t, res.bracket, r_cf)
+            assert rec.r(noise) == res.r_star and rec.t == t
 
     def test_refined_values_lie_in_their_brackets(self, rng):
         # a refined value is the iterate's r, not an end of the bracket: it
@@ -568,3 +620,111 @@ class TestBracket:
         assert res.r_star == 0.0 and not res.indeterminate
         assert 0.0 <= res.bracket[0] <= res.bracket[1] <= R_TOL
         assert feasibility_q(ch1, ch2, R_TOL, noise) >= 0
+
+
+def _phase_gate_pair():
+    """The complex custom pair of the CLI: the noisy phase gate, held
+    constant, against the CP-indivisible depolarizing map."""
+    choi = (Path(__file__).parent / "data" / "phase_gate_noisy.json").read_text()
+    return constant_map(channel_from_json(choi)), depolarizing_map(LAM, OMEGA)
+
+
+def _cold_records(map1, map2, grid, refine=False):
+    """A sweep's records from one cold robustness call per point and class."""
+    return [sweep(map1, map2, [t], refine=refine)[0] for t in grid]
+
+
+class TestWarmStart:
+    """A grid value of a sweep starts from the previous point's iterate; the
+    value it reports is the grid cell of r*, whatever the start."""
+
+    @pytest.mark.parametrize("fig", sorted(FIGURES))
+    def test_sweep_records_are_the_cold_values(self, fig):
+        # on the default grid, test_grid_brackets_contain_closed_form compares
+        # figures 1-4 with their cold values, and figure 7 is figure 4's pair
+        spec, fine = FIGURES[fig], default_t_grid(t_step=0.05)
+        records = sweep(spec.map1, spec.map2, fine)
+        assert records == _cold_records(spec.map1, spec.map2, fine)
+        if fig in (5, 6):
+            assert list(_figure_records(fig)) == _cold_records(spec.map1, spec.map2, default_t_grid())
+        if fig == 7:
+            assert [rec.r(nc) for rec in _figure_records(7) for nc in NoiseClass] == [
+                rec.r(nc) for rec in _figure_records(4) for nc in NoiseClass]
+        assert not any(rec.indeterminate for rec in records + list(_figure_records(fig)))
+
+    def test_sweep_takes_at_most_seven_tenths_of_the_cold_iterations(self, monkeypatch):
+        spec, solve, iterations = FIGURES[1], sdp.solve, []
+
+        def counting(problem, **kwargs):
+            sol = solve(problem, **kwargs)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(sdp, "solve", counting)
+        warm = sweep(spec.map1, spec.map2, default_t_grid())
+        warm_sum, iterations[:] = sum(iterations), []
+        cold = _cold_records(spec.map1, spec.map2, default_t_grid())
+        assert warm == cold and len(iterations) == 202
+        assert warm_sum <= 0.7 * sum(iterations), (warm_sum, sum(iterations))
+
+    def test_indeterminate_result_gives_no_start(self, monkeypatch):
+        spec = FIGURES[4]
+        ch1, ch2 = spec.map2.evaluate(0.2), spec.map2.evaluate(0.21)
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "DEFAULT_MAX_ITERS", 2)
+            stalled = robustness(ch1, ch1, GEN)
+        assert stalled.indeterminate
+        cold = robustness(ch2, ch2, GEN)
+        warm = robustness(ch2, ch2, GEN, warm=stalled)
+        assert (warm.r_star, warm.bracket) == (cold.r_star, cold.bracket)
+        assert_same_solve(warm.solution, cold.solution)
+        # a settled result of the same shape does give the start
+        settled = robustness(ch1, ch1, GEN)
+        assert robustness(ch2, ch2, GEN, warm=settled).solution.iterations < cold.solution.iterations
+
+    def test_sweep_starts_from_the_previous_settled_result_of_its_class(self, monkeypatch):
+        module, solve, results, starts = sys.modules["chancompat.robustness"], sdp.solve, [], []
+
+        def marking(*args, **kwargs):
+            res = robustness(*args, **kwargs)
+            if len(results) == 3:    # t = 0.1 comes back unsettled in the CD column
+                res = replace(res, indeterminate=True)
+            results.append(res)
+            return res
+
+        def recording(problem, **kwargs):
+            starts.append(kwargs["warm"])
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(module, "robustness", marking)
+        monkeypatch.setattr(sdp, "solve", recording)
+        sweep(identity_map(), depolarizing_map(0.5), [0.0, 0.1, 0.2, 0.3])
+        assert starts[:2] == [None, None] and starts[5] is None
+        assert all(starts[k] is results[k - 2].solution for k in (2, 3, 4, 6, 7))
+
+    @pytest.mark.parametrize("pair", ["fig4", "fig6", "phase-gate"])
+    def test_split_sweep_gives_the_whole_sweep(self, pair):
+        map1, map2 = _phase_gate_pair() if pair == "phase-gate" else (
+            FIGURES[int(pair[3:])].map1, FIGURES[int(pair[3:])].map2)
+        grid = default_t_grid(t_step=0.1)
+        whole = sweep(map1, map2, grid)
+        # the first part of a split is the whole sweep's own start, replayed
+        # bit for bit; the second part starts cold at grid[k]
+        assert sweep(map1, map2, grid[:5]) == whole[:5]
+        for k in range(1, len(grid) - 1):
+            assert sweep(map1, map2, grid[k:]) == whole[k:], grid[k]
+
+    @pytest.mark.parametrize("pair", ["fig4", "phase-gate"])
+    def test_refined_sweep_is_the_cold_one(self, pair, monkeypatch):
+        map1, map2 = _phase_gate_pair() if pair == "phase-gate" else (FIGURES[4].map1, FIGURES[4].map2)
+        grid = default_t_grid(t_step=0.1)
+        solve, starts = sdp.solve, []
+
+        def recording(problem, **kwargs):
+            starts.append(kwargs.get("warm"))
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", recording)
+        refined = sweep(map1, map2, grid, refine=True)
+        assert starts == [None] * 2 * len(grid)
+        assert refined == _cold_records(map1, map2, grid, refine=True)

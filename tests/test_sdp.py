@@ -9,7 +9,7 @@ from chancompat import sdp
 from chancompat.linalg import partial_trace
 from chancompat.robustness import NoiseClass, channel_feasibility_problem
 from chancompat.validation import _eigenvalue_lp
-from conftest import isometry_channel, random_channel, random_hermitian
+from conftest import assert_same_solve, isometry_channel, random_channel, random_hermitian
 
 
 class TestCoordinates:
@@ -145,6 +145,12 @@ class TestSolve:
         assert sol.iterations == 3
         assert sdp.solve(problem, max_iters=0).iterations == 0
 
+    def test_negative_max_iters_is_rejected(self, rng):
+        # iterations == max_iters never holds below 0, so -1 would lift the cap
+        problem = _eigenvalue_lp(random_hermitian(rng, 4), real=False)
+        with pytest.raises(ValueError, match="max_iters must be nonnegative, got -1"):
+            sdp.solve(problem, max_iters=-1)
+
     def test_failed_factorization_returns_the_last_iterate(self, rng, monkeypatch):
         # a LinAlgError inside a step ends the solve, like a non-finite step
         problem = _eigenvalue_lp(random_hermitian(rng, 4), real=False)
@@ -259,6 +265,70 @@ class TestBlockDiagonalIterate:
         sol = sdp.solve(prob)
         assert abs(-sol.objective_value - 0.5) < 1e-7
         assert sol.objective_value == sdp.solve(replace(prob, a=prob.a.copy())).objective_value
+
+
+class TestWarmStart:
+    def test_nearby_program_converges_in_fewer_iterations(self, rng):
+        # the eigenvalue LP keeps a and c; only b = pack(h) moves
+        h = random_hermitian(rng, 4)
+        old = sdp.solve(_eigenvalue_lp(h, real=False))
+        problem = _eigenvalue_lp(h + 1e-3 * random_hermitian(rng, 4), real=False)
+        cold, warm = sdp.solve(problem), sdp.solve(problem, warm=old)
+        assert cold.status == warm.status == "optimal"
+        assert abs(warm.objective_value - cold.objective_value) <= 1e-8
+        assert warm.iterations < cold.iterations
+        # its own converged iterate is already optimal
+        assert sdp.solve(problem, warm=cold).iterations == 0
+
+    @pytest.mark.parametrize("other", ["cd-generic", "real-complex", "eigenvalue-lp"])
+    def test_start_from_another_shape_replays_the_cold_solve(self, other, rng):
+        ch1, ch2 = random_channel(rng), random_channel(rng)
+        ident = isometry_channel(np.eye(2))
+        problem, donor = {
+            "cd-generic": (
+                channel_feasibility_problem(ident, ident, None, NoiseClass.COMPLETELY_DEPOLARIZING),
+                channel_feasibility_problem(ident, ident, None, NoiseClass.GENERIC),
+            ),
+            "real-complex": (
+                channel_feasibility_problem(ident, ident, None, NoiseClass.GENERIC),
+                channel_feasibility_problem(ch1, ch2, None, NoiseClass.GENERIC),
+            ),
+            "eigenvalue-lp": (
+                channel_feasibility_problem(ch1, ch2, None, NoiseClass.GENERIC),
+                _eigenvalue_lp(random_hermitian(rng, 4), real=False),
+            ),
+        }[other]
+        cold = sdp.solve(problem)
+        assert_same_solve(sdp.solve(problem, warm=sdp.solve(donor)), cold)
+        assert_same_solve(sdp.solve(donor, warm=cold), sdp.solve(donor))
+
+    def test_start_from_an_evicted_shape_replays_the_cold_solve(self, rng):
+        problem = _eigenvalue_lp(random_hermitian(rng, 4), real=False)
+        old = sdp.solve(problem)
+        assert sdp.solve(problem, warm=old).iterations == 0
+        sdp._reduce.cache_clear()    # the shape is factored anew
+        cold = sdp.solve(problem)
+        assert cold.iterations > 0
+        assert_same_solve(sdp.solve(problem, warm=old), cold)
+
+    def test_start_is_moved_toward_the_identity_by_the_missed_share_of_b(self):
+        # theta = |b - A x_old - A_free xf_old| / (1 + |b|) in the reduced
+        # coordinates, and X and Z both move theta of the way to 1
+        h = np.diag([1.0, 2.0, 3.0, 4.0])
+        old = sdp.solve(_eigenvalue_lp(h, real=True), max_iters=3)
+        problem = _eigenvalue_lp(2 * h, real=True)
+        start = sdp.solve(problem, warm=old, max_iters=0)
+        reduced, x_old, z_old, _, xf_old = old.iterate
+        norms, (u, s), _, _, flat, _, a_free = reduced
+        b = u.T @ (problem.b / norms) / s
+        theta = np.linalg.norm(b - flat @ sdp._vec(x_old) - a_free @ xf_old) / (1 + np.linalg.norm(b))
+        assert 0 < theta < 1
+        eye = np.eye(len(x_old))
+        assert np.allclose(start.iterate[1], (1 - theta) * x_old + theta * eye, rtol=0, atol=1e-14)
+        assert np.allclose(start.iterate[2], (1 - theta) * z_old + theta * eye, rtol=0, atol=1e-14)
+        # a residual as large as 1 + |b| caps theta at 1: the cold start
+        far = sdp.solve(_eigenvalue_lp(-h, real=True), warm=old, max_iters=0)
+        assert np.array_equal(far.iterate[1], eye) and np.array_equal(far.iterate[2], eye)
 
 
 def _random_pd_blocks(rng, problem, layout, dtype):
