@@ -217,17 +217,6 @@ def measurement_channel(m: Povm) -> Channel:
     return Channel(m.dimension, len(m), choi)
 
 
-def channel_to_json(ch: Channel) -> str:
-    return json.dumps(
-        {
-            "din": ch.din,
-            "dout": ch.dout,
-            "choi_re": ch.choi.real.tolist(),
-            "choi_im": ch.choi.imag.tolist(),
-        }
-    )
-
-
 def channel_from_json(text: str) -> Channel:
     data = json.loads(text)
     try:

@@ -14,7 +14,8 @@ channel of --choi (for --family) or --choi2 (for --family2).
 CSV output uses 9 significant digits, '\\n' line endings, and a fixed column
 order, so repeated runs with the same configuration are byte-identical. A
 command whose solves did not all converge names their times on stderr and
-exits 1.
+exits 1. Bad input exits 2, an unreadable --choi/--choi2 among it, with a
+message that names the flag; an -o that cannot be written exits 1.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ def _sweep_map(args, position: str) -> DynamicalMap:
         raise UsageError(f"--choi{position} is read only with --family{position} custom")
     if path is None:
         return _family_map(name, args)
-    return constant_map(channel_from_json(Path(path).read_text()))
+    try:
+        return constant_map(channel_from_json(Path(path).read_text()))
+    except (OSError, ValueError) as exc:    # an input: exit 2, naming its flag
+        raise ValueError(f"--choi{position}: {exc}") from exc
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -210,10 +214,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except OSError as exc:    # only -o is left: _sweep_map reads every input
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
 

@@ -176,7 +176,6 @@ def channel_feasibility_problem(
         c=c,
         certificate=None if r is not None else sdp.Certificate(
             trace_bound=2.0 * (din + n_in),
-            scalar_bounds=(0.0, MAX_MIXING),
             interior_value=1.0 + d1 * d2,
             interior_margin=1.0,
         ),

@@ -18,13 +18,14 @@ The solver follows the central path with HKM predictor-corrector steps
 SDPT3), with no tuning: a grid value settles in about four iterations, or
 two from the iterate of a nearby program of its shape (a warm start), and a
 refined value runs to tolerance in about ten. Each program shape is
-factored once, cached on the content of a: an orthonormal row basis, and the
-rows as block-diagonal matrices. The iterate is one block-diagonal D x D
-matrix, D the sum of the block dimensions, so that each iteration makes one
-call per numpy.linalg kernel however many blocks there are; the Schur
-complement alone is formed block by block, as SDPT3 and SDPA do. It runs on
-numpy.linalg alone, in a fixed order, so identical problems replay bitwise
-identically.
+factored once, cached on the content of a: an orthonormal row basis with
+the free scalars eliminated (Anjos and Burer, SIAM J. Optim. 2007), and its
+rows on the PSD blocks alone as block-diagonal matrices. The iterate is one
+block-diagonal D x D matrix, D the sum of the block dimensions, so that each
+iteration makes one call per numpy.linalg kernel however many blocks there
+are; the Schur complement alone is formed block by block, as SDPT3 and SDPA
+do. It runs on numpy.linalg alone, in a fixed order, so identical problems
+replay bitwise identically.
 """
 
 from __future__ import annotations
@@ -106,12 +107,10 @@ def linear_map_matrix(
 class Certificate:
     """What a program needs for a bracket of its optimum at every
     iterate (see solve): on the feasible points that can be optimal, the
-    trace of all blocks together is at most trace_bound and each free scalar
-    is at most its scalar_bounds entry in size; and some feasible point has
-    objective interior_value and every block >= interior_margin * 1."""
+    trace of all blocks together is at most trace_bound; and some feasible
+    point has objective interior_value and every block >= interior_margin * 1."""
 
     trace_bound: float
-    scalar_bounds: tuple[float, ...]
     interior_value: float
     interior_margin: float
 
@@ -139,8 +138,6 @@ class SdpProblem:
                 f"shapes a {self.a.shape}, b {self.b.shape}, c {self.c.shape} do not fit"
                 f" {n} coordinates"
             )
-        if self.certificate is not None and len(self.certificate.scalar_bounds) != len(self.scalars):
-            raise SdpBuildError("a certificate needs one bound per scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +156,7 @@ class SdpSolution:
     dual_objective: float
     seconds: float = field(compare=False)   # wall time of the solve
     bracket: tuple[float, float] | None = None   # (lower, upper) bound on the optimum
-    # the last iterate, for a warm start: (_reduce entry, X, Z, y, free scalars)
+    # the last iterate, for a warm start: (_reduce entry, X, Z, y)
     iterate: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -179,29 +176,36 @@ def _embed(out: np.ndarray, coords: np.ndarray, layout) -> np.ndarray:
 def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int):
     """The factored shape of a program, keyed on the content of a: the row
     norms, the kept left singular vectors and values, per block its pack
-    coordinates, diagonal slice and _coord_map, the reduced rows as (m, D, D)
-    block-diagonal matrices and as their real buffers, the rows restricted
+    coordinates, diagonal slice and _coord_map, the PSD-only rows as (m, D, D)
+    block-diagonal matrices and as their real buffers, those rows restricted
     to each block in the two layouts from which _schur forms the Schur
-    complement block by block, and the reduced free-scalar columns. Rows are
-    normalized, then made orthonormal by an SVD whose singular values below
-    max(shape) * 1e-12 * s_0 drop out with the dependent rows."""
+    complement block by block, and (A_psd, N, lift). Rows are normalized,
+    then made orthonormal by an SVD whose singular values below
+    max(shape) * 1e-12 * s_0 drop out with the dependent rows. A complete QR
+    [Q_f | N] [R; 0] of their free-scalar columns A_f gives x_f = lift @
+    (b - A_psd x), lift = R^-1 Q_f^T, and the PSD-only rows N^T A_psd, still
+    orthonormal as N^T A_f = 0; a singular R is an SdpBuildError."""
     a_full = np.frombuffer(a_bytes).reshape(shape)
     norms = np.linalg.norm(a_full, axis=1)
     norms[norms == 0] = 1.0
     u, s, vt = np.linalg.svd(a_full / norms[:, None], full_matrices=False)
     rank = int(np.sum(s > max(shape) * 1e-12 * s[0])) if s.size else 0
-    a, u = vt[:rank], u[:, :rank]
+    a_psd, u = vt[:rank, : shape[1] - n_free], u[:, :rank]
+    basis, tri = np.linalg.qr(vt[:rank, shape[1] - n_free :], mode="complete")
+    if np.sum(np.abs(np.diag(tri)) > max(shape) * 1e-12) < n_free:
+        raise SdpBuildError("the equalities leave a free scalar undetermined")
+    a = basis[:, n_free:].T @ a_psd
     starts = np.cumsum([0] + [vec_size(d, real) for d, real in blocks])
     diags = np.cumsum([0] + [d for d, _ in blocks])
     layout = tuple((slice(j, k), slice(p, q), _coord_map(*blk))
                    for blk, j, k, p, q in zip(blocks, starts, starts[1:], diags, diags[1:]))
     dtype = float if all(real for _, real in blocks) else complex
-    mats = _embed(np.zeros((rank, diags[-1], diags[-1]), dtype), a, layout)
+    mats = _embed(np.zeros((a.shape[0], diags[-1], diags[-1]), dtype), a, layout)
     restricted = [(diag, mats[:, diag, diag]) for _, diag, _ in layout]
     sides = tuple((diag, r.transpose(1, 0, 2).reshape(r.shape[1], -1)) for diag, r in restricted)
     packed = np.concatenate([_vec(r) for _, r in restricted], axis=1)
-    return (norms, (u, s[:rank]), layout, mats, _vec(mats), (sides, packed),
-            a[:, starts[-1] : starts[-1] + n_free])
+    free = (a_psd, basis[:, n_free:], np.linalg.solve(tri[:n_free], basis[:, :n_free].T))
+    return norms, (u, s[:rank]), layout, mats, _vec(mats), (sides, packed), free
 
 
 def check_dim_guard(blocks: dict[str, tuple[int, bool]]) -> None:
@@ -218,35 +222,39 @@ def solve(
 ) -> SdpSolution:
     """Solve a compiled problem by the interior-point method (see _step).
 
-    X and the dual slack Z are block-diagonal D x D matrices, complex if any
-    block is, with the blocks as diagonal slices. The iteration starts
-    infeasible, from X = Z = I, y = 0 and zero free scalars; or, when warm
-    solved a program of the same cached shape, from warm's last iterate with
-    X and Z moved toward I by theta = min(1, |b - A x| / (1 + |b|)), the
-    share of the new b that it misses (Yildirim and Wright, SIAM J. Optim.
-    2002). Any other warm, like an evicted shape's, is ignored. Status
-    "optimal": the relative primal and dual residuals and the relative
-    duality gap are all at most DEFAULT_EPS, and so is the part of the
-    row-normalized b outside the row space of a, relative to 1 + its norm.
-    Otherwise "max_iterations": the cap was reached, a step came out
+    The iteration sees the PSD blocks alone (see _reduce): with y0 =
+    lift^T c_f, the free scalars' objective c_f @ x_f is y0 @ (b - A_psd x),
+    so the blocks' objective becomes C - A_psd^T y0 plus the constant b @ y0,
+    and x_f is recovered at exit. X and the dual slack Z are block-diagonal
+    D x D matrices, complex if any block is, with the blocks as diagonal
+    slices. The iteration starts infeasible, from X = Z = I and y = 0; or,
+    when warm solved a program of the same cached shape, from warm's last
+    iterate with X and Z moved toward I by theta = min(1, |b - A x| /
+    (1 + |b|)), the share of the new b that it misses (Yildirim and Wright,
+    SIAM J. Optim. 2002). Any other warm, like an evicted shape's, is
+    ignored. Status "optimal": the relative primal and dual residuals and
+    the relative duality gap are all at most DEFAULT_EPS, and so is the part
+    of the row-normalized b outside the row space of a, relative to 1 + its
+    norm. Otherwise "max_iterations": the cap was reached, a step came out
     non-finite and the last finite iterate is returned, or the equalities
     are inconsistent; a program with no feasible point ends so too.
     objective_value is that of the primal iterate and dual_objective that of
-    the dual one. Problems whose embedded PSD dimension exceeds DIM_GUARD
-    are rejected before iterating.
+    the dual one. Problems whose embedded PSD dimension exceeds DIM_GUARD,
+    or whose equalities leave a free scalar undetermined, are rejected
+    before iterating.
 
     A problem with a Certificate and consistent equalities gets a bracket
     [lo, hi] of its optimum at every iterate, from the residuals the
     iteration forms anyway (the rigorous bounds of Jansson, Chaykin and
-    Keil, SIAM J. Numer. Anal. 2007). lo is weak duality: as Z > 0,
-    c @ x >= b @ y - trace_bound * |R_d|_F - sum_i scalar_bounds_i * |R_d,i|
-    on the feasible points the certificate covers. hi comes from a feasible
-    point: moving the iterate by a^T R_p onto a @ x = b (a has orthonormal
-    reduced rows) changes the objective by at most |c| delta, delta = |R_p|,
-    and leaves every eigenvalue >= -delta; mixing in the certificate's
-    interior point with weight delta / (interior_margin + delta) restores
-    X >= 0. solution.bracket is the last one; when settled(lo, hi) holds,
-    the loop ends there with status "bracketed".
+    Keil, SIAM J. Numer. Anal. 2007). lo is weak duality: as Z > 0 and the
+    dual y0 + N y meets the free scalars' rows exactly, c @ x >= b @ y -
+    trace_bound * |R_d|_F on the feasible points the certificate covers. hi
+    comes from a feasible point: moving the iterate by A^T R_p onto A x = b
+    (A has orthonormal rows) changes the objective by at most |C| delta,
+    delta = |R_p|, and leaves every eigenvalue >= -delta; mixing in the
+    certificate's interior point with weight delta / (interior_margin +
+    delta) restores X >= 0. solution.bracket is the last one; when
+    settled(lo, hi) holds, the loop ends there with status "bracketed".
     """
     start = time.perf_counter()
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
@@ -255,32 +263,33 @@ def solve(
     check_dim_guard(problem.blocks)
     a_full, blocks = np.ascontiguousarray(problem.a, dtype=float), tuple(problem.blocks.values())
     reduced = _reduce(a_full.tobytes(), a_full.shape, blocks, len(problem.scalars))
-    norms, (u, s), layout, mats, flat, schur, a_free = reduced
+    norms, (u, s), layout, mats, flat, schur, (a_psd, null, lift) = reduced
     b_unit = problem.b / norms
-    b, leak = (u.T @ b_unit) / s, b_unit - u @ (u.T @ b_unit)
+    b_full, leak = (u.T @ b_unit) / s, b_unit - u @ (u.T @ b_unit)
     consistent = np.linalg.norm(leak) <= DEFAULT_EPS * (1.0 + np.linalg.norm(b_unit))
     cert = problem.certificate if consistent else None
-    # X, Z and C are D x D matrices; y and the free scalars xf are vectors
-    c = _embed(np.zeros(mats.shape[1:], mats.dtype), problem.c, layout)
-    c_free, x = problem.c[problem.c.size - len(problem.scalars) :], np.eye(len(c), dtype=c.dtype)
-    z, y, xf = x.copy(), np.zeros(b.size), np.zeros(c_free.size)
-    b_norm, c_norm = np.linalg.norm(b), np.linalg.norm(problem.c)
+    n_psd, y0 = a_psd.shape[1], problem.c[a_psd.shape[1] :] @ lift
+    b, offset = null.T @ b_full, y0 @ b_full
+    # X, Z and C are D x D matrices, y a vector
+    c = _embed(np.zeros(mats.shape[1:], mats.dtype), problem.c[:n_psd] - y0 @ a_psd, layout)
+    x, y = np.eye(len(c), dtype=c.dtype), np.zeros(b.size)
+    z = x.copy()
+    b_norm, c_norm = np.linalg.norm(b), np.linalg.norm(c)
     if warm is not None and warm.iterate is not None and warm.iterate[0] is reduced:
-        _, x_old, z_old, y, xf = warm.iterate
-        theta = min(1.0, np.linalg.norm(b - flat @ _vec(x_old) - a_free @ xf) / (1.0 + b_norm))
+        _, x_old, z_old, y = warm.iterate
+        theta = min(1.0, np.linalg.norm(b - flat @ _vec(x_old)) / (1.0 + b_norm))
         x, z = (1 - theta) * x_old + theta * x, (1 - theta) * z_old + theta * z
     status, iterations, bracket = "max_iterations", 0, None
     with np.errstate(all="ignore"):    # a non-finite step is caught below
         while True:
             rd = c - (y @ flat).view(c.dtype).reshape(c.shape) - z
-            rp, rdf = b - flat @ _vec(x) - a_free @ xf, c_free - y @ a_free
-            pobj, dobj = np.vdot(c, x).real + c_free @ xf, b @ y
-            rd_sq, rp_norm = np.vdot(rd, rd).real, np.linalg.norm(rp)
-            rd_norm = np.sqrt(rd_sq + rdf @ rdf)
+            rp = b - flat @ _vec(x)
+            pobj, dobj = np.vdot(c, x).real + offset, b @ y + offset
+            rd_norm, rp_norm = np.linalg.norm(rd), np.linalg.norm(rp)
             if cert is not None:
                 shift = c_norm * rp_norm
                 bracket = (
-                    float(dobj - cert.trace_bound * np.sqrt(rd_sq) - np.abs(rdf) @ cert.scalar_bounds),
+                    float(dobj - cert.trace_bound * rd_norm),
                     float(pobj + shift + rp_norm * (abs(cert.interior_value) + abs(pobj) + shift)
                           / cert.interior_margin),
                 )
@@ -294,30 +303,31 @@ def solve(
             if iterations == max_iters:
                 break
             try:
-                step = _step(x, z, y, xf, rp, rd, rdf, flat, schur, a_free)
+                step = _step(x, z, y, rp, rd, flat, schur)
             except np.linalg.LinAlgError:
                 break
             if not all(np.isfinite(v).all() for v in step):
                 break
-            x, z, y, xf = step
+            x, z, y = step
             iterations += 1
 
-    x_pack, values = np.concatenate([np.zeros(a_full.shape[1] - xf.size), xf]), {}
+    x_pack, values = np.zeros(a_full.shape[1]), {}
     for (name, (_, real)), (cols, diag, _) in zip(problem.blocks.items(), layout):
         values[name] = (x[diag, diag].real if real else x[diag, diag]).copy()
         x_pack[cols] = pack(values[name], real)
+    x_pack[n_psd:] = lift @ (b_full - a_psd @ x_pack[:n_psd])
     return SdpSolution(
         status=status,
         objective_value=float(problem.c @ x_pack),
         block_values=values,
-        scalar_values=dict(zip(problem.scalars, map(float, xf))),
+        scalar_values=dict(zip(problem.scalars, map(float, x_pack[n_psd:]))),
         primal_residual=float(np.max(np.abs(a_full @ x_pack - problem.b), initial=0.0)),
         dual_residual=float(rd_norm),
         iterations=iterations,
         dual_objective=float(dobj),
         seconds=time.perf_counter() - start,
         bracket=bracket,
-        iterate=(reduced, x, z, y, xf),
+        iterate=(reduced, x, z, y),
     )
 
 
@@ -339,48 +349,46 @@ def _schur(x, w, sides, packed):
     return packed @ np.concatenate(prods, axis=1).view(float).T
 
 
-def _step(x, z, y, xf, rp, rd, rdf, flat, schur, a_free):
+def _step(x, z, y, rp, rd, flat, schur):
     """One Mehrotra predictor-corrector step along the HKM direction.
 
-    Both directions solve the Schur system M = A H A^T of the operator
-    H(S) = sym(X S Z^-1), bordered by the free-scalar columns of a: the
-    predictor for sigma = 0, the corrector for sigma = (mu_aff / mu)^3 with
-    the second-order term -dX_aff dZ_aff. The primal and the dual iterate
-    each move BOUNDARY_FRACTION of the way to the cone boundary, at most a
-    full step. Cholesky factors, inverses and products of block-diagonal
-    matrices keep the off-diagonal blocks exactly 0, so one Cholesky factor
-    and one inverse of the stacked [X; Z] serve every block, and one eigh of
-    the stacked primal and dual directions gives each step length. The Schur
-    matrix, the one product over all m rows, is formed block by block
-    (_schur). Returns the new (x, z, y, xf).
+    Both directions solve the Schur system M dy = r of the operator
+    H(S) = sym(X S Z^-1), M = A H A^T: the predictor for sigma = 0, the
+    corrector for sigma = (mu_aff / mu)^3 with the second-order term
+    -dX_aff dZ_aff. The primal and the dual iterate each move
+    BOUNDARY_FRACTION of the way to the cone boundary, at most a full step.
+    Cholesky factors, inverses and products of block-diagonal matrices keep
+    the off-diagonal blocks exactly 0, so one Cholesky factor and one inverse
+    of the stacked [X; Z] serve every block, and one eigh of the stacked
+    primal and dual directions gives each step length. The Schur matrix, the
+    one product over all m rows, is formed block by block (_schur). Returns
+    the new (x, z, y).
     """
-    m, n = y.size, x.shape[0]
+    n = x.shape[0]
     l_inv = np.linalg.inv(np.linalg.cholesky(np.array([x, z])))
     l_invh = l_inv.conj().swapaxes(1, 2)
     w = l_invh[1] @ l_inv[1]    # Z^-1
-    kkt = np.zeros((m + xf.size, m + xf.size))
-    kkt[:m, m:], kkt[m:, :m] = a_free, a_free.T
-    kkt[:m, :m] = _schur(x, w, *schur)
+    m_schur = _schur(x, w, *schur)
     # dX = sym(base - X dZ Z^-1) with dZ = rd - A^T dy; the rhs needs no
     # sym, as <A_i, sym(h)> = Re <A_i, h>
     rp_xrw = rp + flat @ _vec(x @ rd @ w)
 
     def direction(base):
-        sol = np.linalg.solve(kkt, np.concatenate([rp_xrw - flat @ _vec(base), rdf]))
-        dz = rd - (sol[:m] @ flat).view(x.dtype).reshape(n, n)
+        dy = np.linalg.solve(m_schur, rp_xrw - flat @ _vec(base))
+        dz = rd - (dy @ flat).view(x.dtype).reshape(n, n)
         dx = base - x @ dz @ w
-        return (dx + dx.conj().T) / 2, dz, sol[:m], sol[m:]
+        return (dx + dx.conj().T) / 2, dz, dy
 
     def step_lengths(dx, dz):
         # X + alpha dX >= 0 up to alpha = -1 / lambda_min(L^-1 dX L^-H), X = L L^H
         lam = np.linalg.eigh(l_inv @ np.array([dx, dz]) @ l_invh)[0].min(1)
         return [1.0 if v >= 0 else min(1.0, -BOUNDARY_FRACTION / v) for v in lam]
 
-    dx, dz, dy, dxf = direction(-x)
+    dx, dz, dy = direction(-x)
     ap, ad = step_lengths(dx, dz)
     mu, mu_aff = np.vdot(x, z).real / n, np.vdot(x + ap * dx, z + ad * dz).real / n
     # the corrector: target sigma mu = (mu_aff / mu)^3 mu, second-order term dX_aff dZ_aff
     sigma_mu = (mu_aff / mu) ** 3 * mu
-    dx, dz, dy, dxf = direction(sigma_mu * w - dx @ dz @ w - x)
+    dx, dz, dy = direction(sigma_mu * w - dx @ dz @ w - x)
     ap, ad = step_lengths(dx, dz)
-    return x + ap * dx, z + ad * dz, y + ad * dy, xf + ap * dxf
+    return x + ap * dx, z + ad * dz, y + ad * dy

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,12 @@ def isometry_channel(v):
     # the Choi matrix of rho -> v rho v^+ is |vec v><vec v|, vec v = sum_i |i> (x) v|i>
     vec = v.T.reshape(-1).astype(complex)
     return Channel(v.shape[1], v.shape[0], np.outer(vec, vec.conj()))
+
+
+def channel_json(ch):
+    """The --choi file of a channel, in the schema that channel_from_json reads."""
+    return json.dumps({"din": ch.din, "dout": ch.dout, "choi_re": ch.choi.real.tolist(),
+                       "choi_im": ch.choi.imag.tolist()})
 
 
 def assert_same_solve(s1, s2):

@@ -12,7 +12,6 @@ from chancompat.channels import (
     amplitude_damping_map,
     apply,
     channel_from_json,
-    channel_to_json,
     compose,
     constant_map,
     depolarizing_choi,
@@ -27,7 +26,7 @@ from chancompat.channels import (
     pushforward_povm,
 )
 from chancompat.linalg import SIGMA_Z, partial_trace
-from conftest import random_density, random_hermitian, trine_povm
+from conftest import channel_json, random_density, random_hermitian, trine_povm
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -319,7 +318,7 @@ def test_rejects_malformed_input(build, phrase):
 class TestJson:
     def test_roundtrip(self):
         ch = eternal_choi(0.3)
-        again = channel_from_json(channel_to_json(ch))
+        again = channel_from_json(channel_json(ch))
         assert again.din == ch.din and again.dout == ch.dout
         assert np.allclose(again.choi, ch.choi)
 
@@ -329,7 +328,7 @@ class TestJson:
 
     @pytest.mark.parametrize("din", [2.7, 2.0, "2", True], ids=["fraction", "float", "string", "bool"])
     def test_dimensions_must_be_json_integers(self, din):
-        data = json.loads(channel_to_json(identity_channel(2)))
+        data = json.loads(channel_json(identity_channel(2)))
         with pytest.raises(ValueError, match="must be integers"):
             channel_from_json(json.dumps({**data, "din": din}))
         with pytest.raises(ValueError, match="must be integers"):

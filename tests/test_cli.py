@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from chancompat import sdp
-from chancompat.channels import DynamicalMap, amplitude_damping_choi, channel_to_json, identity_channel
+from chancompat.channels import DynamicalMap, amplitude_damping_choi, identity_channel
 from chancompat.cli import main
+from conftest import channel_json
 
 
 def run_cli(args, capsys):
@@ -113,7 +114,7 @@ def test_nine_significant_digits(capsys):
 
 def test_custom_choi_input(tmp_path, capsys):
     path = tmp_path / "chan.json"
-    path.write_text(channel_to_json(amplitude_damping_choi(0.3)))
+    path.write_text(channel_json(amplitude_damping_choi(0.3)))
     code, out, _ = run_cli(
         [
             "sweep", "--family", "custom", "--choi", str(path),
@@ -128,7 +129,7 @@ def test_custom_choi_input(tmp_path, capsys):
 def test_qutrit_pair_sweeps_its_trace_distance(tmp_path, capsys):
     # the trace distance evolves |0><0| and |1><1| of map2's own input dimension
     path = tmp_path / "q3.json"
-    path.write_text(channel_to_json(identity_channel(3)))
+    path.write_text(channel_json(identity_channel(3)))
     code, out, err = run_cli(
         [
             "sweep", "--family", "custom", "--choi", str(path),
@@ -196,7 +197,7 @@ def test_malformed_choi_returns_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("spelling", ['2.7', '"2"', "true"], ids=["fraction", "string", "bool"])
 def test_choi_dimensions_must_be_json_integers(tmp_path, capsys, spelling):
-    text = channel_to_json(identity_channel(2)).replace('"din": 2', f'"din": {spelling}')
+    text = channel_json(identity_channel(2)).replace('"din": 2', f'"din": {spelling}')
     path = tmp_path / "chan.json"
     path.write_text(text)
     code, out, err = run_cli(
@@ -245,9 +246,17 @@ def test_grid_step_is_not_a_flag(argv, capsys):
         (["figure", "--id", "1", "--t-step", "nan"], 2, "t_step must be finite"),
         (["figure", "--id", "1", "--t-step", "5e-324"], 2, "t_step 5e-324 over the span 1.0 gives inf steps"),
         (["teleport", "--t-min=-1e308", "--t-max", "1e308"], 2, "t_step 0.01 over the span inf gives"),
+        # an input that cannot be read exits 2 naming its flag, an output that
+        # cannot be written exits 1, whatever the OSError
+        (["sweep", "--family", "custom", "--choi", ".", "--family2", "identity"], 2, "error: --choi: [Errno"),
+        (["sweep", "--family", "custom", "--choi", "/nonexistent.json", "--family2", "identity"], 2,
+         "error: --choi: [Errno"),
+        (["sweep", "--family", "identity", "--family2", "custom", "--choi2", "."], 2, "error: --choi2: [Errno"),
+        (["teleport", "--t-max", "0", "-o", "/nonexistent/dir/x.csv"], 1, "I/O error"),
     ],
     ids=["zero-step", "reversed-range", "negative-alpha", "teleport-to-dir", "figure-to-dir",
-         "t-max-inf", "t-min-nan", "t-step-nan", "t-step-overflow", "t-span-overflow"],
+         "t-max-inf", "t-min-nan", "t-step-nan", "t-step-overflow", "t-span-overflow",
+         "choi-is-dir", "choi-missing", "choi2-is-dir", "output-dir-missing"],
 )
 def test_bad_input_exits_with_message(argv, code, phrase, capsys):
     got, out, err = run_cli(argv, capsys)

@@ -126,6 +126,16 @@ class TestSolve:
         assert sol.status == "max_iterations"
         assert sol.primal_residual > 0.2
 
+    @pytest.mark.parametrize("column", ["absent", "twin"])
+    def test_undetermined_free_scalar_is_rejected(self, column):
+        # a second scalar in no row, or only ever beside t as t + s: the
+        # equalities cannot fix it, so the program is refused before iterating
+        prob = _eigenvalue_lp(np.diag([1.0, 2.0]), real=True)
+        extra = np.zeros((3, 1)) if column == "absent" else prob.a[:, -1:]
+        prob = replace(prob, scalars=("t", "s"), a=np.hstack([prob.a, extra]), c=np.append(prob.c, 0.0))
+        with pytest.raises(sdp.SdpBuildError, match="leave a free scalar undetermined"):
+            sdp.solve(prob)
+
     def test_deterministic_replay(self, rng):
         h = random_hermitian(rng, 4)
         s1 = sdp.solve(_eigenvalue_lp(h, real=False))
@@ -312,16 +322,17 @@ class TestWarmStart:
         assert_same_solve(sdp.solve(problem, warm=old), cold)
 
     def test_start_is_moved_toward_the_identity_by_the_missed_share_of_b(self):
-        # theta = |b - A x_old - A_free xf_old| / (1 + |b|) in the reduced
-        # coordinates, and X and Z both move theta of the way to 1
+        # theta = |b - A x_old| / (1 + |b|) in the PSD-only rows, b = N^T b
+        # once the free scalars are eliminated, and X and Z both move theta
+        # of the way to 1
         h = np.diag([1.0, 2.0, 3.0, 4.0])
         old = sdp.solve(_eigenvalue_lp(h, real=True), max_iters=3)
         problem = _eigenvalue_lp(2 * h, real=True)
         start = sdp.solve(problem, warm=old, max_iters=0)
-        reduced, x_old, z_old, _, xf_old = old.iterate
-        norms, (u, s), _, _, flat, _, a_free = reduced
-        b = u.T @ (problem.b / norms) / s
-        theta = np.linalg.norm(b - flat @ sdp._vec(x_old) - a_free @ xf_old) / (1 + np.linalg.norm(b))
+        reduced, x_old, z_old, _ = old.iterate
+        norms, (u, s), _, _, flat, _, (_, null, _) = reduced
+        b = null.T @ (u.T @ (problem.b / norms) / s)
+        theta = np.linalg.norm(b - flat @ sdp._vec(x_old)) / (1 + np.linalg.norm(b))
         assert 0 < theta < 1
         eye = np.eye(len(x_old))
         assert np.allclose(start.iterate[1], (1 - theta) * x_old + theta * eye, rtol=0, atol=1e-14)
