@@ -15,7 +15,8 @@ CSV output uses 9 significant digits, '\\n' line endings, and a fixed column
 order, so repeated runs with the same configuration are byte-identical. A
 command whose solves did not all converge names their times on stderr and
 exits 1. Bad input exits 2, an unreadable --choi/--choi2 among it, with a
-message that names the flag; an -o that cannot be written exits 1.
+message that names the flag; an -o that cannot be written exits 1 before
+any solve.
 """
 
 from __future__ import annotations
@@ -211,6 +212,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None) is not None:
+            open(args.output, "a").close()    # fail before any solve, truncating nothing
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))

@@ -8,23 +8,25 @@ and N_i = r * C_noise_i every constraint is linear in r:
     Tr_out1(J) + q * d_1 * 1 - 1 (x) N_2 = C_2,
     J >= 0,  N_i >= 0,  Tr_out(N_i) = r * 1,
 
-where the slack q lifts the joint matrix by q * 1, and N_i comes from a noise
-input of dimension n, embedded as 1_(d_in / n) (x) N_i: n = d_in for generic
-noise, and n = 1 for completely depolarizing (CD) noise, which is generic
-noise from a one-dimensional input. The robustness is one SDP:
-minimize r with q = 0. It is always feasible, as every pair is compatible at
-r = 1. feasibility_q pins r instead and minimizes -q; q / (1 + r) is the
-margin of the unscaled joint matrix, nonnegative exactly when the noisy pair
-is compatible. A measurement pair is solved as the pair of its
-quantum-classical channels under generic noise.
+where N_i comes from a noise input of dimension n, embedded as
+1_(d_in / n) (x) N_i: n = d_in for generic noise, and n = 1 for completely
+depolarizing (CD) noise, which is generic noise from a one-dimensional
+input. The robustness program has the one scalar r, leaves the q terms
+out and minimizes r; it is always feasible, as every pair is compatible at
+r = 1. The margin program of feasibility_q has the one scalar q, which
+lifts the joint matrix by q * 1, takes r as data in b and minimizes -q;
+q / (1 + r) is the margin of the unscaled joint matrix, nonnegative exactly
+when the noisy pair is compatible. A measurement pair is solved as the pair
+of its quantum-classical channels under generic noise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -96,11 +98,22 @@ class SweepRecord:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool):
-    """Read-only (a, c) of the compatibility program of one shape, shared by
-    every pair of that shape. Columns: joint, noise1, noise2, q, r. Rows: the
-    two marginal equalities, the two trace equalities, then the pin of q to 0
-    (min_r, with objective r) or of r to its given value (objective -q)."""
+def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool) -> sdp.SdpProblem:
+    """The read-only compatibility program of one shape, with b = 0, shared
+    by every pair of that shape. Blocks: joint, noise1, noise2. Rows: the
+    two marginal equalities, then the two trace equalities. The robustness
+    program (min_r) has the one scalar r and minimizes it; the margin
+    program has the one scalar q and minimizes -q, with r in b.
+
+    The robustness program carries the certificate of its bracket. Its
+    optimum lies at r <= 1, where Tr J = din (1 + r) <= 2 din and
+    Tr N_i = n_in r <= n_in. Its strictly feasible point is
+    J = C_1 (x) 1/d_2 + 1/d_1 (x) C_2 + 1 (the middle factor on out1) and
+    N_i = (1/d_i + d_j) 1: then r = 1 + d_1 d_2, and every block is >= 1.
+    """
+    blocks = {"joint": (din * d1 * d2, real), "noise1": (n_in * d1, real), "noise2": (n_in * d2, real)}
+    sdp.check_dim_guard(blocks)   # before any operator is compiled
+
     def op(fn, d_in, d_out):
         return sdp.linear_map_matrix(fn, d_in, d_out, real)
 
@@ -115,21 +128,25 @@ def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool):
     t2 = op(lambda x: partial_trace(x, dims, {0, 2}), din * d1 * d2, din * d2)
     e1, e2, tp1, tp2 = embed(d1), embed(d2), tp(d1), tp(d2)
     nj, n1, n2, m1, m2, k = t1.shape[1], e1.shape[1], e2.shape[1], t1.shape[0], t2.shape[0], tp1.shape[0]
-    q1 = sdp.pack(d2 * np.eye(din * d1), real)[:, None]
-    q2 = sdp.pack(d1 * np.eye(din * d2), real)[:, None]
-    r_col = sdp.pack(-np.eye(n_in), real)[:, None]
     z = np.zeros
-    a = np.block([
-        [t1, -e1, z((m1, n2)), q1, z((m1, 1))],
-        [t2, z((m2, n1)), -e2, q2, z((m2, 1))],
-        [z((k, nj)), tp1, z((k, n2)), z((k, 1)), r_col],
-        [z((k, nj)), z((k, n1)), tp2, z((k, 1)), r_col],
-        [z((1, nj + n1 + n2)), np.array([[float(min_r), float(not min_r)]])],
-    ])
-    c = np.zeros(a.shape[1])
-    c[-1 if min_r else -2] = 1.0 if min_r else -1.0
-    a.flags.writeable = c.flags.writeable = False
-    return a, c
+    if min_r:     # Tr_out N_i - r 1 = 0
+        scalar = np.concatenate([z(m1 + m2), np.tile(sdp.pack(-np.eye(n_in), real), 2)])
+    else:         # the lift q 1 of J on each marginal
+        scalar = np.concatenate([sdp.pack(d2 * np.eye(din * d1), real),
+                                 sdp.pack(d1 * np.eye(din * d2), real), z(2 * k)])
+    a = np.column_stack([np.block([
+        [t1, -e1, z((m1, n2))],
+        [t2, z((m2, n1)), -e2],
+        [z((k, nj)), tp1, z((k, n2))],
+        [z((k, nj)), z((k, n1)), tp2],
+    ]), scalar])
+    c, b = z(a.shape[1]), z(a.shape[0])
+    c[-1] = 1.0 if min_r else -1.0
+    a.flags.writeable = b.flags.writeable = c.flags.writeable = False
+    return sdp.SdpProblem(
+        MappingProxyType(blocks), ("r",) if min_r else ("q",), a, b, c,
+        sdp.Certificate(2.0 * (din + n_in), 1.0 + d1 * d2, 1.0) if min_r else None,
+    )
 
 
 def _is_real(*mats: np.ndarray) -> bool:
@@ -139,47 +156,22 @@ def _is_real(*mats: np.ndarray) -> bool:
 def channel_feasibility_problem(
     ch1: Channel, ch2: Channel, r: float | None, noise: NoiseClass
 ) -> sdp.SdpProblem:
-    """Compile the scaled compatibility SDP for a channel pair.
-
-    r=None pins q = 0 and minimizes r (the robustness); a number pins r and
-    minimizes -q, minus the feasibility margin scaled by 1 + r. Only b depends
-    on the Choi matrices and on r; (a, c) are compiled once per shape.
-
-    The robustness program carries the certificate of its bracket. Its
-    optimum lies at r <= 1, where Tr J = din (1 + r) <= 2 din,
-    Tr N_i = n_in r <= n_in and q = 0. Its strictly feasible point is
-    J = C_1 (x) 1/d_2 + 1/d_1 (x) C_2 + 1 (the middle factor on out1),
-    N_i = (1/d_i + d_j) 1 and q = 0: then r = 1 + d_1 d_2, and every block
-    is >= 1.
+    """The scaled compatibility SDP for a channel pair: r=None gives the
+    robustness program (minimize r), a number the margin program at that r
+    (minimize -q, minus the feasibility margin scaled by 1 + r). Only b, the
+    packed Choi matrices and r * 1 twice, is built per pair; the rest of the
+    program is compiled once per shape (_program).
     """
     if ch1.din != ch2.din:
         raise ValueError("channels must share the input dimension")
     if r is not None and not 0 <= r < math.inf:
         raise ValueError(f"mixing weight must be nonnegative and finite, got {r}")
-    din, d1, d2 = ch1.din, ch1.dout, ch2.dout
-    real = _is_real(ch1.choi, ch2.choi)
+    din, real = ch1.din, _is_real(ch1.choi, ch2.choi)
     n_in = 1 if noise is NoiseClass.COMPLETELY_DEPOLARIZING else din
-    blocks = {"joint": (din * d1 * d2, real), "noise1": (n_in * d1, real), "noise2": (n_in * d2, real)}
-    sdp.check_dim_guard(blocks)   # before _program compiles anything
-    a, c = _program(din, d1, d2, n_in, real, r is None)
-    b = np.concatenate([
-        sdp.pack(ch1.choi, real),
-        sdp.pack(ch2.choi, real),
-        np.zeros(2 * sdp.vec_size(n_in, real) + 1),
-    ])
-    b[-1] = 0.0 if r is None else r
-    return sdp.SdpProblem(
-        blocks=blocks,
-        scalars=("q", "r"),
-        a=a,
-        b=b,
-        c=c,
-        certificate=None if r is not None else sdp.Certificate(
-            trace_bound=2.0 * (din + n_in),
-            interior_value=1.0 + d1 * d2,
-            interior_margin=1.0,
-        ),
-    )
+    template = _program(din, ch1.dout, ch2.dout, n_in, real, r is None)
+    trace = (r or 0.0) * sdp.pack(np.eye(n_in), real)
+    b = np.concatenate([sdp.pack(ch1.choi, real), sdp.pack(ch2.choi, real), trace, trace])
+    return replace(template, b=b)
 
 
 def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:
@@ -240,16 +232,17 @@ def feasibility_q(ch1: Channel, ch2: Channel, r: float, noise: NoiseClass) -> fl
     """Compatibility margin at mixing weight r: the largest q with
     joint - q * 1 >= 0; q >= 0 iff the noisy pair is compatible.
 
-    The pinned program minimizes -q, so q is minus its dual objective over
-    1 + r, which bounds q* from above. Up to the solver's residuals, q thus
-    sits on the compatible side of the optimum, as a grid robustness value
-    does: that value is the upper end of the grid cell that holds its
-    certified bracket. A negative q still certifies incompatibility.
+    The margin program (see the module docstring) minimizes -q, so q is
+    minus its dual objective over 1 + r, which bounds q* from above. Up to
+    the solver's residuals, q thus sits on the compatible side of the
+    optimum, as a grid robustness value does: that value is the upper end of
+    the grid cell that holds its certified bracket. A negative q still
+    certifies incompatibility.
     """
     problem = channel_feasibility_problem(ch1, ch2, r, NoiseClass(noise))
     sol = sdp.solve(problem)
     if sol.status != "optimal":
-        raise RuntimeError(f"solver did not converge at pinned r={r} ({sol.status})")
+        raise RuntimeError(f"solver did not converge on the margin program at r={r} ({sol.status})")
     return -sol.dual_objective / (1 + r)
 
 

@@ -258,8 +258,8 @@ def solve(
     """
     start = time.perf_counter()
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    if not max_iters >= 0 or max_iters % 1:
+        raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters}")
     check_dim_guard(problem.blocks)
     a_full, blocks = np.ascontiguousarray(problem.a, dtype=float), tuple(problem.blocks.values())
     reduced = _reduce(a_full.tobytes(), a_full.shape, blocks, len(problem.scalars))

@@ -264,6 +264,27 @@ def test_bad_input_exits_with_message(argv, code, phrase, capsys):
     assert phrase in err
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+def test_unwritable_output_fails_before_any_solve(target, tmp_path, capsys, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before -o was checked")
+
+    monkeypatch.setattr(sdp, "solve", solve)
+    path = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+    got, out, err = run_cli(["figure", "--id", "5", "--refine", "-o", str(path)], capsys)
+    assert (got, out) == (1, "") and "I/O error: [Errno" in err
+
+
+def test_failed_run_keeps_an_existing_output(tmp_path, capsys):
+    # the -o check opens for appending: a run that fails later truncates nothing
+    path = tmp_path / "x.csv"
+    path.write_text("kept\n")
+    argv = ["sweep", "--family", "custom", "--choi", str(tmp_path / "none.json"), "--family2", "identity"]
+    got, _, err = run_cli(argv + ["-o", str(path)], capsys)
+    assert got == 2 and "error: --choi: [Errno" in err
+    assert path.read_text() == "kept\n"
+
+
 def test_measure_command(capsys):
     code, out, _ = run_cli(
         [

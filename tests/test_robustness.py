@@ -255,6 +255,32 @@ def test_size_guard_runs_before_compiling(monkeypatch):
             robustness(ch1, ch2, noise)
 
 
+class TestCompiledProgram:
+    @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
+    @pytest.mark.parametrize("shape", ["real", "complex"])
+    def test_each_program_holds_only_its_unknown(self, shape, noise, rng):
+        ch1, ch2 = (IDENT, depolarizing_choi(0.7)) if shape == "real" else (random_channel(rng), random_channel(rng))
+        for r, scalars in ((None, ("r",)), (0.4, ("q",))):
+            problem = channel_feasibility_problem(ch1, ch2, r, noise)
+            assert problem.scalars == scalars
+            # no row pins a scalar: each one reaches a PSD block
+            assert np.all(np.any(problem.a[:, : -len(scalars)] != 0, axis=1))
+
+    @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
+    def test_pairs_of_one_shape_share_the_compiled_program(self, noise, rng):
+        pairs = [(random_channel(rng), random_channel(rng)) for _ in range(2)]
+        for r in (None, 0.4):
+            first, second = (channel_feasibility_problem(*pair, r, noise) for pair in pairs)
+            for name in ("a", "c", "blocks", "certificate"):
+                assert getattr(first, name) is getattr(second, name)
+            assert not np.array_equal(first.b, second.b)
+            with pytest.raises(TypeError):
+                first.blocks["joint"] = (1, True)
+        n_in = 2 if noise is GEN else 1
+        trace = 0.4 * sdp.pack(np.eye(n_in), False)
+        assert np.array_equal(second.b[-2 * trace.size :], np.concatenate([trace, trace]))
+
+
 class TestChannelRobustness:
     def test_self_compatibility_threshold(self):
         ch = depolarizing_choi(2 / 3)
@@ -540,7 +566,7 @@ class TestBracket:
         problem = channel_feasibility_problem(ch1, ch2, None, noise)
         blocks, r0 = _interior_point(ch1, ch2, noise)
         real = problem.blocks["joint"][1]
-        x0 = np.concatenate([sdp.pack(blk, real) for blk in blocks] + [[0.0, r0]])
+        x0 = np.concatenate([sdp.pack(blk, real) for blk in blocks] + [[r0]])
         assert np.max(np.abs(problem.a @ x0 - problem.b)) <= 1e-12
         assert min(np.linalg.eigvalsh(blk)[0] for blk in blocks) >= 1 - 1e-12
         cert = problem.certificate

@@ -156,10 +156,13 @@ class TestSolve:
         assert sdp.solve(problem, max_iters=0).iterations == 0
 
     def test_negative_max_iters_is_rejected(self, rng):
-        # iterations == max_iters never holds below 0, so -1 would lift the cap
+        # iterations == max_iters never holds below 0 or between integers,
+        # so -1 or 1.5 would lift the cap; numpy integers are integral
         problem = _eigenvalue_lp(random_hermitian(rng, 4), real=False)
-        with pytest.raises(ValueError, match="max_iters must be nonnegative, got -1"):
-            sdp.solve(problem, max_iters=-1)
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError, match=f"max_iters must be a nonnegative integer, got {bad}"):
+                sdp.solve(problem, max_iters=bad)
+        assert sdp.solve(problem, max_iters=np.int64(1)).iterations == 1
 
     def test_failed_factorization_returns_the_last_iterate(self, rng, monkeypatch):
         # a LinAlgError inside a step ends the solve, like a non-finite step
