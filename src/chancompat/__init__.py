@@ -44,40 +44,3 @@ from .witness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Channel",
-    "CurvePoint",
-    "DynamicalMap",
-    "IndivisibilityReport",
-    "NoiseClass",
-    "Povm",
-    "RobustnessResult",
-    "SweepRecord",
-    "amplitude_damping_choi",
-    "amplitude_damping_map",
-    "apply",
-    "channel_from_json",
-    "compose",
-    "constant_map",
-    "cp_indivisibility_measure",
-    "depolarizing_choi",
-    "depolarizing_map",
-    "dual_apply",
-    "eternal_choi",
-    "eternal_map",
-    "feasibility_q",
-    "indivisibility_from_curve",
-    "identity_channel",
-    "identity_map",
-    "measurement_robustness",
-    "partial_trace",
-    "projective_povm",
-    "pushforward_povm",
-    "rising_segments",
-    "robustness",
-    "sweep",
-    "teleport_fidelity",
-    "trace_distance",
-    "trace_norm",
-]

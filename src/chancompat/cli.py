@@ -16,7 +16,7 @@ order, so repeated runs with the same configuration are byte-identical. A
 command whose solves did not all converge names their times on stderr and
 exits 1. Bad input exits 2, an unreadable --choi/--choi2 among it, with a
 message that names the flag; an -o that cannot be written exits 1 before
-any solve.
+any solve. A run that ends in an error removes an -o file that it created.
 """
 
 from __future__ import annotations
@@ -211,18 +211,21 @@ def cmd_validate(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    path = getattr(args, "output", None)
+    made = path is not None and not Path(path).exists()    # a failed run removes the -o it made
     try:
-        if getattr(args, "output", None) is not None:
-            open(args.output, "a").close()    # fail before any solve, truncating nothing
+        if path is not None:
+            open(path, "a").close()    # fail before any solve, truncating nothing
         return args.func(args)
-    except UsageError as exc:
-        parser.error(str(exc))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:    # only -o is left: _sweep_map reads every input
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
+    except (UsageError, ValueError, OSError) as exc:
+        if made:
+            Path(path).unlink(missing_ok=True)
+        if isinstance(exc, UsageError):
+            parser.error(str(exc))
+        # an OSError is -o's: _sweep_map reads every input
+        code, label = (2, "error") if isinstance(exc, ValueError) else (1, "I/O error")
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -17,19 +17,23 @@ The solver follows the central path with HKM predictor-corrector steps
 (Helmberg, Rendl, Vanderbei and Wolkowicz; the Mehrotra corrector as in
 SDPT3), with no tuning: a grid value settles in about four iterations, or
 two from the iterate of a nearby program of its shape (a warm start), and a
-refined value runs to tolerance in about ten. Each program shape is
-factored once, cached on the content of a: an orthonormal row basis with
-the free scalars eliminated (Anjos and Burer, SIAM J. Optim. 2007), and its
-rows on the PSD blocks alone as block-diagonal matrices. The iterate is one
-block-diagonal D x D matrix, D the sum of the block dimensions, so that each
-iteration makes one call per numpy.linalg kernel however many blocks there
-are; the Schur complement alone is formed block by block, as SDPT3 and SDPA
-do. It runs on numpy.linalg alone, in a fixed order, so identical problems
-replay bitwise identically.
+refined value runs to tolerance in about ten. Most solves end at a
+predictor point (Mehrotra, SIAM J. Optim. 1992), tested where a forecast
+passes (see solve). Each program shape is factored once, cached on the
+content of a and c: an orthonormal row basis with the free scalars
+eliminated (Anjos and Burer, SIAM J. Optim. 2007), and its rows and
+objective on the PSD blocks alone as block-diagonal matrices, so that a
+solve of a cached shape does only the work that b needs. The iterate is
+one block-diagonal D x D matrix, D the sum of the block dimensions, so that
+each iteration makes one call per numpy.linalg kernel however many blocks
+there are; the Schur complement alone is formed block by block, as SDPT3
+and SDPA do. It runs on numpy.linalg alone, in a fixed order, so identical
+problems replay bitwise identically.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -172,8 +176,8 @@ def _embed(out: np.ndarray, coords: np.ndarray, layout) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int):
+@lru_cache(maxsize=64)
+def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int, c_bytes: bytes | None = None):
     """The factored shape of a program, keyed on the content of a: the row
     norms, the kept left singular vectors and values, per block its pack
     coordinates, diagonal slice and _coord_map, the PSD-only rows as (m, D, D)
@@ -184,7 +188,23 @@ def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int):
     max(shape) * 1e-12 * s_0 drop out with the dependent rows. A complete QR
     [Q_f | N] [R; 0] of their free-scalar columns A_f gives x_f = lift @
     (b - A_psd x), lift = R^-1 Q_f^T, and the PSD-only rows N^T A_psd, still
-    orthonormal as N^T A_f = 0; a singular R is an SdpBuildError."""
+    orthonormal as N^T A_f = 0; a singular R is an SdpBuildError.
+
+    Given c too, that entry with, for y0 = lift^T c_f, C - A_psd^T y0 as a
+    D x D matrix, its norm, y0 and the gather (index, scale) with which
+    _vec(X)[index] * scale packs X; cache_clear forgets both kinds."""
+    if c_bytes is not None:
+        reduced = _reduce(a_bytes, shape, blocks, n_free)
+        _, _, layout, mats, _, _, (a_psd, _, lift) = reduced
+        c_full, (n, width) = np.frombuffer(c_bytes), (mats.shape[1], 2 if mats.dtype == complex else 1)
+        y0 = c_full[a_psd.shape[1] :] @ lift
+        c = _embed(np.zeros(mats.shape[1:], mats.dtype), c_full[: a_psd.shape[1]] - y0 @ a_psd, layout)
+        # the gather is pack's own selection: pack the positions of X's real and
+        # imaginary parts in _vec(X), and divide by the pack of ones
+        pos = width * np.arange(n * n).reshape(n, n) * (1 + 1j) + (width - 1) * 1j
+        index, scale = (np.concatenate([pack(m[diag, diag], real) for (_, real), (_, diag, _) in zip(blocks, layout)])
+                        for m in (pos, np.full((n, n), 1 + 1j)))
+        return reduced, (c, np.linalg.norm(c), y0, (np.rint(index / scale).astype(np.intp), scale))
     a_full = np.frombuffer(a_bytes).reshape(shape)
     norms = np.linalg.norm(a_full, axis=1)
     norms[norms == 0] = 1.0
@@ -255,6 +275,12 @@ def solve(
     certificate's interior point with weight delta / (interior_margin +
     delta) restores X >= 0. solution.bracket is the last one; when
     settled(lo, hi) holds, the loop ends there with status "bracketed".
+
+    Each step's predictor point is tested too. As A dX = R_p and dZ + A^T
+    dy = R_d, its residual norms are (1 - alpha_p) |R_p| and (1 - alpha_d)
+    |R_d| and its objectives pobj + alpha_p <C, dX> and dobj + alpha_d b @
+    dy. Only a passing forecast has the point formed and tested; a point
+    that passes is returned without the corrector, its step an iteration.
     """
     start = time.perf_counter()
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
@@ -262,65 +288,76 @@ def solve(
         raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters}")
     check_dim_guard(problem.blocks)
     a_full, blocks = np.ascontiguousarray(problem.a, dtype=float), tuple(problem.blocks.values())
-    reduced = _reduce(a_full.tobytes(), a_full.shape, blocks, len(problem.scalars))
+    reduced, (c, c_norm, y0, (index, scale)) = _reduce(
+        a_full.tobytes(), a_full.shape, blocks, len(problem.scalars),
+        np.ascontiguousarray(problem.c, dtype=float).tobytes())
     norms, (u, s), layout, mats, flat, schur, (a_psd, null, lift) = reduced
     b_unit = problem.b / norms
     b_full, leak = (u.T @ b_unit) / s, b_unit - u @ (u.T @ b_unit)
     consistent = np.linalg.norm(leak) <= DEFAULT_EPS * (1.0 + np.linalg.norm(b_unit))
     cert = problem.certificate if consistent else None
-    n_psd, y0 = a_psd.shape[1], problem.c[a_psd.shape[1] :] @ lift
     b, offset = null.T @ b_full, y0 @ b_full
     # X, Z and C are D x D matrices, y a vector
-    c = _embed(np.zeros(mats.shape[1:], mats.dtype), problem.c[:n_psd] - y0 @ a_psd, layout)
-    x, y = np.eye(len(c), dtype=c.dtype), np.zeros(b.size)
-    z = x.copy()
-    b_norm, c_norm = np.linalg.norm(b), np.linalg.norm(c)
+    x = z = np.eye(len(c), dtype=c.dtype)
+    y, b_norm = np.zeros(b.size), np.linalg.norm(b)
     if warm is not None and warm.iterate is not None and warm.iterate[0] is reduced:
         _, x_old, z_old, y = warm.iterate
         theta = min(1.0, np.linalg.norm(b - flat @ _vec(x_old)) / (1.0 + b_norm))
         x, z = (1 - theta) * x_old + theta * x, (1 - theta) * z_old + theta * z
-    status, iterations, bracket = "max_iterations", 0, None
+
+    def test(pobj, dobj, rp_norm, rd_norm):
+        """The status that ends the loop at a point with these values, or None, and its bracket."""
+        bracket = None
+        if cert is not None:
+            shift = c_norm * rp_norm
+            bracket = (float(dobj - cert.trace_bound * rd_norm), float(
+                pobj + shift + rp_norm * (abs(cert.interior_value) + abs(pobj) + shift) / cert.interior_margin))
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        if max(rp_norm / (1.0 + b_norm), rd_norm / (1.0 + c_norm), gap) <= DEFAULT_EPS:
+            return "optimal" if consistent else "max_iterations", bracket
+        if bracket is not None and settled is not None and settled(*bracket):
+            return "bracketed", bracket
+        return None, bracket
+
+    def measure(x, z, y):
+        """A point with its residuals, objectives and their norms, and test's verdict."""
+        rd = c - (y @ flat).view(c.dtype).reshape(c.shape) - z
+        rp = b - flat @ _vec(x)
+        pobj, dobj = np.vdot(c, x).real + offset, b @ y + offset
+        rp_norm, rd_norm = np.linalg.norm(rp), np.linalg.norm(rd)
+        return (x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm), *test(pobj, dobj, rp_norm, rd_norm)
+
     with np.errstate(all="ignore"):    # a non-finite step is caught below
-        while True:
-            rd = c - (y @ flat).view(c.dtype).reshape(c.shape) - z
-            rp = b - flat @ _vec(x)
-            pobj, dobj = np.vdot(c, x).real + offset, b @ y + offset
-            rd_norm, rp_norm = np.linalg.norm(rd), np.linalg.norm(rp)
-            if cert is not None:
-                shift = c_norm * rp_norm
-                bracket = (
-                    float(dobj - cert.trace_bound * rd_norm),
-                    float(pobj + shift + rp_norm * (abs(cert.interior_value) + abs(pobj) + shift)
-                          / cert.interior_margin),
-                )
-            gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-            if max(rp_norm / (1.0 + b_norm), rd_norm / (1.0 + c_norm), gap) <= DEFAULT_EPS:
-                status = "optimal" if consistent else status
-                break
-            if bracket is not None and settled is not None and settled(*bracket):
-                status = "bracketed"
-                break
-            if iterations == max_iters:
-                break
+        (point, status, bracket), iterations = measure(x, z, y), 0
+        while status is None and iterations < max_iters:
+            x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm = point
+            steps, new = _step(x, z, y, rp, rd, flat, schur), None
             try:
-                step = _step(x, z, y, rp, rd, flat, schur)
+                ap, ad, dx, dz, dy = next(steps)
+                # the predictor point's values, forecast as the docstring says
+                forecast = pobj + ap * np.vdot(c, dx).real, dobj + ad * (b @ dy)
+                if math.isfinite(sum(forecast)) and test(*forecast, (1 - ap) * rp_norm, (1 - ad) * rd_norm)[0]:
+                    new = measure(x + ap * dx, z + ad * dz, y + ad * dy)
+                if new is None or new[1] is None:
+                    ap, ad, dx, dz, dy = next(steps)
+                    step = x + ap * dx, z + ad * dz, y + ad * dy
+                    if not all(np.isfinite(v).all() for v in step):
+                        break
+                    new = measure(*step)
             except np.linalg.LinAlgError:
                 break
-            if not all(np.isfinite(v).all() for v in step):
-                break
-            x, z, y = step
-            iterations += 1
+            (point, status, bracket), iterations = new, iterations + 1
 
-    x_pack, values = np.zeros(a_full.shape[1]), {}
-    for (name, (_, real)), (cols, diag, _) in zip(problem.blocks.items(), layout):
-        values[name] = (x[diag, diag].real if real else x[diag, diag]).copy()
-        x_pack[cols] = pack(values[name], real)
-    x_pack[n_psd:] = lift @ (b_full - a_psd @ x_pack[:n_psd])
+    x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm = point
+    values = {name: (x[diag, diag].real if real else x[diag, diag]).copy()
+              for (name, (_, real)), (_, diag, _) in zip(problem.blocks.items(), layout)}
+    x_psd = _vec(x)[index] * scale
+    x_pack = np.concatenate([x_psd, lift @ (b_full - a_psd @ x_psd)])
     return SdpSolution(
-        status=status,
+        status=status or "max_iterations",
         objective_value=float(problem.c @ x_pack),
         block_values=values,
-        scalar_values=dict(zip(problem.scalars, map(float, x_pack[n_psd:]))),
+        scalar_values=dict(zip(problem.scalars, map(float, x_pack[x_psd.size :]))),
         primal_residual=float(np.max(np.abs(a_full @ x_pack - problem.b), initial=0.0)),
         dual_residual=float(rd_norm),
         iterations=iterations,
@@ -350,7 +387,9 @@ def _schur(x, w, sides, packed):
 
 
 def _step(x, z, y, rp, rd, flat, schur):
-    """One Mehrotra predictor-corrector step along the HKM direction.
+    """One Mehrotra predictor-corrector step along the HKM direction, as a
+    generator of the predictor's, then the corrector's (alpha_p, alpha_d,
+    dX, dZ, dy): the point x + alpha_p dX, z + alpha_d dZ, y + alpha_d dy.
 
     Both directions solve the Schur system M dy = r of the operator
     H(S) = sym(X S Z^-1), M = A H A^T: the predictor for sigma = 0, the
@@ -360,9 +399,10 @@ def _step(x, z, y, rp, rd, flat, schur):
     Cholesky factors, inverses and products of block-diagonal matrices keep
     the off-diagonal blocks exactly 0, so one Cholesky factor and one inverse
     of the stacked [X; Z] serve every block, and one eigh of the stacked
-    primal and dual directions gives each step length. The Schur matrix, the
-    one product over all m rows, is formed block by block (_schur). Returns
-    the new (x, z, y).
+    primal and dual directions gives a direction's step lengths: a step
+    ended at its predictor point makes one Schur solve and one eigh, a full
+    step two of each. The Schur matrix, the one product over all m rows, is
+    formed block by block (_schur).
     """
     n = x.shape[0]
     l_inv = np.linalg.inv(np.linalg.cholesky(np.array([x, z])))
@@ -386,9 +426,9 @@ def _step(x, z, y, rp, rd, flat, schur):
 
     dx, dz, dy = direction(-x)
     ap, ad = step_lengths(dx, dz)
+    yield ap, ad, dx, dz, dy
     mu, mu_aff = np.vdot(x, z).real / n, np.vdot(x + ap * dx, z + ad * dz).real / n
     # the corrector: target sigma mu = (mu_aff / mu)^3 mu, second-order term dX_aff dZ_aff
     sigma_mu = (mu_aff / mu) ** 3 * mu
     dx, dz, dy = direction(sigma_mu * w - dx @ dz @ w - x)
-    ap, ad = step_lengths(dx, dz)
-    return x + ap * dx, z + ad * dz, y + ad * dy
+    yield *step_lengths(dx, dz), dx, dz, dy

@@ -285,6 +285,31 @@ def test_failed_run_keeps_an_existing_output(tmp_path, capsys):
     assert path.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "family, code, phrase",
+    [
+        (["custom", "--choi", "/nonexistent.json"], 2, "error: --choi: [Errno"),
+        (["custom"], 2, "--family custom requires a --choi JSON file"),
+        (["identity"], 1, "I/O error: [Errno 28] No space left on device"),
+    ],
+    ids=["value-error", "usage-error", "os-error"],
+)
+def test_failed_run_removes_the_output_it_created(family, code, phrase, tmp_path, capsys, monkeypatch):
+    # -o is created before any solve; a run that then fails takes it away again
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("chancompat.cli._write_lines", full_disk)
+    path = tmp_path / "new.csv"
+    argv = ["sweep", "--family", *family, "--family2", "identity", "--t-max", "0", "-o", str(path)]
+    try:
+        got = main(argv)
+    except SystemExit as exc:    # argparse's exit on a usage error
+        got = exc.code
+    assert got == code and phrase in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_measure_command(capsys):
     code, out, _ = run_cli(
         [

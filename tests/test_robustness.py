@@ -632,6 +632,21 @@ class TestBracket:
         lo, hi = res.bracket
         assert res.indeterminate and hi - lo > DR and lo <= 1 / 3 <= hi
 
+    @pytest.mark.parametrize("half_width, indeterminate", [(1.5, True), (0.4, False)])
+    def test_refined_value_is_indeterminate_past_r_tol(self, half_width, indeterminate, monkeypatch):
+        # a refined value rests on its bracket alone: one wider than R_TOL
+        # leaves it indeterminate, however close the iterate's r lies to r*
+        solve = sdp.solve
+
+        def widened(problem, **kwargs):
+            sol = solve(problem, **kwargs)
+            r = sol.scalar_values["r"]
+            return replace(sol, bracket=(r - half_width * R_TOL, r + half_width * R_TOL))
+
+        monkeypatch.setattr(sdp, "solve", widened)
+        res = robustness(IDENT, IDENT, GEN, refine=True)   # r* = 1/3
+        assert res.indeterminate is indeterminate and abs(res.r_star - 1 / 3) <= 1e-8
+
     @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
     def test_near_zero_point_is_certified(self, noise, refine):

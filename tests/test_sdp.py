@@ -126,6 +126,22 @@ class TestSolve:
         assert sol.status == "max_iterations"
         assert sol.primal_residual > 0.2
 
+    def test_slightly_inconsistent_equalities_get_no_bracket(self):
+        # a repeated row whose right-hand side differs by delta: b leaves the
+        # row space by |delta| / (sqrt(2) |row|) after row normalization, here
+        # 1e-7 relative to 1 + |b|, 100 times DEFAULT_EPS. The reduced program
+        # still converges, but to no feasible point: no status "optimal", and
+        # no bracket, which only feasible programs have
+        ident = isometry_channel(np.eye(2))
+        prob = channel_feasibility_problem(ident, ident, None, NoiseClass.GENERIC)
+        assert sdp.solve(prob).status == "optimal" and sdp.solve(prob).bracket is not None
+        a = np.vstack([prob.a, prob.a[:1]])
+        norms = np.linalg.norm(a, axis=1)
+        delta = 1e-7 * np.sqrt(2) * norms[0] * (1 + np.linalg.norm(np.append(prob.b, prob.b[0]) / norms))
+        sol = sdp.solve(replace(prob, a=a, b=np.append(prob.b, prob.b[0] + delta)))
+        assert sol.status == "max_iterations" and sol.bracket is None
+        assert sol.iterations < sdp.DEFAULT_MAX_ITERS
+
     @pytest.mark.parametrize("column", ["absent", "twin"])
     def test_undetermined_free_scalar_is_rejected(self, column):
         # a second scalar in no row, or only ever beside t as t + s: the
@@ -235,19 +251,47 @@ class TestBlockDiagonalIterate:
 
     def test_one_factorization_and_two_eigh_per_iteration(self, rng, monkeypatch):
         # however many blocks and kinds, an iteration factors the stacked
-        # [X; Z] once and takes one eigh per step length
-        calls = {"cholesky": 0, "eigh": 0}
+        # [X; Z] once and makes one Schur solve and one eigh per direction;
+        # only the last step may end at its predictor point (h = 1), and
+        # skip the corrector's solve and eigh
+        calls = {"cholesky": 0, "eigh": 0, "solve": 0}
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
                 if sys._getframe(1).f_globals["__name__"] == sdp.__name__:
                     calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
-        for hs in ({"x": (random_hermitian(rng, 4), False)}, _four_blocks(rng)):
-            calls.update(cholesky=0, eigh=0)
-            sol = sdp.solve(_shared_eigenvalue_lp(hs))
-            assert sol.status == "optimal" and sol.iterations > 0
-            assert calls == {"cholesky": sol.iterations, "eigh": 2 * sol.iterations}
+        steps, step = [], sdp._step
+
+        def recording(x, z, y, *args):
+            steps.append([(x, z, y)])
+            for direction in step(x, z, y, *args):
+                steps[-1].append(direction)
+                yield direction
+
+        monkeypatch.setattr(sdp, "_step", recording)
+        ends = []
+        for hs, cap in [({"x": (random_hermitian(rng, 4), False)}, None), (_four_blocks(rng), None),
+                        (_four_blocks(rng), 3)]:
+            problem = _shared_eigenvalue_lp(hs)
+            sdp.solve(problem)    # the shape is factored before counting
+            calls.update(cholesky=0, eigh=0, solve=0)
+            steps.clear()
+            sol = sdp.solve(problem, max_iters=cap)
+            assert sol.status == ("optimal" if cap is None else "max_iterations")
+            assert sol.iterations == len(steps) == (cap or sol.iterations) > 0
+            h = 2 * sol.iterations - calls["eigh"]
+            assert calls == {"cholesky": sol.iterations, "eigh": 2 * sol.iterations - h,
+                             "solve": 2 * sol.iterations - h}
+            assert [len(s) - 1 for s in steps] == [2] * (sol.iterations - 1) + [2 - h]
+            # the solve returns the point of the last direction it took
+            (x, z, y), *_, (ap, ad, dx, dz, dy) = steps[-1]
+            assert np.array_equal(sol.iterate[1], x + ap * dx)
+            assert np.array_equal(sol.iterate[2], z + ad * dz)
+            assert np.array_equal(sol.iterate[3], y + ad * dy)
+            ends.append(h)
+        # converged solves end at a predictor point, a capped one after a corrector
+        assert ends == [1, 1, 0]
 
     def test_sweep_factors_each_shape_once(self, monkeypatch, tmp_path):
         svd, solve, factored, solves = np.linalg.svd, sdp.solve, [], []
