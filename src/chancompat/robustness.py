@@ -23,10 +23,9 @@ of its quantum-classical channels under generic noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -98,8 +97,8 @@ class SweepRecord:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool) -> sdp.SdpProblem:
-    """The read-only compatibility program of one shape, with b = 0, shared
+def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool) -> sdp.SdpProgram:
+    """The compiled and factored compatibility program of one shape, shared
     by every pair of that shape. Blocks: joint, noise1, noise2. Rows: the
     two marginal equalities, then the two trace equalities. The robustness
     program (min_r) has the one scalar r and minimizes it; the margin
@@ -140,17 +139,12 @@ def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool) -> 
         [z((k, nj)), tp1, z((k, n2))],
         [z((k, nj)), z((k, n1)), tp2],
     ]), scalar])
-    c, b = z(a.shape[1]), z(a.shape[0])
+    c = z(a.shape[1])
     c[-1] = 1.0 if min_r else -1.0
-    a.flags.writeable = b.flags.writeable = c.flags.writeable = False
-    return sdp.SdpProblem(
-        MappingProxyType(blocks), ("r",) if min_r else ("q",), a, b, c,
+    return sdp.SdpProgram(
+        blocks, ("r",) if min_r else ("q",), a, c,
         sdp.Certificate(2.0 * (din + n_in), 1.0 + d1 * d2, 1.0) if min_r else None,
     )
-
-
-def _is_real(*mats: np.ndarray) -> bool:
-    return all(np.max(np.abs(m.imag)) == 0 for m in mats)
 
 
 def channel_feasibility_problem(
@@ -166,12 +160,11 @@ def channel_feasibility_problem(
         raise ValueError("channels must share the input dimension")
     if r is not None and not 0 <= r < math.inf:
         raise ValueError(f"mixing weight must be nonnegative and finite, got {r}")
-    din, real = ch1.din, _is_real(ch1.choi, ch2.choi)
+    din, real = ch1.din, not (ch1.choi.imag.any() or ch2.choi.imag.any())
     n_in = 1 if noise is NoiseClass.COMPLETELY_DEPOLARIZING else din
-    template = _program(din, ch1.dout, ch2.dout, n_in, real, r is None)
     trace = (r or 0.0) * sdp.pack(np.eye(n_in), real)
     b = np.concatenate([sdp.pack(ch1.choi, real), sdp.pack(ch2.choi, real), trace, trace])
-    return replace(template, b=b)
+    return sdp.SdpProblem(_program(din, ch1.dout, ch2.dout, n_in, real, r is None), b)
 
 
 def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:

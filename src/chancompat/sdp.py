@@ -10,8 +10,9 @@ sqrt(2) * real and sqrt(2) * imaginary upper-triangular parts; blocks
 declared real use the symmetric restriction), then the scalars. A d x d
 matrix equality thus takes d * d rows, or d(d+1)/2 on real blocks, and
 linear_map_matrix gives the rows of a linear map. A caller maximizes by
-negating c. Callers compile (a, b, c) themselves, so a program shape is
-compiled once and only b follows the data.
+negating c. A program shape (blocks, scalars, a, c) is an SdpProgram,
+compiled and factored once; an SdpProblem pairs it with the b of one
+instance, so only b follows the data.
 
 The solver follows the central path with HKM predictor-corrector steps
 (Helmberg, Rendl, Vanderbei and Wolkowicz; the Mehrotra corrector as in
@@ -19,16 +20,15 @@ SDPT3), with no tuning: a grid value settles in about four iterations, or
 two from the iterate of a nearby program of its shape (a warm start), and a
 refined value runs to tolerance in about ten. Most solves end at a
 predictor point (Mehrotra, SIAM J. Optim. 1992), tested where a forecast
-passes (see solve). Each program shape is factored once, cached on the
-content of a and c: an orthonormal row basis with the free scalars
-eliminated (Anjos and Burer, SIAM J. Optim. 2007), and its rows and
-objective on the PSD blocks alone as block-diagonal matrices, so that a
-solve of a cached shape does only the work that b needs. The iterate is
-one block-diagonal D x D matrix, D the sum of the block dimensions, so that
-each iteration makes one call per numpy.linalg kernel however many blocks
-there are; the Schur complement alone is formed block by block, as SDPT3
-and SDPA do. It runs on numpy.linalg alone, in a fixed order, so identical
-problems replay bitwise identically.
+passes (see solve). Each SdpProgram is factored when it is built: an
+orthonormal row basis with the free scalars eliminated (Anjos and Burer,
+SIAM J. Optim. 2007), and its rows and objective on the PSD blocks alone as
+block-diagonal matrices, so that a solve does only the work that b needs.
+The iterate is one block-diagonal D x D matrix, D the sum of the block
+dimensions, so that each iteration makes one call per numpy.linalg kernel
+however many blocks there are; the Schur complement alone is formed block
+by block, as SDPT3 and SDPA do. It runs on numpy.linalg alone, in a fixed
+order, so identical problems replay bitwise identically.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -120,28 +121,89 @@ class Certificate:
 
 
 @dataclass(frozen=True, eq=False)
-class SdpProblem:
-    """A compiled program: minimize c @ x subject to a @ x = b.
+class SdpProgram:
+    """A compiled program shape: minimize c @ x subject to a @ x = b, for
+    the b of each SdpProblem.
 
     x holds the pack coordinates of the PSD blocks (name -> (dim, real)) in
     the order given, then the free scalars in the order given. It may carry
-    a Certificate.
+    a Certificate. Building it checks the shapes and DIM_GUARD, keeps
+    read-only copies of blocks, a and c, and factors the shape once into
+    factored: the row norms, the kept left singular vectors and values, per
+    block its pack coordinates, diagonal slice and _coord_map, the PSD-only
+    rows as (m, D, D) block-diagonal matrices and as their real buffers,
+    those rows restricted to each block in the two layouts from which _schur
+    forms the Schur complement block by block, (A_psd, N, lift), and, for
+    y0 = lift^T c_f, C - A_psd^T y0 as a D x D matrix, its norm, y0 and the
+    gather (index, scale) with which _vec(X)[index] * scale packs X.
+
+    Rows are normalized, then made orthonormal by an SVD whose singular
+    values below max(a.shape) * 1e-12 * s_0 drop out with the dependent
+    rows. A complete QR [Q_f | N] [R; 0] of their free-scalar columns A_f
+    gives x_f = lift @ (b - A_psd x), lift = R^-1 Q_f^T, and the PSD-only
+    rows N^T A_psd, still orthonormal as N^T A_f = 0; a singular R is an
+    SdpBuildError.
     """
 
     blocks: dict[str, tuple[int, bool]]
     scalars: tuple[str, ...]
     a: np.ndarray
-    b: np.ndarray
     c: np.ndarray
     certificate: Certificate | None = None
+    factored: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = sum(vec_size(d, real) for d, real in self.blocks.values()) + len(self.scalars)
-        if self.b.ndim != 1 or self.a.shape != (self.b.size, n) or self.c.shape != (n,):
-            raise SdpBuildError(
-                f"shapes a {self.a.shape}, b {self.b.shape}, c {self.c.shape} do not fit"
-                f" {n} coordinates"
-            )
+        n_free, blocks = len(self.scalars), tuple(self.blocks.values())
+        n = sum(vec_size(d, real) for d, real in blocks) + n_free
+        if self.a.ndim != 2 or self.a.shape[1] != n or self.c.shape != (n,):
+            raise SdpBuildError(f"shapes a {self.a.shape}, c {self.c.shape} do not fit {n} coordinates")
+        check_dim_guard(self.blocks)
+        a, c_full = (np.array(v, dtype=float, order="C") for v in (self.a, self.c))
+        a.flags.writeable = c_full.flags.writeable = False
+        for name, value in (("blocks", MappingProxyType(dict(self.blocks))), ("a", a), ("c", c_full)):
+            object.__setattr__(self, name, value)
+        norms = np.linalg.norm(a, axis=1)
+        norms[norms == 0] = 1.0
+        u, s, vt = np.linalg.svd(a / norms[:, None], full_matrices=False)
+        rank = int(np.sum(s > max(a.shape) * 1e-12 * s[0])) if s.size else 0
+        a_psd, u = vt[:rank, : n - n_free], u[:, :rank]
+        basis, tri = np.linalg.qr(vt[:rank, n - n_free :], mode="complete")
+        if np.sum(np.abs(np.diag(tri)) > max(a.shape) * 1e-12) < n_free:
+            raise SdpBuildError("the equalities leave a free scalar undetermined")
+        rows = basis[:, n_free:].T @ a_psd
+        starts = np.cumsum([0] + [vec_size(d, real) for d, real in blocks])
+        diags = np.cumsum([0] + [d for d, _ in blocks])
+        layout = tuple((slice(j, k), slice(p, q), _coord_map(*blk))
+                       for blk, j, k, p, q in zip(blocks, starts, starts[1:], diags, diags[1:]))
+        dtype = float if all(real for _, real in blocks) else complex
+        mats = _embed(np.zeros((rows.shape[0], diags[-1], diags[-1]), dtype), rows, layout)
+        restricted = [(diag, mats[:, diag, diag]) for _, diag, _ in layout]
+        sides = tuple((diag, r.transpose(1, 0, 2).reshape(r.shape[1], -1)) for diag, r in restricted)
+        packed = np.concatenate([_vec(r) for _, r in restricted], axis=1)
+        lift = np.linalg.solve(tri[:n_free], basis[:, :n_free].T)
+        y0 = c_full[n - n_free :] @ lift
+        c = _embed(np.zeros(mats.shape[1:], mats.dtype), c_full[: n - n_free] - y0 @ a_psd, layout)
+        # the gather is pack's own selection: pack the positions of X's real and
+        # imaginary parts in _vec(X), and divide by the pack of ones
+        d, width = mats.shape[1], 2 if dtype is complex else 1
+        pos = width * np.arange(d * d).reshape(d, d) * (1 + 1j) + (width - 1) * 1j
+        index, scale = (np.concatenate([pack(m[diag, diag], real) for (_, real), (_, diag, _) in zip(blocks, layout)])
+                        for m in (pos, np.full((d, d), 1 + 1j)))
+        object.__setattr__(self, "factored", (
+            norms, (u, s[:rank]), layout, mats, _vec(mats), (sides, packed), (a_psd, basis[:, n_free:], lift),
+            (c, np.linalg.norm(c), y0, (np.rint(index / scale).astype(np.intp), scale))))
+
+
+@dataclass(frozen=True, eq=False)
+class SdpProblem:
+    """One instance of a program: its right-hand side b, one entry per row."""
+
+    program: SdpProgram
+    b: np.ndarray
+
+    def __post_init__(self):
+        if self.b.shape != self.program.a.shape[:1]:
+            raise SdpBuildError(f"b {self.b.shape} does not fit the {self.program.a.shape[0]} rows of a")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +222,7 @@ class SdpSolution:
     dual_objective: float
     seconds: float = field(compare=False)   # wall time of the solve
     bracket: tuple[float, float] | None = None   # (lower, upper) bound on the optimum
-    # the last iterate, for a warm start: (_reduce entry, X, Z, y)
+    # the last iterate, for a warm start: (program, X, Z, y)
     iterate: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -176,58 +238,6 @@ def _embed(out: np.ndarray, coords: np.ndarray, layout) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _reduce(a_bytes: bytes, shape: tuple[int, int], blocks: tuple, n_free: int, c_bytes: bytes | None = None):
-    """The factored shape of a program, keyed on the content of a: the row
-    norms, the kept left singular vectors and values, per block its pack
-    coordinates, diagonal slice and _coord_map, the PSD-only rows as (m, D, D)
-    block-diagonal matrices and as their real buffers, those rows restricted
-    to each block in the two layouts from which _schur forms the Schur
-    complement block by block, and (A_psd, N, lift). Rows are normalized,
-    then made orthonormal by an SVD whose singular values below
-    max(shape) * 1e-12 * s_0 drop out with the dependent rows. A complete QR
-    [Q_f | N] [R; 0] of their free-scalar columns A_f gives x_f = lift @
-    (b - A_psd x), lift = R^-1 Q_f^T, and the PSD-only rows N^T A_psd, still
-    orthonormal as N^T A_f = 0; a singular R is an SdpBuildError.
-
-    Given c too, that entry with, for y0 = lift^T c_f, C - A_psd^T y0 as a
-    D x D matrix, its norm, y0 and the gather (index, scale) with which
-    _vec(X)[index] * scale packs X; cache_clear forgets both kinds."""
-    if c_bytes is not None:
-        reduced = _reduce(a_bytes, shape, blocks, n_free)
-        _, _, layout, mats, _, _, (a_psd, _, lift) = reduced
-        c_full, (n, width) = np.frombuffer(c_bytes), (mats.shape[1], 2 if mats.dtype == complex else 1)
-        y0 = c_full[a_psd.shape[1] :] @ lift
-        c = _embed(np.zeros(mats.shape[1:], mats.dtype), c_full[: a_psd.shape[1]] - y0 @ a_psd, layout)
-        # the gather is pack's own selection: pack the positions of X's real and
-        # imaginary parts in _vec(X), and divide by the pack of ones
-        pos = width * np.arange(n * n).reshape(n, n) * (1 + 1j) + (width - 1) * 1j
-        index, scale = (np.concatenate([pack(m[diag, diag], real) for (_, real), (_, diag, _) in zip(blocks, layout)])
-                        for m in (pos, np.full((n, n), 1 + 1j)))
-        return reduced, (c, np.linalg.norm(c), y0, (np.rint(index / scale).astype(np.intp), scale))
-    a_full = np.frombuffer(a_bytes).reshape(shape)
-    norms = np.linalg.norm(a_full, axis=1)
-    norms[norms == 0] = 1.0
-    u, s, vt = np.linalg.svd(a_full / norms[:, None], full_matrices=False)
-    rank = int(np.sum(s > max(shape) * 1e-12 * s[0])) if s.size else 0
-    a_psd, u = vt[:rank, : shape[1] - n_free], u[:, :rank]
-    basis, tri = np.linalg.qr(vt[:rank, shape[1] - n_free :], mode="complete")
-    if np.sum(np.abs(np.diag(tri)) > max(shape) * 1e-12) < n_free:
-        raise SdpBuildError("the equalities leave a free scalar undetermined")
-    a = basis[:, n_free:].T @ a_psd
-    starts = np.cumsum([0] + [vec_size(d, real) for d, real in blocks])
-    diags = np.cumsum([0] + [d for d, _ in blocks])
-    layout = tuple((slice(j, k), slice(p, q), _coord_map(*blk))
-                   for blk, j, k, p, q in zip(blocks, starts, starts[1:], diags, diags[1:]))
-    dtype = float if all(real for _, real in blocks) else complex
-    mats = _embed(np.zeros((a.shape[0], diags[-1], diags[-1]), dtype), a, layout)
-    restricted = [(diag, mats[:, diag, diag]) for _, diag, _ in layout]
-    sides = tuple((diag, r.transpose(1, 0, 2).reshape(r.shape[1], -1)) for diag, r in restricted)
-    packed = np.concatenate([_vec(r) for _, r in restricted], axis=1)
-    free = (a_psd, basis[:, n_free:], np.linalg.solve(tri[:n_free], basis[:, :n_free].T))
-    return norms, (u, s[:rank]), layout, mats, _vec(mats), (sides, packed), free
-
-
 def check_dim_guard(blocks: dict[str, tuple[int, bool]]) -> None:
     """Reject blocks whose embedded PSD dimension (complex counts twice) exceeds DIM_GUARD."""
     if (embedded := sum(d if real else 2 * d for d, real in blocks.values())) > DIM_GUARD:
@@ -240,28 +250,27 @@ def solve(
     settled: Callable[[float, float], bool] | None = None,
     warm: SdpSolution | None = None,
 ) -> SdpSolution:
-    """Solve a compiled problem by the interior-point method (see _step).
+    """Solve a problem by the interior-point method (see _step), on the
+    factorization that its program made when it was built.
 
-    The iteration sees the PSD blocks alone (see _reduce): with y0 =
+    The iteration sees the PSD blocks alone (see SdpProgram): with y0 =
     lift^T c_f, the free scalars' objective c_f @ x_f is y0 @ (b - A_psd x),
     so the blocks' objective becomes C - A_psd^T y0 plus the constant b @ y0,
     and x_f is recovered at exit. X and the dual slack Z are block-diagonal
     D x D matrices, complex if any block is, with the blocks as diagonal
     slices. The iteration starts infeasible, from X = Z = I and y = 0; or,
-    when warm solved a program of the same cached shape, from warm's last
-    iterate with X and Z moved toward I by theta = min(1, |b - A x| /
+    when warm solved a problem of the same SdpProgram object, from warm's
+    last iterate with X and Z moved toward I by theta = min(1, |b - A x| /
     (1 + |b|)), the share of the new b that it misses (Yildirim and Wright,
-    SIAM J. Optim. 2002). Any other warm, like an evicted shape's, is
-    ignored. Status "optimal": the relative primal and dual residuals and
-    the relative duality gap are all at most DEFAULT_EPS, and so is the part
-    of the row-normalized b outside the row space of a, relative to 1 + its
-    norm. Otherwise "max_iterations": the cap was reached, a step came out
-    non-finite and the last finite iterate is returned, or the equalities
-    are inconsistent; a program with no feasible point ends so too.
+    SIAM J. Optim. 2002). Any other warm is ignored. Status "optimal": the
+    relative primal and dual residuals and the relative duality gap are all
+    at most DEFAULT_EPS, and so is the part of the row-normalized b outside
+    the row space of a, relative to 1 + its norm. Otherwise
+    "max_iterations": the cap was reached, a step came out non-finite and
+    the last finite iterate is returned, or the equalities are
+    inconsistent; a program with no feasible point ends so too.
     objective_value is that of the primal iterate and dual_objective that of
-    the dual one. Problems whose embedded PSD dimension exceeds DIM_GUARD,
-    or whose equalities leave a free scalar undetermined, are rejected
-    before iterating.
+    the dual one.
 
     A problem with a Certificate and consistent equalities gets a bracket
     [lo, hi] of its optimum at every iterate, from the residuals the
@@ -286,21 +295,17 @@ def solve(
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
     if not max_iters >= 0 or max_iters % 1:
         raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters}")
-    check_dim_guard(problem.blocks)
-    a_full, blocks = np.ascontiguousarray(problem.a, dtype=float), tuple(problem.blocks.values())
-    reduced, (c, c_norm, y0, (index, scale)) = _reduce(
-        a_full.tobytes(), a_full.shape, blocks, len(problem.scalars),
-        np.ascontiguousarray(problem.c, dtype=float).tobytes())
-    norms, (u, s), layout, mats, flat, schur, (a_psd, null, lift) = reduced
+    program = problem.program
+    norms, (u, s), layout, _, flat, schur, (a_psd, null, lift), (c, c_norm, y0, (index, scale)) = program.factored
     b_unit = problem.b / norms
     b_full, leak = (u.T @ b_unit) / s, b_unit - u @ (u.T @ b_unit)
     consistent = np.linalg.norm(leak) <= DEFAULT_EPS * (1.0 + np.linalg.norm(b_unit))
-    cert = problem.certificate if consistent else None
+    cert = program.certificate if consistent else None
     b, offset = null.T @ b_full, y0 @ b_full
     # X, Z and C are D x D matrices, y a vector
     x = z = np.eye(len(c), dtype=c.dtype)
     y, b_norm = np.zeros(b.size), np.linalg.norm(b)
-    if warm is not None and warm.iterate is not None and warm.iterate[0] is reduced:
+    if warm is not None and warm.iterate is not None and warm.iterate[0] is program:
         _, x_old, z_old, y = warm.iterate
         theta = min(1.0, np.linalg.norm(b - flat @ _vec(x_old)) / (1.0 + b_norm))
         x, z = (1 - theta) * x_old + theta * x, (1 - theta) * z_old + theta * z
@@ -350,21 +355,21 @@ def solve(
 
     x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm = point
     values = {name: (x[diag, diag].real if real else x[diag, diag]).copy()
-              for (name, (_, real)), (_, diag, _) in zip(problem.blocks.items(), layout)}
+              for (name, (_, real)), (_, diag, _) in zip(program.blocks.items(), layout)}
     x_psd = _vec(x)[index] * scale
     x_pack = np.concatenate([x_psd, lift @ (b_full - a_psd @ x_psd)])
     return SdpSolution(
         status=status or "max_iterations",
-        objective_value=float(problem.c @ x_pack),
+        objective_value=float(program.c @ x_pack),
         block_values=values,
-        scalar_values=dict(zip(problem.scalars, map(float, x_pack[x_psd.size :]))),
-        primal_residual=float(np.max(np.abs(a_full @ x_pack - problem.b), initial=0.0)),
+        scalar_values=dict(zip(program.scalars, map(float, x_pack[x_psd.size :]))),
+        primal_residual=float(np.max(np.abs(program.a @ x_pack - problem.b), initial=0.0)),
         dual_residual=float(rd_norm),
         iterations=iterations,
         dual_objective=float(dobj),
         seconds=time.perf_counter() - start,
         bracket=bracket,
-        iterate=(reduced, x, z, y),
+        iterate=(program, x, z, y),
     )
 
 

@@ -266,13 +266,13 @@ def check_measure_signs() -> Verdict:
 def _eigenvalue_lp(h: np.ndarray, real: bool) -> sdp.SdpProblem:
     """min -t s.t. X >= 0, X + t * 1 = h; the optimum is minus the smallest eigenvalue."""
     size = sdp.vec_size(h.shape[0], real)
-    return sdp.SdpProblem(
+    program = sdp.SdpProgram(
         blocks={"x": (h.shape[0], real)},
         scalars=("t",),
         a=np.hstack([np.eye(size), sdp.pack(np.eye(h.shape[0]), real)[:, None]]),
-        b=sdp.pack(h, real),
         c=-np.eye(size + 1)[-1],
     )
+    return sdp.SdpProblem(program, sdp.pack(h, real))
 
 
 def check_solver_suite() -> Verdict:
@@ -297,13 +297,13 @@ def check_solver_suite() -> Verdict:
         y = rng.normal(size=m)
         c = sum(yj * aj for yj, aj in zip(y, mats))
         target = sum(yj * np.trace(aj @ x_star).real for yj, aj in zip(y, mats))
-        prob = sdp.SdpProblem(
+        program = sdp.SdpProgram(
             blocks={"x": (d, False)},
             scalars=(),
             a=np.array([sdp.pack(aj) for aj in mats]),
-            b=np.array([np.trace(aj @ x_star).real for aj in mats]),
             c=-sdp.pack(c),
         )
+        prob = sdp.SdpProblem(program, np.array([np.trace(aj @ x_star).real for aj in mats]))
         sol = sdp.solve(prob)
         worst_planted = max(worst_planted, abs(-sol.objective_value - target))
         if sol.primal_residual > 1e-7:

@@ -51,6 +51,23 @@ def test_zero_crossing_reports_the_cached_sweeps_time():
     assert "sweep took 0.0s" not in result.detail
 
 
+@pytest.mark.parametrize("t_zero, passed", [(0.75, False), (0.81, True), (0.87, False)])
+def test_zero_crossing_must_fall_in_its_window(t_zero, passed, monkeypatch):
+    # r_cd settles at 0 from t_zero on a step-0.01 grid; only 0.79-0.83 passes
+    def settling(figure_id):
+        return tuple(
+            SweepRecord(t=k / 100, r_generic=0.0, r_cd=0.0 if k >= round(100 * t_zero) else 0.3,
+                        trace_distance=0.5)
+            for k in range(101)
+        ) if figure_id == 1 else ()
+
+    monkeypatch.setattr(validation, "_figure_records", settling)
+    monkeypatch.setattr(validation, "_SWEEP_SECONDS", {1: 1.0})
+    result = validation.run_check("depolarizing_zero_crossing")
+    assert result.passed == passed
+    assert result.detail.startswith(f"first permanently-zero grid point t={t_zero:.2f}")
+
+
 def test_noise_dominance_cap_names_indeterminate_records(monkeypatch):
     flagged = SweepRecord(t=0.7, r_generic=0.1, r_cd=0.2, trace_distance=0.5, indeterminate=True)
     monkeypatch.setattr(validation, "_figure_records", lambda fig: (flagged,) if fig == 6 else ())

@@ -252,9 +252,11 @@ class TestChannelValidation:
             Channel(2, 2, bad)
 
     def test_rejects_non_tp(self):
-        bad = np.diag([2.0, 0.0, 0.0, 1.0]).astype(complex)
-        with pytest.raises(ValueError):
-            Channel(2, 2, bad)
+        # the second input marginal misses 1 by 1e-6, a thousand times TP_TOL
+        for first in (2.0, 1.0 + 1e-6):
+            bad = np.diag([first, 0.0, 0.0, 1.0]).astype(complex)
+            with pytest.raises(ValueError, match="not trace preserving"):
+                Channel(2, 2, bad)
 
 
 class TestPovm:

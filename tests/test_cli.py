@@ -207,6 +207,17 @@ def test_choi_dimensions_must_be_json_integers(tmp_path, capsys, spelling):
     assert "din and dout must be integers" in err
 
 
+def test_choi_file_a_millionth_off_trace_preservation_exits_two(tmp_path, capsys):
+    near = np.diag([1.0 + 1e-6, 0.0, 0.0, 1.0])
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"din": 2, "dout": 2, "choi_re": near.tolist(), "choi_im": (0 * near).tolist()}))
+    code, out, err = run_cli(
+        ["sweep", "--family", "custom", "--choi", str(path), "--family2", "identity"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "not trace preserving" in err
+
+
 def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["figure"])

@@ -142,7 +142,7 @@ def test_solution_satisfies_compatibility_equations(rng):
                 assert np.linalg.eigvalsh(block)[0] >= -1e-8
     p1 = channel_feasibility_problem(IDENT, depolarizing_choi(0.7), None, GEN)
     p2 = channel_feasibility_problem(depolarizing_choi(0.5), depolarizing_choi(0.9), None, GEN)
-    assert p1.a is p2.a and not p1.a.flags.writeable
+    assert p1.program is p2.program and not p1.program.a.flags.writeable
 
 
 def _near_unitary(rng, dout=2):
@@ -262,20 +262,19 @@ class TestCompiledProgram:
         ch1, ch2 = (IDENT, depolarizing_choi(0.7)) if shape == "real" else (random_channel(rng), random_channel(rng))
         for r, scalars in ((None, ("r",)), (0.4, ("q",))):
             problem = channel_feasibility_problem(ch1, ch2, r, noise)
-            assert problem.scalars == scalars
+            assert problem.program.scalars == scalars
             # no row pins a scalar: each one reaches a PSD block
-            assert np.all(np.any(problem.a[:, : -len(scalars)] != 0, axis=1))
+            assert np.all(np.any(problem.program.a[:, : -len(scalars)] != 0, axis=1))
 
     @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
     def test_pairs_of_one_shape_share_the_compiled_program(self, noise, rng):
         pairs = [(random_channel(rng), random_channel(rng)) for _ in range(2)]
         for r in (None, 0.4):
             first, second = (channel_feasibility_problem(*pair, r, noise) for pair in pairs)
-            for name in ("a", "c", "blocks", "certificate"):
-                assert getattr(first, name) is getattr(second, name)
+            assert first.program is second.program
             assert not np.array_equal(first.b, second.b)
             with pytest.raises(TypeError):
-                first.blocks["joint"] = (1, True)
+                first.program.blocks["joint"] = (1, True)
         n_in = 2 if noise is GEN else 1
         trace = 0.4 * sdp.pack(np.eye(n_in), False)
         assert np.array_equal(second.b[-2 * trace.size :], np.concatenate([trace, trace]))
@@ -469,6 +468,10 @@ class TestRecords:
             SweepRecord(t=0.0, r_generic=None, r_cd=1.5, trace_distance=0.5)
         with pytest.raises(ValueError):
             SweepRecord(t=0.0, r_generic=None, r_cd=1.5, trace_distance=0.5, indeterminate=True)
+        # generic <= CD holds within 1e-4: 2e-4 above is refused, 5e-5 above passes
+        with pytest.raises(ValueError, match="exceeds CD robustness"):
+            SweepRecord(t=0.0, r_generic=0.3 + 2e-4, r_cd=0.3, trace_distance=0.5)
+        assert SweepRecord(t=0.0, r_generic=0.3 + 5e-5, r_cd=0.3, trace_distance=0.5).r_generic == 0.3 + 5e-5
         # an unconverged point comes back flagged instead of failing dominance
         rec = SweepRecord(t=0.0, r_generic=0.005, r_cd=0.0, trace_distance=0.5, indeterminate=True)
         assert rec.indeterminate
@@ -565,11 +568,11 @@ class TestBracket:
         }[shape]
         problem = channel_feasibility_problem(ch1, ch2, None, noise)
         blocks, r0 = _interior_point(ch1, ch2, noise)
-        real = problem.blocks["joint"][1]
+        real = problem.program.blocks["joint"][1]
         x0 = np.concatenate([sdp.pack(blk, real) for blk in blocks] + [[r0]])
-        assert np.max(np.abs(problem.a @ x0 - problem.b)) <= 1e-12
+        assert np.max(np.abs(problem.program.a @ x0 - problem.b)) <= 1e-12
         assert min(np.linalg.eigvalsh(blk)[0] for blk in blocks) >= 1 - 1e-12
-        cert = problem.certificate
+        cert = problem.program.certificate
         n_in = ch1.din if noise is GEN else 1
         assert (cert.trace_bound, cert.interior_value, cert.interior_margin) == (2.0 * (ch1.din + n_in), r0, 1.0)
         # the trace bound holds at the optimum, which lies at r <= 1
@@ -577,7 +580,7 @@ class TestBracket:
         lo, hi = sol.bracket
         assert sol.status == "optimal" and lo <= sol.scalar_values["r"] <= hi <= lo + 1e-7
         assert sum(np.trace(blk).real for blk in sol.block_values.values()) <= cert.trace_bound
-        assert channel_feasibility_problem(ch1, ch2, 0.5, noise).certificate is None
+        assert channel_feasibility_problem(ch1, ch2, 0.5, noise).program.certificate is None
 
     def test_settled_bracket_ends_the_solve(self):
         problem = channel_feasibility_problem(IDENT, IDENT, None, GEN)   # r* = 1/3

@@ -90,14 +90,13 @@ class TestSolve:
         y = rng.normal(size=m)
         c = sum(yj * aj for yj, aj in zip(y, mats))
         b = np.array([np.trace(aj @ x_star).real for aj in mats])
-        prob = sdp.SdpProblem(
+        program = sdp.SdpProgram(
             blocks={"x": (d, False)},
             scalars=(),
             a=np.array([sdp.pack(aj) for aj in mats]),
-            b=b,
             c=-sdp.pack(c),
         )
-        sol = sdp.solve(prob)
+        sol = sdp.solve(sdp.SdpProblem(program, b))
         assert sol.status == "optimal"
         assert abs(-sol.objective_value - y @ b) < 1e-6
 
@@ -105,14 +104,13 @@ class TestSolve:
         # there is no infeasibility exit: a program without a feasible point
         # ends at max_iters or at a non-finite step, never reported optimal,
         # and returns its last finite iterate
-        prob = sdp.SdpProblem(
+        program = sdp.SdpProgram(
             blocks={"x": (2, True)},
             scalars=(),
             a=np.eye(3),
-            b=sdp.pack(-np.eye(2), real=True),
             c=sdp.pack(np.eye(2), real=True),
         )
-        sol = sdp.solve(prob, max_iters=2000)
+        sol = sdp.solve(sdp.SdpProblem(program, sdp.pack(-np.eye(2), real=True)), max_iters=2000)
         assert sol.status == "max_iterations"
         assert np.all(np.isfinite(sol.block_values["x"]))
         assert np.isfinite(sol.objective_value) and np.isfinite(sol.dual_objective)
@@ -121,8 +119,8 @@ class TestSolve:
         # a repeated row with another right-hand side: the reduced program
         # converges, but b lies outside the row space of a
         prob = _eigenvalue_lp(np.diag([1.0, 2.0]), real=True)
-        prob = replace(prob, a=np.vstack([prob.a, prob.a[:1]]), b=np.append(prob.b, prob.b[0] + 0.5))
-        sol = sdp.solve(prob)
+        program = replace(prob.program, a=np.vstack([prob.program.a, prob.program.a[:1]]))
+        sol = sdp.solve(sdp.SdpProblem(program, np.append(prob.b, prob.b[0] + 0.5)))
         assert sol.status == "max_iterations"
         assert sol.primal_residual > 0.2
 
@@ -135,22 +133,21 @@ class TestSolve:
         ident = isometry_channel(np.eye(2))
         prob = channel_feasibility_problem(ident, ident, None, NoiseClass.GENERIC)
         assert sdp.solve(prob).status == "optimal" and sdp.solve(prob).bracket is not None
-        a = np.vstack([prob.a, prob.a[:1]])
+        a = np.vstack([prob.program.a, prob.program.a[:1]])
         norms = np.linalg.norm(a, axis=1)
         delta = 1e-7 * np.sqrt(2) * norms[0] * (1 + np.linalg.norm(np.append(prob.b, prob.b[0]) / norms))
-        sol = sdp.solve(replace(prob, a=a, b=np.append(prob.b, prob.b[0] + delta)))
+        sol = sdp.solve(sdp.SdpProblem(replace(prob.program, a=a), np.append(prob.b, prob.b[0] + delta)))
         assert sol.status == "max_iterations" and sol.bracket is None
         assert sol.iterations < sdp.DEFAULT_MAX_ITERS
 
     @pytest.mark.parametrize("column", ["absent", "twin"])
     def test_undetermined_free_scalar_is_rejected(self, column):
         # a second scalar in no row, or only ever beside t as t + s: the
-        # equalities cannot fix it, so the program is refused before iterating
-        prob = _eigenvalue_lp(np.diag([1.0, 2.0]), real=True)
-        extra = np.zeros((3, 1)) if column == "absent" else prob.a[:, -1:]
-        prob = replace(prob, scalars=("t", "s"), a=np.hstack([prob.a, extra]), c=np.append(prob.c, 0.0))
+        # equalities cannot fix it, so the program is refused when it is built
+        program = _eigenvalue_lp(np.diag([1.0, 2.0]), real=True).program
+        extra = np.zeros((3, 1)) if column == "absent" else program.a[:, -1:]
         with pytest.raises(sdp.SdpBuildError, match="leave a free scalar undetermined"):
-            sdp.solve(prob)
+            replace(program, scalars=("t", "s"), a=np.hstack([program.a, extra]), c=np.append(program.c, 0.0))
 
     def test_deterministic_replay(self, rng):
         h = random_hermitian(rng, 4)
@@ -198,28 +195,21 @@ class TestSolve:
         assert all(np.isfinite(v).all() for v in sol.block_values.values())
 
     def test_dim_guard(self):
-        prob = sdp.SdpProblem(
-            blocks={"big": (40, False)},
-            scalars=(),
-            a=np.zeros((0, 1600)),
-            b=np.zeros(0),
-            c=sdp.pack(np.eye(40)),
-        )
-        with pytest.raises(sdp.SdpBuildError):
-            sdp.solve(prob)
+        with pytest.raises(sdp.SdpBuildError, match="exceeds guard"):
+            sdp.SdpProgram(blocks={"big": (40, False)}, scalars=(), a=np.zeros((0, 1600)), c=sdp.pack(np.eye(40)))
 
 
 def _shared_eigenvalue_lp(hs: dict) -> sdp.SdpProblem:
     """min -t s.t. X_k + t * 1 = H_k, X_k >= 0 for each named (H_k, real):
     the optimum is minus the smallest eigenvalue of all the H_k."""
     t_col = np.concatenate([sdp.pack(np.eye(h.shape[0]), real) for h, real in hs.values()])
-    return sdp.SdpProblem(
+    program = sdp.SdpProgram(
         blocks={name: (h.shape[0], real) for name, (h, real) in hs.items()},
         scalars=("t",),
         a=np.hstack([np.eye(t_col.size), t_col[:, None]]),
-        b=np.concatenate([sdp.pack(h, real) for h, real in hs.values()]),
         c=-np.eye(t_col.size + 1)[-1],
     )
+    return sdp.SdpProblem(program, np.concatenate([sdp.pack(h, real) for h, real in hs.values()]))
 
 
 def _four_blocks(rng) -> dict:
@@ -273,8 +263,7 @@ class TestBlockDiagonalIterate:
         ends = []
         for hs, cap in [({"x": (random_hermitian(rng, 4), False)}, None), (_four_blocks(rng), None),
                         (_four_blocks(rng), 3)]:
-            problem = _shared_eigenvalue_lp(hs)
-            sdp.solve(problem)    # the shape is factored before counting
+            problem = _shared_eigenvalue_lp(hs)    # the program is factored before counting
             calls.update(cholesky=0, eigh=0, solve=0)
             steps.clear()
             sol = sdp.solve(problem, max_iters=cap)
@@ -302,34 +291,66 @@ class TestBlockDiagonalIterate:
             return svd(a, *args, **kwargs)
 
         def counting_solve(problem, *args, **kwargs):
-            solves.append(problem.a.shape)
+            solves.append(problem.program.a.shape)
             return solve(problem, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(sdp, "solve", counting_solve)
-        sdp._reduce.cache_clear()
+        sys.modules["chancompat.robustness"]._program.cache_clear()
         out = tmp_path / "f.csv"
         assert chancompat.cli.main(["figure", "--id", "1", "--t-step", "0.1", "-o", str(out)]) == 0
         # 11 points, one program shape per noise class
         assert len(solves) == 22
         assert sorted(factored) == sorted(set(solves)) and len(factored) == 2
 
+    def test_repeat_solves_factor_nothing(self, rng, monkeypatch):
+        # a program is factored when it is built: no solve of its problems,
+        # cold, repeated or warm, makes an SVD or a QR call
+        problem = channel_feasibility_problem(random_channel(rng), random_channel(rng), None, NoiseClass.GENERIC)
+        calls = []
+        for name in ("svd", "qr"):
+            def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        first = sdp.solve(problem)
+        assert_same_solve(sdp.solve(problem), first)
+        assert sdp.solve(problem, warm=first).iterations == 0
+        assert calls == []
+        replace(problem.program)    # a new build factors anew
+        assert calls == ["svd", "qr"]
+
     def test_mutated_rows_give_the_new_program(self):
-        # the shape cache keys on the content of a, not on the array
-        prob = _eigenvalue_lp(np.diag([1.0, 3.0]), real=True)
-        assert abs(-sdp.solve(prob).objective_value - 1.0) < 1e-7
-        prob.a[:, -1] *= 2.0    # X + 2 t 1 = h: the optimum halves
-        sol = sdp.solve(prob)
+        # a program keeps read-only copies of its rows and objective: changing
+        # the caller's array changes nothing, and only a program built from
+        # the changed rows has the new optimum
+        h = np.diag([1.0, 3.0])
+        rows, c = (v.copy() for v in (_eigenvalue_lp(h, real=True).program.a, -np.eye(4)[-1]))
+        program = sdp.SdpProgram({"x": (2, True)}, ("t",), rows, c)
+        prob = sdp.SdpProblem(program, sdp.pack(h, real=True))
+        before = sdp.solve(prob)
+        assert abs(-before.objective_value - 1.0) < 1e-7
+        rows[:, -1] *= 2.0    # X + 2 t 1 = h: the optimum halves
+        c[-1] = 0.0
+        after = sdp.solve(prob)
+        assert_same_solve(after, before)
+        assert after.primal_residual == before.primal_residual
+        for name in ("a", "c"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(program, name)[-1] *= 2.0
+        with pytest.raises(TypeError):
+            program.blocks["x"] = (3, True)
+        sol = sdp.solve(sdp.SdpProblem(replace(program, a=rows), prob.b))
         assert abs(-sol.objective_value - 0.5) < 1e-7
-        assert sol.objective_value == sdp.solve(replace(prob, a=prob.a.copy())).objective_value
 
 
 class TestWarmStart:
     def test_nearby_program_converges_in_fewer_iterations(self, rng):
-        # the eigenvalue LP keeps a and c; only b = pack(h) moves
+        # the eigenvalue LP keeps its program; only b = pack(h) moves
         h = random_hermitian(rng, 4)
-        old = sdp.solve(_eigenvalue_lp(h, real=False))
-        problem = _eigenvalue_lp(h + 1e-3 * random_hermitian(rng, 4), real=False)
+        first = _eigenvalue_lp(h, real=False)
+        old = sdp.solve(first)
+        problem = replace(first, b=sdp.pack(h + 1e-3 * random_hermitian(rng, 4)))
         cold, warm = sdp.solve(problem), sdp.solve(problem, warm=old)
         assert cold.status == warm.status == "optimal"
         assert abs(warm.objective_value - cold.objective_value) <= 1e-8
@@ -359,25 +380,30 @@ class TestWarmStart:
         assert_same_solve(sdp.solve(problem, warm=sdp.solve(donor)), cold)
         assert_same_solve(sdp.solve(donor, warm=cold), sdp.solve(donor))
 
-    def test_start_from_an_evicted_shape_replays_the_cold_solve(self, rng):
-        problem = _eigenvalue_lp(random_hermitian(rng, 4), real=False)
+    def test_start_from_a_twin_program_replays_the_cold_solve(self, rng):
+        # a warm start needs the very program object that made the iterate;
+        # a program built separately from the same rows starts cold
+        h = random_hermitian(rng, 4)
+        problem = _eigenvalue_lp(h, real=False)
         old = sdp.solve(problem)
         assert sdp.solve(problem, warm=old).iterations == 0
-        sdp._reduce.cache_clear()    # the shape is factored anew
-        cold = sdp.solve(problem)
+        twin = _eigenvalue_lp(h, real=False)
+        assert np.array_equal(twin.program.a, problem.program.a) and np.array_equal(twin.b, problem.b)
+        cold = sdp.solve(twin)
         assert cold.iterations > 0
-        assert_same_solve(sdp.solve(problem, warm=old), cold)
+        assert_same_solve(sdp.solve(twin, warm=old), cold)
 
     def test_start_is_moved_toward_the_identity_by_the_missed_share_of_b(self):
         # theta = |b - A x_old| / (1 + |b|) in the PSD-only rows, b = N^T b
         # once the free scalars are eliminated, and X and Z both move theta
         # of the way to 1
         h = np.diag([1.0, 2.0, 3.0, 4.0])
-        old = sdp.solve(_eigenvalue_lp(h, real=True), max_iters=3)
-        problem = _eigenvalue_lp(2 * h, real=True)
+        first = _eigenvalue_lp(h, real=True)
+        old = sdp.solve(first, max_iters=3)
+        problem = replace(first, b=sdp.pack(2 * h, real=True))
         start = sdp.solve(problem, warm=old, max_iters=0)
-        reduced, x_old, z_old, _ = old.iterate
-        norms, (u, s), _, _, flat, _, (_, null, _) = reduced
+        program, x_old, z_old, _ = old.iterate
+        norms, (u, s), _, _, flat, _, (_, null, _), _ = program.factored
         b = null.T @ (u.T @ (problem.b / norms) / s)
         theta = np.linalg.norm(b - flat @ sdp._vec(x_old)) / (1 + np.linalg.norm(b))
         assert 0 < theta < 1
@@ -385,7 +411,7 @@ class TestWarmStart:
         assert np.allclose(start.iterate[1], (1 - theta) * x_old + theta * eye, rtol=0, atol=1e-14)
         assert np.allclose(start.iterate[2], (1 - theta) * z_old + theta * eye, rtol=0, atol=1e-14)
         # a residual as large as 1 + |b| caps theta at 1: the cold start
-        far = sdp.solve(_eigenvalue_lp(-h, real=True), warm=old, max_iters=0)
+        far = sdp.solve(replace(first, b=sdp.pack(-h, real=True)), warm=old, max_iters=0)
         assert np.array_equal(far.iterate[1], eye) and np.array_equal(far.iterate[2], eye)
 
 
@@ -394,7 +420,7 @@ def _random_pd_blocks(rng, problem, layout, dtype):
     real on its real ones."""
     n = layout[-1][1].stop
     out = np.zeros((n, n), dtype)
-    for (d, real), (_, diag, _) in zip(problem.blocks.values(), layout):
+    for (d, real), (_, diag, _) in zip(problem.program.blocks.values(), layout):
         g = rng.normal(size=(d, d)) + (0 if real else 1j * rng.normal(size=(d, d)))
         out[diag, diag] = g @ g.conj().T + np.eye(d)
     return out
@@ -413,9 +439,7 @@ class TestSchurComplement:
                 *(isometry_channel(np.linalg.qr(rng.normal(size=(4, 2)))[0]) for _ in range(2)),
                 None, NoiseClass.GENERIC),
         }[program]()
-        a = np.ascontiguousarray(problem.a)
-        _, _, layout, mats, flat, schur, _ = sdp._reduce(
-            a.tobytes(), a.shape, tuple(problem.blocks.values()), len(problem.scalars))
+        _, _, layout, mats, flat, schur, *_ = problem.program.factored
         assert mats.shape[1] == {"four_blocks": 11, "complex_d28": 28, "real_d48": 48}[program]
         x, z = (_random_pd_blocks(rng, problem, layout, mats.dtype) for _ in range(2))
         w = np.linalg.inv(z)
@@ -429,16 +453,16 @@ class TestSchurComplement:
 class TestProblemValidation:
     def test_matrix_equality_row_count(self):
         # a 3 x 3 equality: 3 diagonal + 3 real upper + 3 imaginary upper rows
-        assert _eigenvalue_lp(np.eye(3), real=False).a.shape == (9, 10)
+        assert _eigenvalue_lp(np.eye(3), real=False).program.a.shape == (9, 10)
 
     def test_real_block_row_count(self):
-        assert _eigenvalue_lp(np.eye(3), real=True).a.shape == (6, 7)
+        assert _eigenvalue_lp(np.eye(3), real=True).program.a.shape == (6, 7)
 
     def test_rejects_dimension_mismatch(self):
         prob = _eigenvalue_lp(np.eye(2), real=False)
         with pytest.raises(sdp.SdpBuildError):
             replace(prob, b=np.zeros(3))
         with pytest.raises(sdp.SdpBuildError):
-            replace(prob, c=np.zeros(4))
+            replace(prob.program, c=np.zeros(4))
         with pytest.raises(sdp.SdpBuildError):
-            replace(prob, blocks={"x": (3, False)})
+            replace(prob.program, blocks={"x": (3, False)})

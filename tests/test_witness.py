@@ -130,6 +130,10 @@ class TestRisingSegments:
         ts = [0, 1, 2, 3, 4]
         assert rising_segments(ts, [0.0, 0.5, 0.499, 1.0, 0.2]) == [(0, 3)]
 
+    def test_fall_beyond_dead_band_closes_the_segment(self):
+        # a fall of 3e-3, between DEAD_BAND and twice it, ends the first rise
+        assert rising_segments([0, 1, 2, 3], [0.0, 0.5, 0.497, 1.0]) == [(0, 1), (2, 3)]
+
     def test_trailing_plateau_not_included(self):
         assert rising_segments([0, 1, 2, 3], [0.0, 0.5, 0.5, 0.2]) == [(0, 1)]
 
