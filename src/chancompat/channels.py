@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import is_hermitian, partial_trace
+from .linalg import is_hermitian
 
 CP_EIG_FLOOR = -1e-9
 TP_TOL = 1e-9
@@ -39,7 +39,7 @@ class Channel:
         w = np.linalg.eigvalsh(self.choi)
         if w[0] < CP_EIG_FLOOR:
             raise ValueError(f"choi matrix is not PSD (min eigenvalue {w[0]:.3e}): map is not CP")
-        marg = partial_trace(self.choi, [self.din, self.dout], keep={0})
+        marg = np.trace(self.choi.reshape(self.din, self.dout, self.din, self.dout), axis1=1, axis2=3)
         if np.max(np.abs(marg - np.eye(self.din))) > TP_TOL:
             raise ValueError("Tr_out(choi) != identity: map is not trace preserving")
 

@@ -71,4 +71,4 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     if not (is_hermitian(rho, 1e-9) and is_hermitian(sigma, 1e-9)):
         raise ValueError("trace_distance requires Hermitian inputs")
-    return 0.5 * trace_norm(rho - sigma)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))

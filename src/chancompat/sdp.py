@@ -45,6 +45,7 @@ import numpy as np
 DEFAULT_MAX_ITERS = 100   # read when solve is called without max_iters
 DEFAULT_EPS = 1e-9        # relative residuals and gap; 1e-10 can break the Schur solve
 BOUNDARY_FRACTION = 0.98  # share of the distance to the cone boundary that a step takes
+EDGE_FRACTION = 0.999     # share at which a step's predictor point is tested (see solve)
 DIM_GUARD = 64
 
 _SQRT2 = np.sqrt(2.0)
@@ -76,32 +77,25 @@ def pack(h: np.ndarray, real: bool = False) -> np.ndarray:
     return np.concatenate([np.diag(h).real, _SQRT2 * off.real, _SQRT2 * off.imag])
 
 
-@lru_cache(maxsize=None)
-def _coord_map(d: int, real: bool) -> np.ndarray:
-    """Columns are the flattened basis matrices of the pack coordinates: the
-    diagonal units E_kk, then (E_ij + E_ji) / sqrt(2) and, on complex blocks,
-    1j (E_ij - E_ji) / sqrt(2) for i < j. Unpacking is one matvec."""
-    i, j = _triu(d)
-    k, off = np.arange(d), d + np.arange(i.size)
-    u = np.zeros((d, d, vec_size(d, real)), dtype=float if real else complex)
-    u[k, k, k] = 1.0
-    u[i, j, off] = u[j, i, off] = 1 / _SQRT2
-    if not real:
-        u[i, j, off + i.size] = 1j / _SQRT2
-        u[j, i, off + i.size] = u[i, j, off + i.size].conj()
-    return u.reshape(d * d, -1)
+def unpack(v: np.ndarray, d: int, real: bool = False) -> np.ndarray:
+    """pack's inverse on the last axis of v: the d x d Hermitian (or real
+    symmetric) matrices whose coordinates it holds; a zero comes out +0.0."""
+    i, j, v = *_triu(d), v + 0.0
+    out = np.zeros((*v.shape[:-1], d, d), dtype=float if real else complex)
+    out[..., range(d), range(d)] = v[..., :d]
+    re, im = v[..., d : d + i.size], v[..., d + i.size :]
+    upper, lower = (re, re) if real else (re + 1j * im, re - 1j * im)
+    out[..., i, j], out[..., j, i] = upper * (1 / _SQRT2), lower * (1 / _SQRT2)
+    return out
 
 
 def linear_map_matrix(
     fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int, real: bool = False
 ) -> np.ndarray:
     """Matrix of a hermiticity-preserving linear map in pack coordinates:
-    column a packs fn of the a-th basis matrix of _coord_map."""
-    basis = _coord_map(d_in, real)
-    out = np.zeros((vec_size(d_out, real), basis.shape[1]))
-    for a in range(basis.shape[1]):
-        out[:, a] = pack(fn(basis[:, a].reshape(d_in, d_in)), real)
-    return out
+    column a packs fn of the matrix that unpacks the a-th unit vector."""
+    basis = unpack(np.eye(vec_size(d_in, real)), d_in, real)
+    return np.stack([pack(fn(unit), real) for unit in basis], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +124,7 @@ class SdpProgram:
     a Certificate. Building it checks the shapes and DIM_GUARD, keeps
     read-only copies of blocks, a and c, and factors the shape once into
     factored: the row norms, the kept left singular vectors and values, per
-    block its pack coordinates, diagonal slice and _coord_map, the PSD-only
+    block its pack coordinates, diagonal slice and realness, the PSD-only
     rows as (m, D, D) block-diagonal matrices and as their real buffers,
     those rows restricted to each block in the two layouts from which _schur
     forms the Schur complement block by block, (A_psd, N, lift), and, for
@@ -173,8 +167,8 @@ class SdpProgram:
         rows = basis[:, n_free:].T @ a_psd
         starts = np.cumsum([0] + [vec_size(d, real) for d, real in blocks])
         diags = np.cumsum([0] + [d for d, _ in blocks])
-        layout = tuple((slice(j, k), slice(p, q), _coord_map(*blk))
-                       for blk, j, k, p, q in zip(blocks, starts, starts[1:], diags, diags[1:]))
+        layout = tuple((slice(j, k), slice(p, q), real)
+                       for (_, real), j, k, p, q in zip(blocks, starts, starts[1:], diags, diags[1:]))
         dtype = float if all(real for _, real in blocks) else complex
         mats = _embed(np.zeros((rows.shape[0], diags[-1], diags[-1]), dtype), rows, layout)
         restricted = [(diag, mats[:, diag, diag]) for _, diag, _ in layout]
@@ -187,7 +181,7 @@ class SdpProgram:
         # imaginary parts in _vec(X), and divide by the pack of ones
         d, width = mats.shape[1], 2 if dtype is complex else 1
         pos = width * np.arange(d * d).reshape(d, d) * (1 + 1j) + (width - 1) * 1j
-        index, scale = (np.concatenate([pack(m[diag, diag], real) for (_, real), (_, diag, _) in zip(blocks, layout)])
+        index, scale = (np.concatenate([pack(m[diag, diag], real) for _, diag, real in layout])
                         for m in (pos, np.full((d, d), 1 + 1j)))
         object.__setattr__(self, "factored", (
             norms, (u, s[:rank]), layout, mats, _vec(mats), (sides, packed), (a_psd, basis[:, n_free:], lift),
@@ -233,8 +227,8 @@ def _vec(h: np.ndarray) -> np.ndarray:
 
 def _embed(out: np.ndarray, coords: np.ndarray, layout) -> np.ndarray:
     """Unpack each block's coordinates (last axis) into its diagonal slice of out."""
-    for cols, diag, cmap in layout:
-        out[..., diag, diag] = (coords[..., cols] @ cmap.T).reshape(out[..., diag, diag].shape)
+    for cols, diag, real in layout:
+        out[..., diag, diag] = unpack(coords[..., cols], diag.stop - diag.start, real)
     return out
 
 
@@ -285,11 +279,16 @@ def solve(
     delta) restores X >= 0. solution.bracket is the last one; when
     settled(lo, hi) holds, the loop ends there with status "bracketed".
 
-    Each step's predictor point is tested too. As A dX = R_p and dZ + A^T
-    dy = R_d, its residual norms are (1 - alpha_p) |R_p| and (1 - alpha_d)
-    |R_d| and its objectives pobj + alpha_p <C, dX> and dobj + alpha_d b @
-    dy. Only a passing forecast has the point formed and tested; a point
-    that passes is returned without the corrector, its step an iteration.
+    Each step's predictor point is tested too, at the edge lengths of _step,
+    not the iterate's: where the cone limits a step, it keeps 1 -
+    EDGE_FRACTION of a residual instead of 1 - BOUNDARY_FRACTION, and it
+    stays strictly inside the cone, lambda_min(L^-1 X' L^-H) >= 1 -
+    EDGE_FRACTION for its X' and the old X = L L^H, and so for Z. As A dX =
+    R_p and dZ + A^T dy = R_d, its residual norms are (1 - alpha_p) |R_p| and
+    (1 - alpha_d) |R_d| and its objectives pobj + alpha_p <C, dX> and dobj +
+    alpha_d b @ dy. Only a passing forecast has the point formed, measured
+    and tested; a point that passes is returned without the corrector, its
+    step an iteration, and one that fails is dropped.
     """
     start = time.perf_counter()
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
@@ -325,12 +324,13 @@ def solve(
         return None, bracket
 
     def measure(x, z, y):
-        """A point with its residuals, objectives and their norms, and test's verdict."""
+        """A point with its residuals, objectives and norms, and test's verdict if the norms are finite."""
         rd = c - (y @ flat).view(c.dtype).reshape(c.shape) - z
         rp = b - flat @ _vec(x)
         pobj, dobj = np.vdot(c, x).real + offset, b @ y + offset
-        rp_norm, rd_norm = np.linalg.norm(rp), np.linalg.norm(rd)
-        return (x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm), *test(pobj, dobj, rp_norm, rd_norm)
+        rp_norm, rd_norm = math.sqrt(rp @ rp), math.sqrt(np.vdot(rd, rd).real)
+        verdict = test(pobj, dobj, rp_norm, rd_norm) if math.isfinite(rp_norm + rd_norm) else (None, None)
+        return (x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm), *verdict
 
     with np.errstate(all="ignore"):    # a non-finite step is caught below
         (point, status, bracket), iterations = measure(x, z, y), 0
@@ -338,24 +338,23 @@ def solve(
             x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm = point
             steps, new = _step(x, z, y, rp, rd, flat, schur), None
             try:
-                ap, ad, dx, dz, dy = next(steps)
-                # the predictor point's values, forecast as the docstring says
-                forecast = pobj + ap * np.vdot(c, dx).real, dobj + ad * (b @ dy)
-                if math.isfinite(sum(forecast)) and test(*forecast, (1 - ap) * rp_norm, (1 - ad) * rd_norm)[0]:
-                    new = measure(x + ap * dx, z + ad * dz, y + ad * dy)
+                _, _, dx, dz, dy, (ep, ed) = next(steps)
+                # the predictor point's values at the edge lengths, forecast as the docstring says
+                forecast = pobj + ep * np.vdot(c, dx).real, dobj + ed * (b @ dy)
+                if math.isfinite(sum(forecast)) and test(*forecast, (1 - ep) * rp_norm, (1 - ed) * rd_norm)[0]:
+                    new = measure(x + ep * dx, z + ed * dz, y + ed * dy)
                 if new is None or new[1] is None:
-                    ap, ad, dx, dz, dy = next(steps)
-                    step = x + ap * dx, z + ad * dz, y + ad * dy
-                    if not all(np.isfinite(v).all() for v in step):
+                    ap, ad, dx, dz, dy, _ = next(steps)
+                    new = measure(x + ap * dx, z + ad * dz, y + ad * dy)
+                    if not math.isfinite(sum(new[0][-2:])):    # its residual norms
                         break
-                    new = measure(*step)
             except np.linalg.LinAlgError:
                 break
             (point, status, bracket), iterations = new, iterations + 1
 
     x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm = point
     values = {name: (x[diag, diag].real if real else x[diag, diag]).copy()
-              for (name, (_, real)), (_, diag, _) in zip(program.blocks.items(), layout)}
+              for name, (_, diag, real) in zip(program.blocks, layout)}
     x_psd = _vec(x)[index] * scale
     x_pack = np.concatenate([x_psd, lift @ (b_full - a_psd @ x_psd)])
     return SdpSolution(
@@ -394,7 +393,8 @@ def _schur(x, w, sides, packed):
 def _step(x, z, y, rp, rd, flat, schur):
     """One Mehrotra predictor-corrector step along the HKM direction, as a
     generator of the predictor's, then the corrector's (alpha_p, alpha_d,
-    dX, dZ, dy): the point x + alpha_p dX, z + alpha_d dZ, y + alpha_d dy.
+    dX, dZ, dy, edge): the point x + alpha_p dX, z + alpha_d dZ, y + alpha_d
+    dy, and edge the (alpha_p, alpha_d) that go EDGE_FRACTION of the way.
 
     Both directions solve the Schur system M dy = r of the operator
     H(S) = sym(X S Z^-1), M = A H A^T: the predictor for sigma = 0, the
@@ -424,16 +424,15 @@ def _step(x, z, y, rp, rd, flat, schur):
         dx = base - x @ dz @ w
         return (dx + dx.conj().T) / 2, dz, dy
 
-    def step_lengths(dx, dz):
+    def with_lengths(dx, dz, dy):
         # X + alpha dX >= 0 up to alpha = -1 / lambda_min(L^-1 dX L^-H), X = L L^H
         lam = np.linalg.eigh(l_inv @ np.array([dx, dz]) @ l_invh)[0].min(1)
-        return [1.0 if v >= 0 else min(1.0, -BOUNDARY_FRACTION / v) for v in lam]
+        ap, ad, *edge = [1.0 if v >= 0 else min(1.0, -f / v) for f in (BOUNDARY_FRACTION, EDGE_FRACTION) for v in lam]
+        return ap, ad, dx, dz, dy, tuple(edge)
 
-    dx, dz, dy = direction(-x)
-    ap, ad = step_lengths(dx, dz)
-    yield ap, ad, dx, dz, dy
+    ap, ad, dx, dz, dy, _ = predictor = with_lengths(*direction(-x))
+    yield predictor
     mu, mu_aff = np.vdot(x, z).real / n, np.vdot(x + ap * dx, z + ad * dz).real / n
     # the corrector: target sigma mu = (mu_aff / mu)^3 mu, second-order term dX_aff dZ_aff
     sigma_mu = (mu_aff / mu) ** 3 * mu
-    dx, dz, dy = direction(sigma_mu * w - dx @ dz @ w - x)
-    yield *step_lengths(dx, dz), dx, dz, dy
+    yield with_lengths(*direction(sigma_mu * w - dx @ dz @ w - x))

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -27,6 +28,7 @@ from chancompat.figures import FIGURES, LAM, OMEGA, default_t_grid
 from chancompat.robustness import (
     DR,
     R_TOL,
+    _grid,
     NoiseClass,
     RobustnessResult,
     SweepRecord,
@@ -770,3 +772,56 @@ class TestWarmStart:
         refined = sweep(map1, map2, grid, refine=True)
         assert starts == [None] * 2 * len(grid)
         assert refined == _cold_records(map1, map2, grid, refine=True)
+
+
+@functools.cache
+def _figure_results(fig: int, refine: bool) -> tuple[list[RobustnessResult], int]:
+    """The robustness results of a figure's sweep on the default grid, in
+    solve order, and the eigh calls that their solves made."""
+    module, eigh, results, calls = sys.modules["chancompat.robustness"], np.linalg.eigh, [], [0]
+
+    def recording(*args, **kwargs):
+        results.append(robustness(*args, **kwargs))
+        return results[-1]
+
+    def counting(*args, **kwargs):
+        calls[0] += sys._getframe(1).f_globals["__name__"] == sdp.__name__
+        return eigh(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "robustness", recording)
+        patch.setattr(np.linalg, "eigh", counting)
+        sweep(FIGURES[fig].map1, FIGURES[fig].map2, default_t_grid(), refine=refine)
+    return results, calls[0]
+
+
+class TestFigureSolves:
+    """The solves of the grid and refined sweeps of figures 1-7, each taken once."""
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("fig", sorted(FIGURES))
+    def test_every_returned_iterate_is_strictly_inside_the_cone(self, fig, refine):
+        # a solve may end at a predictor point tested near the cone boundary:
+        # X and Z must still have a Cholesky factor, as the next warm start needs
+        for res in _figure_results(fig, refine)[0]:
+            np.linalg.cholesky(np.array(res.solution.iterate[1:3]))
+
+    @pytest.mark.parametrize("fig", sorted(FIGURES))
+    def test_grid_brackets_contain_the_refined_values(self, fig):
+        # the grid value's certified bracket and the refined value's both hold
+        # r*, so they meet, and the refined r* lies in the grid bracket
+        (grid, _), (refined, _) = _figure_results(fig, False), _figure_results(fig, True)
+        assert len(grid) == len(refined) == 2 * len(default_t_grid())
+        for coarse, fine in zip(grid, refined, strict=True):
+            (lo, hi), (fine_lo, fine_hi) = coarse.bracket, fine.bracket
+            assert not (coarse.indeterminate or fine.indeterminate) and max(lo, fine_lo) <= min(hi, fine_hi)
+            assert lo <= fine.r_star <= hi and _grid(fine.r_star) == coarse.r_star, (coarse, fine.r_star)
+
+    def test_figures_1_and_7_take_few_iterations(self):
+        # most warm grid values settle at the predictor point of their first
+        # step (see sdp.solve): together the two sweeps take at most 680 steps
+        # and 960 eigh calls, where a test at the iterate's own lengths takes 789 and 1198
+        runs = [_figure_results(fig, False) for fig in (1, 7)]
+        assert sum(len(results) for results, _ in runs) == 404
+        assert sum(res.solution.iterations for results, _ in runs for res in results) <= 680
+        assert sum(calls for _, calls in runs) <= 960

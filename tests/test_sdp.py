@@ -15,10 +15,16 @@ from conftest import assert_same_solve, isometry_channel, random_channel, random
 class TestCoordinates:
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_hermitian_roundtrip(self, rng, d):
+        # unpack inverts pack exactly on pack's coordinates, and maps them
+        # back to the matrix up to one rounding, exactly on the diagonal
         h = random_hermitian(rng, d)
         v = sdp.pack(h)
         assert v.shape == (d * d,)
-        assert np.max(np.abs((sdp._coord_map(d, False) @ v).reshape(d, d) - h)) < 1e-14
+        back = sdp.unpack(v, d)
+        assert back.shape == (d, d) and back.dtype == complex
+        assert np.array_equal(np.diag(back), np.diag(h)) and np.array_equal(back, back.conj().T)
+        assert np.max(np.abs(back - h)) <= 4 * np.finfo(float).eps * np.max(np.abs(h))
+        assert np.array_equal(sdp.pack(back), v)
 
     def test_isometry(self, rng):
         a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
@@ -30,12 +36,19 @@ class TestCoordinates:
         s = s + s.T
         v = sdp.pack(s, real=True)
         assert v.shape == (10,)
-        assert np.max(np.abs((sdp._coord_map(4, True) @ v).reshape(4, 4) - s)) < 1e-14
+        back = sdp.unpack(v, 4, real=True)
+        assert back.dtype == float and np.array_equal(back, back.T) and np.array_equal(np.diag(back), np.diag(s))
+        assert np.max(np.abs(back - s)) <= 4 * np.finfo(float).eps * np.max(np.abs(s))
+        assert np.array_equal(sdp.pack(back, real=True), v)
+        # a stack unpacks matrix by matrix
+        stack = sdp.unpack(np.array([v, 2 * v]), 4, real=True)
+        assert np.array_equal(stack[0], back) and np.array_equal(stack[1], sdp.unpack(2 * v, 4, real=True))
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_coord_map_matches_loop_reference(self, d, real):
-        # one basis matrix per pack coordinate, in pack's order
+        # the coordinate map unpacks the unit vectors: one basis matrix per
+        # pack coordinate, in pack's order
         dtype, s = (float if real else complex), np.sqrt(2.0)
         pairs = list(zip(*np.triu_indices(d, 1)))
         units = [((k, k, 1.0),) for k in range(d)]
@@ -45,8 +58,10 @@ class TestCoordinates:
         for a, entries in enumerate(units):
             for i, j, value in entries:
                 want[i * d + j, a] = value
-        got = sdp._coord_map(d, real)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = sdp.unpack(np.eye(len(units)), d, real)
+        assert got.dtype == want.dtype and np.array_equal(got.reshape(len(units), d * d).T, want)
+        # every zero is +0.0, so that products with the basis carry no signed zeros
+        assert not np.signbit(got.view(float)[got.view(float) == 0]).any()
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("d", [2, 4, 8])
@@ -57,7 +72,7 @@ class TestCoordinates:
     def test_linear_map_matrix_partial_trace(self, rng):
         op = sdp.linear_map_matrix(lambda x: partial_trace(x, (2, 2), {0}), 4, 2)
         h = random_hermitian(rng, 4)
-        got = (sdp._coord_map(2, False) @ (op @ sdp.pack(h))).reshape(2, 2)
+        got = sdp.unpack(op @ sdp.pack(h), 2)
         assert np.max(np.abs(got - partial_trace(h, (2, 2), {0}))) < 1e-12
 
 
@@ -273,11 +288,21 @@ class TestBlockDiagonalIterate:
             assert calls == {"cholesky": sol.iterations, "eigh": 2 * sol.iterations - h,
                              "solve": 2 * sol.iterations - h}
             assert [len(s) - 1 for s in steps] == [2] * (sol.iterations - 1) + [2 - h]
-            # the solve returns the point of the last direction it took
-            (x, z, y), *_, (ap, ad, dx, dz, dy) = steps[-1]
+            # the solve returns the point of the last direction it took: a
+            # predictor's at its edge lengths, a corrector's at its step lengths
+            (x, z, y), *_, (*full, dx, dz, dy, edge) = steps[-1]
+            ap, ad = edge if h else full
             assert np.array_equal(sol.iterate[1], x + ap * dx)
             assert np.array_equal(sol.iterate[2], z + ad * dz)
             assert np.array_equal(sol.iterate[3], y + ad * dy)
+            # the edge lengths come from the step's own eigenvalues: they reach
+            # EDGE_FRACTION of the way to the boundary where the step goes
+            # BOUNDARY_FRACTION, and leave X and Z that margin inside the cone
+            for length, taken, old, new in zip(edge, full, (x, z), sol.iterate[1:3]):
+                assert taken <= length <= 1.0
+                assert length == 1.0 or abs(length / taken - sdp.EDGE_FRACTION / sdp.BOUNDARY_FRACTION) <= 1e-12
+                l_inv = np.linalg.inv(np.linalg.cholesky(old))
+                assert np.linalg.eigvalsh(l_inv @ new @ l_inv.conj().T)[0] >= (1 - sdp.EDGE_FRACTION) * (1 - 1e-4)
             ends.append(h)
         # converged solves end at a predictor point, a capped one after a corrector
         assert ends == [1, 1, 0]
