@@ -35,7 +35,6 @@ from .robustness import (
     sweep,
 )
 from .witness import (
-    CurvePoint,
     IndivisibilityReport,
     cp_indivisibility_measure,
     indivisibility_from_curve,

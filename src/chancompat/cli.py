@@ -190,9 +190,7 @@ def cmd_measure(args) -> int:
     print(f"measure_norm:    {_fmt(report.n_normalized)}")
     print(f"rising_segments: {[(round(a, 6), round(b, 6)) for a, b in report.rising_segments]}")
     if args.output:
-        lines = ["t,robustness"]
-        lines += [",".join([_fmt(p.t), _fmt(p.value)]) for p in report.curve]
-        _write_lines(args.output, lines)
+        _write_lines(args.output, ["t,robustness", *(f"{_fmt(t)},{_fmt(r)}" for t, r in report.curve)])
     return _report_indeterminate(list(report.indeterminate))
 
 

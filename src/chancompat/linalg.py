@@ -24,17 +24,6 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def _check_dims(m: np.ndarray, dims: Sequence[int]) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {list(dims)}")
-    if int(np.prod(dims)) != m.shape[0]:
-        raise ValueError(
-            f"subsystem dimensions {list(dims)} do not factor matrix dimension {m.shape[0]}"
-        )
-
-
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out every subsystem not listed in keep.
 
@@ -43,7 +32,14 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     trace is preserved: Tr(result) = Tr(m).
     """
     dims = list(dims)
-    _check_dims(m, dims)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"subsystem dimensions must be positive, got {list(dims)}")
+    if int(np.prod(dims)) != m.shape[0]:
+        raise ValueError(
+            f"subsystem dimensions {list(dims)} do not factor matrix dimension {m.shape[0]}"
+        )
     keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep must name at least one subsystem")

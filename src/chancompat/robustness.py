@@ -153,8 +153,8 @@ def channel_feasibility_problem(
     """The scaled compatibility SDP for a channel pair: r=None gives the
     robustness program (minimize r), a number the margin program at that r
     (minimize -q, minus the feasibility margin scaled by 1 + r). Only b, the
-    packed Choi matrices and r * 1 twice, is built per pair; the rest of the
-    program is compiled once per shape (_program).
+    packed Choi matrices and r * 1 twice, is built per pair, by one gather
+    (_rhs_layout); the rest is compiled once per shape (_program).
     """
     if ch1.din != ch2.din:
         raise ValueError("channels must share the input dimension")
@@ -162,9 +162,19 @@ def channel_feasibility_problem(
         raise ValueError(f"mixing weight must be nonnegative and finite, got {r}")
     din, real = ch1.din, not (ch1.choi.imag.any() or ch2.choi.imag.any())
     n_in = 1 if noise is NoiseClass.COMPLETELY_DEPOLARIZING else din
-    trace = (r or 0.0) * sdp.pack(np.eye(n_in), real)
-    b = np.concatenate([sdp.pack(ch1.choi, real), sdp.pack(ch2.choi, real), trace, trace])
+    index, scale, ones = _rhs_layout(din, ch1.dout, ch2.dout, n_in, real)
+    choi = np.concatenate((ch1.choi, ch2.choi), axis=None, dtype=complex).view(float)
+    b = np.concatenate([choi[index] * scale, (r or 0.0) * ones])
     return sdp.SdpProblem(_program(din, ch1.dout, ch2.dout, n_in, real, r is None), b)
+
+
+@lru_cache(maxsize=None)
+def _rhs_layout(din: int, d1: int, d2: int, n_in: int, real: bool):
+    """b's layout for a shape: the (index, scale) that gathers the pack of
+    both Choi matrices from the float view of the two, raveled and joined,
+    and the pack of 1 on the noise input twice, which r scales."""
+    (i1, s1), (i2, s2) = (sdp.pack_gather(din * d, [(slice(None), real)]) for d in (d1, d2))
+    return np.r_[i1, i2 + 2 * (din * d1) ** 2], np.r_[s1, s2], np.tile(sdp.pack(np.eye(n_in), real), 2)
 
 
 def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:

@@ -15,20 +15,20 @@ compiled and factored once; an SdpProblem pairs it with the b of one
 instance, so only b follows the data.
 
 The solver follows the central path with HKM predictor-corrector steps
-(Helmberg, Rendl, Vanderbei and Wolkowicz; the Mehrotra corrector as in
-SDPT3), with no tuning: a grid value settles in about four iterations, or
-two from the iterate of a nearby program of its shape (a warm start), and a
-refined value runs to tolerance in about ten. Most solves end at a
-predictor point (Mehrotra, SIAM J. Optim. 1992), tested where a forecast
-passes (see solve). Each SdpProgram is factored when it is built: an
-orthonormal row basis with the free scalars eliminated (Anjos and Burer,
+(Helmberg, Rendl, Vanderbei and Wolkowicz; the corrector centred by the
+predictor's step as in SDPT3, see _step), untuned: a grid value settles in
+about four iterations, or two from the iterate of a nearby program of its
+shape (a warm start), and a refined value runs to tolerance in about ten. Most
+solves end at a predictor point (Mehrotra, SIAM J. Optim. 1992), tested where
+a forecast passes (see solve). Each SdpProgram is factored when it is built:
+an orthonormal row basis with the free scalars eliminated (Anjos and Burer,
 SIAM J. Optim. 2007), and its rows and objective on the PSD blocks alone as
-block-diagonal matrices, so that a solve does only the work that b needs.
-The iterate is one block-diagonal D x D matrix, D the sum of the block
-dimensions, so that each iteration makes one call per numpy.linalg kernel
-however many blocks there are; the Schur complement alone is formed block
-by block, as SDPT3 and SDPA do. It runs on numpy.linalg alone, in a fixed
-order, so identical problems replay bitwise identically.
+block-diagonal matrices, so that a solve does only the work that b needs. The
+iterate is one block-diagonal D x D matrix, D the sum of the block dimensions,
+so that each iteration makes one call per numpy.linalg kernel however many
+blocks there are; the Schur complement alone is formed block by block, as
+SDPT3 and SDPA do. It runs on numpy.linalg alone, in a fixed order, so
+identical problems replay bitwise identically.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ DEFAULT_MAX_ITERS = 100   # read when solve is called without max_iters
 DEFAULT_EPS = 1e-9        # relative residuals and gap; 1e-10 can break the Schur solve
 BOUNDARY_FRACTION = 0.98  # share of the distance to the cone boundary that a step takes
 EDGE_FRACTION = 0.999     # share at which a step's predictor point is tested (see solve)
+CENTERING_MU = 1e-6       # below this mu the corrector's exponent is 1 (see _step)
 DIM_GUARD = 64
 
 _SQRT2 = np.sqrt(2.0)
@@ -87,6 +88,17 @@ def unpack(v: np.ndarray, d: int, real: bool = False) -> np.ndarray:
     upper, lower = (re, re) if real else (re + 1j * im, re - 1j * im)
     out[..., i, j], out[..., j, i] = upper * (1 / _SQRT2), lower * (1 / _SQRT2)
     return out
+
+
+def pack_gather(d: int, blocks, width: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """(index, scale) with which v[index] * scale packs the diagonal blocks
+    (slice, real) of a d x d matrix, in order, for v its float view (width
+    2 if the matrix is complex, 1 if real). This is pack's own selection:
+    the pack of each entry's positions in v, divided by the pack of ones."""
+    pos = width * np.arange(d * d).reshape(d, d) * (1 + 1j) + (width - 1) * 1j
+    index, scale = (np.concatenate([pack(m[diag, diag], real) for diag, real in blocks])
+                    for m in (pos, np.full((d, d), 1 + 1j)))
+    return np.rint(index / scale).astype(np.intp), scale
 
 
 def linear_map_matrix(
@@ -177,15 +189,10 @@ class SdpProgram:
         lift = np.linalg.solve(tri[:n_free], basis[:, :n_free].T)
         y0 = c_full[n - n_free :] @ lift
         c = _embed(np.zeros(mats.shape[1:], mats.dtype), c_full[: n - n_free] - y0 @ a_psd, layout)
-        # the gather is pack's own selection: pack the positions of X's real and
-        # imaginary parts in _vec(X), and divide by the pack of ones
-        d, width = mats.shape[1], 2 if dtype is complex else 1
-        pos = width * np.arange(d * d).reshape(d, d) * (1 + 1j) + (width - 1) * 1j
-        index, scale = (np.concatenate([pack(m[diag, diag], real) for _, diag, real in layout])
-                        for m in (pos, np.full((d, d), 1 + 1j)))
+        gather = pack_gather(mats.shape[1], [(diag, real) for _, diag, real in layout], 2 if dtype is complex else 1)
         object.__setattr__(self, "factored", (
             norms, (u, s[:rank]), layout, mats, _vec(mats), (sides, packed), (a_psd, basis[:, n_free:], lift),
-            (c, np.linalg.norm(c), y0, (np.rint(index / scale).astype(np.intp), scale))))
+            (c, np.linalg.norm(c), y0, gather)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,16 +405,18 @@ def _step(x, z, y, rp, rd, flat, schur):
 
     Both directions solve the Schur system M dy = r of the operator
     H(S) = sym(X S Z^-1), M = A H A^T: the predictor for sigma = 0, the
-    corrector for sigma = (mu_aff / mu)^3 with the second-order term
-    -dX_aff dZ_aff. The primal and the dual iterate each move
-    BOUNDARY_FRACTION of the way to the cone boundary, at most a full step.
-    Cholesky factors, inverses and products of block-diagonal matrices keep
-    the off-diagonal blocks exactly 0, so one Cholesky factor and one inverse
-    of the stacked [X; Z] serve every block, and one eigh of the stacked
-    primal and dual directions gives a direction's step lengths: a step
-    ended at its predictor point makes one Schur solve and one eigh, a full
-    step two of each. The Schur matrix, the one product over all m rows, is
-    formed block by block (_schur).
+    corrector for sigma = (mu_aff / mu)^e with the second-order term
+    -dX_aff dZ_aff and SDPT3's exponent e = 3 min(alpha_p, alpha_d)^2 of
+    the predictor's steps, held within [1, 3], or e = 1 once mu = <X, Z> / n
+    <= CENTERING_MU: a short predictor step centres more. The primal and the
+    dual iterate each move BOUNDARY_FRACTION of the way to the cone
+    boundary, at most a full step. Cholesky factors, inverses and products
+    of block-diagonal matrices keep the off-diagonal blocks exactly 0, so
+    one Cholesky factor and one inverse of the stacked [X; Z] serve every
+    block, and one eigh of the stacked primal and dual directions gives a
+    direction's step lengths: a step ended at its predictor point makes one
+    Schur solve and one eigh, a full step two of each. The Schur matrix, the
+    one product over all m rows, is formed block by block (_schur).
     """
     n = x.shape[0]
     l_inv = np.linalg.inv(np.linalg.cholesky(np.array([x, z])))
@@ -433,6 +442,7 @@ def _step(x, z, y, rp, rd, flat, schur):
     ap, ad, dx, dz, dy, _ = predictor = with_lengths(*direction(-x))
     yield predictor
     mu, mu_aff = np.vdot(x, z).real / n, np.vdot(x + ap * dx, z + ad * dz).real / n
-    # the corrector: target sigma mu = (mu_aff / mu)^3 mu, second-order term dX_aff dZ_aff
-    sigma_mu = (mu_aff / mu) ** 3 * mu
+    # the corrector: target (mu_aff / mu)^e mu with SDPT3's step-dependent e, second-order term dX_aff dZ_aff
+    exponent = max(1.0, min(3.0, 3 * min(ap, ad) ** 2)) if mu > CENTERING_MU else 1.0
+    sigma_mu = (mu_aff / mu) ** exponent * mu
     yield with_lengths(*direction(sigma_mu * w - dx @ dz @ w - x))

@@ -243,12 +243,8 @@ def check_teleportation_curve() -> Verdict:
 def check_measure_signs() -> Verdict:
     ts = list(_T_GRID)
     rep_d1 = cp_indivisibility_measure(FIGURES[1].map1, ts)
-    rep_d2 = indivisibility_from_curve(
-        ts, [r.r_generic for r in _figure_records(4)]
-    )
-    rep_ad = indivisibility_from_curve(
-        ts, [r.r_generic for r in _figure_records(5)]
-    )
+    rep_d2, rep_ad = (indivisibility_from_curve(ts, [r.r_generic for r in _figure_records(fig)])
+                      for fig in (4, 5))
     ident_ok = all(
         abs(rep.n_normalized - rep.n_raw / (1 + rep.n_raw)) <= 1e-12
         for rep in (rep_d1, rep_d2, rep_ad)

@@ -12,7 +12,7 @@ robustness.sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,17 +27,12 @@ _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _PAULI_PAIRS = np.einsum("iac,jbd->ijabcd", _PAULIS, _PAULIS).reshape(9, 4, 4)   # [3i + j] = s_i (x) s_j
 
 
-class CurvePoint(NamedTuple):
-    t: float
-    value: float
-
-
 @dataclass(frozen=True)
 class IndivisibilityReport:
     n_raw: float
     n_normalized: float
     rising_segments: tuple[tuple[float, float], ...]
-    curve: tuple[CurvePoint, ...]
+    curve: tuple[tuple[float, float], ...]   # the (t, r) samples
     indeterminate: tuple[float, ...] = ()   # t of indeterminate values
 
 
@@ -101,7 +96,7 @@ def indivisibility_from_curve(
         n_raw=total,
         n_normalized=total / (1 + total),
         rising_segments=segments,
-        curve=tuple(CurvePoint(t, r) for t, r in zip(ts, rs)),
+        curve=tuple(zip(ts, rs)),
     )
 
 

@@ -335,3 +335,55 @@ class TestJson:
             channel_from_json(json.dumps({**data, "din": din}))
         with pytest.raises(ValueError, match="must be integers"):
             channel_from_json(json.dumps({**data, "dout": din}))
+
+
+def _rejected_past_and_accepted_inside(build, tol, phrase):
+    """build(1.5 * tol) must raise a ValueError matching phrase; build(0.5 * tol) must not raise."""
+    with pytest.raises(ValueError, match=phrase):
+        build(1.5 * tol)
+    build(0.5 * tol)
+
+
+class TestInputCheckBoundaries:
+    """Each input check rejects an input just past its tolerance and accepts one just inside it."""
+
+    def test_cp_eigenvalue_floor(self):
+        # a Choi matrix with eigenvalue -e, trace preserving exactly
+        _rejected_past_and_accepted_inside(
+            lambda e: Channel(2, 2, np.diag([1 + e, -e, 0.5, 0.5]).astype(complex)), 1e-9, "not PSD")
+
+    def test_povm_eigenvalue_floor(self):
+        _rejected_past_and_accepted_inside(
+            lambda e: Povm((np.diag([-e, 0.0]), np.diag([1 + e, 1.0])), 2), 1e-10, "must be PSD")
+
+    def test_povm_sum_tolerance(self):
+        _rejected_past_and_accepted_inside(
+            lambda s: Povm((np.eye(2) / 2, np.diag([0.5 + s, 0.5])), 2), 1e-10, "sum to the identity")
+
+    def test_povm_hermiticity_tolerance(self):
+        # each effect differs from its adjoint by d in one corner; they still sum to 1
+        def build(d):
+            skew = np.array([[0.0, d], [0.0, 0.0]])
+            return Povm((np.eye(2) / 2 + skew, np.eye(2) / 2 - skew), 2)
+
+        _rejected_past_and_accepted_inside(build, 1e-10, "Hermitian")
+
+    def test_projective_basis_orthonormality(self):
+        # basis^H basis misses the identity by 2s + s^2 on one diagonal entry
+        _rejected_past_and_accepted_inside(
+            lambda dev: projective_povm(np.diag([1.0, 1.0 + dev / 2])), 1e-10, "orthonormal")
+
+    def test_channel_hermiticity_tolerance(self):
+        # one corner of the identity's Choi matrix differs from its adjoint by d
+        def build(d):
+            choi = identity_channel(2).choi.copy()
+            choi[0, 1] += d
+            return Channel(2, 2, choi)
+
+        _rejected_past_and_accepted_inside(build, 1e-12, "Hermitian")
+
+    def test_depolarizing_lower_end(self):
+        _rejected_past_and_accepted_inside(lambda e: depolarizing_choi(-1 / 3 - e), 1e-12, "outside CP range")
+
+    def test_amplitude_damping_upper_end(self):
+        _rejected_past_and_accepted_inside(lambda e: amplitude_damping_choi(1 + e), 1e-12, "outside")

@@ -127,3 +127,23 @@ def test_is_hermitian_tolerance():
     h = np.array([[1.0, 1e-13j], [-1e-13j, 2.0]])
     assert is_hermitian(h)
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+
+
+def _skewed(d):
+    """|0><0| with d added above the diagonal: it differs from its adjoint by d."""
+    return np.array([[1.0, d], [0.0, 0.0]])
+
+
+class TestHermiticityBoundaries:
+    """Each hermiticity check rejects a matrix just past its tolerance and accepts one just inside it."""
+
+    def test_default_tolerance(self):
+        assert not is_hermitian(_skewed(1.5e-12)) and is_hermitian(_skewed(0.5e-12))
+
+    def test_trace_distance_tolerance(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            trace_distance(_skewed(1.5e-9), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="Hermitian"):
+            trace_distance(np.eye(2) / 2, _skewed(1.5e-9))
+        assert abs(trace_distance(_skewed(0.5e-9), np.eye(2) / 2) - 0.5) <= 1e-12
+        assert abs(trace_distance(np.eye(2) / 2, _skewed(0.5e-9)) - 0.5) <= 1e-12

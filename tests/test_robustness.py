@@ -41,6 +41,7 @@ from chancompat.robustness import (
 from chancompat.validation import _figure_records, random_basis
 from chancompat.witness import indivisibility_from_curve
 from conftest import assert_same_solve, isometry_channel, random_channel, trine_povm
+from refine_tail import MAX_ITERATIONS, draw_pairs
 
 CD = NoiseClass.COMPLETELY_DEPOLARIZING
 GEN = NoiseClass.GENERIC
@@ -280,6 +281,21 @@ class TestCompiledProgram:
         n_in = 2 if noise is GEN else 1
         trace = 0.4 * sdp.pack(np.eye(n_in), False)
         assert np.array_equal(second.b[-2 * trace.size :], np.concatenate([trace, trace]))
+
+    @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
+    @pytest.mark.parametrize("r", [None, 0.3])
+    def test_b_is_the_pack_of_both_choi_matrices_and_r(self, r, noise, rng):
+        # b comes from one cached gather; it is the pack, bit for bit, for pairs
+        # of different output dimensions and for a Choi matrix stored as floats
+        v = np.linalg.qr(rng.normal(size=(3, 2)))[0]
+        pairs = [(Channel(2, 2, depolarizing_choi(0.7).choi.real.copy()), IDENT),
+                 (random_channel(rng), random_channel(rng, 2, 3)),
+                 (compose(isometry_channel(v), depolarizing_choi(0.6)), IDENT)]
+        for ch1, ch2 in pairs:
+            real = not (ch1.choi.imag.any() or ch2.choi.imag.any())
+            one = (r or 0.0) * sdp.pack(np.eye(2 if noise is GEN else 1), real)
+            want = np.concatenate([sdp.pack(ch1.choi, real), sdp.pack(ch2.choi, real), one, one])
+            assert channel_feasibility_problem(ch1, ch2, r, noise).b.tobytes() == want.tobytes()
 
 
 class TestChannelRobustness:
@@ -825,3 +841,19 @@ class TestFigureSolves:
         assert sum(len(results) for results, _ in runs) == 404
         assert sum(res.solution.iterations for results, _ in runs for res in results) <= 680
         assert sum(calls for _, calls in runs) <= 960
+
+
+class TestRefinedConvergence:
+    @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
+    def test_slow_pair_of_the_random_draw_converges(self, noise):
+        # pair 213 of tests/refine_tail.py's draw (qutrit outputs): with a fixed
+        # corrector exponent of 3 its generic solve stopped at the 100-step cap
+        # with a bracket 5.2e-8 wide; the step-dependent exponent ends it in 13
+        ch1, ch2 = draw_pairs(214)[213]
+        assert (ch1.dout, ch2.dout) == (3, 3)
+        res = robustness(ch1, ch2, noise, refine=True)
+        assert res.solution.status == "optimal" and res.solution.iterations <= MAX_ITERATIONS
+        lo, hi = res.bracket
+        assert lo <= res.r_star <= hi <= lo + R_TOL and not res.indeterminate
+        if noise is GEN:
+            assert abs(res.r_star - 0.003370372) <= 1e-9
