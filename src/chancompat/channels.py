@@ -31,6 +31,8 @@ class Channel:
     choi: np.ndarray
 
     def __post_init__(self):
+        if not min(self.din, self.dout) >= 1:
+            raise ValueError(f"din and dout must be at least 1, got din={self.din}, dout={self.dout}")
         d = self.din * self.dout
         if self.choi.shape != (d, d):
             raise ValueError(f"choi must be {d}x{d} for din={self.din}, dout={self.dout}")
@@ -176,6 +178,8 @@ class Povm:
     dimension: int
 
     def __post_init__(self):
+        if not self.dimension >= 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dimension}")
         object.__setattr__(self, "effects", tuple(np.asarray(e, dtype=complex) for e in self.effects))
         total = np.zeros((self.dimension, self.dimension), dtype=complex)
         for e in self.effects:

@@ -97,14 +97,16 @@ class SweepRecord:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool) -> sdp.SdpProgram:
-    """The compiled and factored compatibility program of one shape, shared
-    by every pair of that shape. Blocks: joint, noise1, noise2. Rows: the
-    two marginal equalities, then the two trace equalities. The robustness
+def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool):
+    """One shape, compiled once and shared by its pairs: (program, index,
+    scale, ones, certificate). Blocks: joint, noise1, noise2. Rows: the two
+    marginal equalities, then the two trace equalities. The robustness
     program (min_r) has the one scalar r and minimizes it; the margin
-    program has the one scalar q and minimizes -q, with r in b.
+    program has the one scalar q and minimizes -q, with r in b. b is
+    choi[index] * scale, then r * ones: the pack of both Choi matrices from
+    the float view of the two, raveled and joined, then of r * 1 twice.
 
-    The robustness program carries the certificate of its bracket. Its
+    A robustness problem carries the certificate of its bracket. Its
     optimum lies at r <= 1, where Tr J = din (1 + r) <= 2 din and
     Tr N_i = n_in r <= n_in. Its strictly feasible point is
     J = C_1 (x) 1/d_2 + 1/d_1 (x) C_2 + 1 (the middle factor on out1) and
@@ -141,10 +143,10 @@ def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool) -> 
     ]), scalar])
     c = z(a.shape[1])
     c[-1] = 1.0 if min_r else -1.0
-    return sdp.SdpProgram(
-        blocks, ("r",) if min_r else ("q",), a, c,
-        sdp.Certificate(2.0 * (din + n_in), 1.0 + d1 * d2, 1.0) if min_r else None,
-    )
+    (i1, s1), (i2, s2) = (sdp.pack_gather(din * d, [(slice(None), real)]) for d in (d1, d2))
+    return (sdp.SdpProgram(blocks, ("r",) if min_r else ("q",), a, c), np.r_[i1, i2 + 2 * (din * d1) ** 2],
+            np.r_[s1, s2], np.tile(sdp.pack(np.eye(n_in), real), 2),
+            sdp.Certificate(2.0 * (din + n_in), 1.0 + d1 * d2, 1.0) if min_r else None)
 
 
 def channel_feasibility_problem(
@@ -153,8 +155,8 @@ def channel_feasibility_problem(
     """The scaled compatibility SDP for a channel pair: r=None gives the
     robustness program (minimize r), a number the margin program at that r
     (minimize -q, minus the feasibility margin scaled by 1 + r). Only b, the
-    packed Choi matrices and r * 1 twice, is built per pair, by one gather
-    (_rhs_layout); the rest is compiled once per shape (_program).
+    packed Choi matrices and r * 1 twice, is built per pair, by the gather
+    of its shape; the rest is compiled once per shape (_program).
     """
     if ch1.din != ch2.din:
         raise ValueError("channels must share the input dimension")
@@ -162,19 +164,10 @@ def channel_feasibility_problem(
         raise ValueError(f"mixing weight must be nonnegative and finite, got {r}")
     din, real = ch1.din, not (ch1.choi.imag.any() or ch2.choi.imag.any())
     n_in = 1 if noise is NoiseClass.COMPLETELY_DEPOLARIZING else din
-    index, scale, ones = _rhs_layout(din, ch1.dout, ch2.dout, n_in, real)
+    program, index, scale, ones, certificate = _program(din, ch1.dout, ch2.dout, n_in, real, r is None)
     choi = np.concatenate((ch1.choi, ch2.choi), axis=None, dtype=complex).view(float)
     b = np.concatenate([choi[index] * scale, (r or 0.0) * ones])
-    return sdp.SdpProblem(_program(din, ch1.dout, ch2.dout, n_in, real, r is None), b)
-
-
-@lru_cache(maxsize=None)
-def _rhs_layout(din: int, d1: int, d2: int, n_in: int, real: bool):
-    """b's layout for a shape: the (index, scale) that gathers the pack of
-    both Choi matrices from the float view of the two, raveled and joined,
-    and the pack of 1 on the noise input twice, which r scales."""
-    (i1, s1), (i2, s2) = (sdp.pack_gather(din * d, [(slice(None), real)]) for d in (d1, d2))
-    return np.r_[i1, i2 + 2 * (din * d1) ** 2], np.r_[s1, s2], np.tile(sdp.pack(np.eye(n_in), real), 2)
+    return sdp.SdpProblem(program, b, certificate)
 
 
 def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:

@@ -12,7 +12,7 @@ matrix equality thus takes d * d rows, or d(d+1)/2 on real blocks, and
 linear_map_matrix gives the rows of a linear map. A caller maximizes by
 negating c. A program shape (blocks, scalars, a, c) is an SdpProgram,
 compiled and factored once; an SdpProblem pairs it with the b of one
-instance, so only b follows the data.
+instance and with the Certificate of its bracket, which may depend on b.
 
 The solver follows the central path with HKM predictor-corrector steps
 (Helmberg, Rendl, Vanderbei and Wolkowicz; the corrector centred by the
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -50,6 +51,7 @@ CENTERING_MU = 1e-6       # below this mu the corrector's exponent is 1 (see _st
 DIM_GUARD = 64
 
 _SQRT2 = np.sqrt(2.0)
+Factored = namedtuple("Factored", "norms u s layout flat sides packed a_psd null lift obj obj_norm y0 index scale")
 
 
 class SdpBuildError(ValueError):
@@ -116,10 +118,10 @@ def linear_map_matrix(
 
 @dataclass(frozen=True)
 class Certificate:
-    """What a program needs for a bracket of its optimum at every
-    iterate (see solve): on the feasible points that can be optimal, the
-    trace of all blocks together is at most trace_bound; and some feasible
-    point has objective interior_value and every block >= interior_margin * 1."""
+    """What a problem needs for a bracket of its optimum at every iterate
+    (see solve): on the feasible points that can be optimal, the trace of
+    all blocks together is at most trace_bound; and some feasible point has
+    objective interior_value and every block >= interior_margin * 1."""
 
     trace_bound: float
     interior_value: float
@@ -132,16 +134,16 @@ class SdpProgram:
     the b of each SdpProblem.
 
     x holds the pack coordinates of the PSD blocks (name -> (dim, real)) in
-    the order given, then the free scalars in the order given. It may carry
-    a Certificate. Building it checks the shapes and DIM_GUARD, keeps
-    read-only copies of blocks, a and c, and factors the shape once into
-    factored: the row norms, the kept left singular vectors and values, per
-    block its pack coordinates, diagonal slice and realness, the PSD-only
-    rows as (m, D, D) block-diagonal matrices and as their real buffers,
-    those rows restricted to each block in the two layouts from which _schur
-    forms the Schur complement block by block, (A_psd, N, lift), and, for
-    y0 = lift^T c_f, C - A_psd^T y0 as a D x D matrix, its norm, y0 and the
-    gather (index, scale) with which _vec(X)[index] * scale packs X.
+    the order given, then the free scalars in the order given. Building it
+    checks the shapes and DIM_GUARD, keeps read-only copies of blocks, a
+    and c, and factors the shape once into factored, a Factored: norms;
+    u and s, the kept singular vectors and values; layout, per block its
+    pack coordinates, diagonal slice and realness; flat, the PSD-only rows
+    as real buffers of (m, D, D) block-diagonal matrices; sides and packed,
+    from which _schur forms the Schur complement block by block; a_psd,
+    null = N and lift; and, for y0 = lift^T c_f, obj = C - A_psd^T y0 as a
+    D x D matrix, obj_norm, y0, and the gather with which
+    _vec(X)[index] * scale packs X.
 
     Rows are normalized, then made orthonormal by an SVD whose singular
     values below max(a.shape) * 1e-12 * s_0 drop out with the dependent
@@ -155,8 +157,7 @@ class SdpProgram:
     scalars: tuple[str, ...]
     a: np.ndarray
     c: np.ndarray
-    certificate: Certificate | None = None
-    factored: tuple = field(init=False, repr=False)
+    factored: Factored = field(init=False, repr=False)
 
     def __post_init__(self):
         n_free, blocks = len(self.scalars), tuple(self.blocks.values())
@@ -190,17 +191,17 @@ class SdpProgram:
         y0 = c_full[n - n_free :] @ lift
         c = _embed(np.zeros(mats.shape[1:], mats.dtype), c_full[: n - n_free] - y0 @ a_psd, layout)
         gather = pack_gather(mats.shape[1], [(diag, real) for _, diag, real in layout], 2 if dtype is complex else 1)
-        object.__setattr__(self, "factored", (
-            norms, (u, s[:rank]), layout, mats, _vec(mats), (sides, packed), (a_psd, basis[:, n_free:], lift),
-            (c, np.linalg.norm(c), y0, gather)))
+        object.__setattr__(self, "factored", Factored(norms, u, s[:rank], layout, _vec(mats), sides, packed, a_psd,
+                                                      basis[:, n_free:], lift, c, np.linalg.norm(c), y0, *gather))
 
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """One instance of a program: its right-hand side b, one entry per row."""
+    """One instance of a program: b, one entry per row, and any Certificate."""
 
     program: SdpProgram
     b: np.ndarray
+    certificate: Certificate | None = None
 
     def __post_init__(self):
         if self.b.shape != self.program.a.shape[:1]:
@@ -301,13 +302,13 @@ def solve(
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
     if not max_iters >= 0 or max_iters % 1:
         raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters}")
-    program = problem.program
-    norms, (u, s), layout, _, flat, schur, (a_psd, null, lift), (c, c_norm, y0, (index, scale)) = program.factored
-    b_unit = problem.b / norms
-    b_full, leak = (u.T @ b_unit) / s, b_unit - u @ (u.T @ b_unit)
+    program, f = problem.program, problem.program.factored
+    c, c_norm, flat = f.obj, f.obj_norm, f.flat
+    b_unit = problem.b / f.norms
+    b_full, leak = (f.u.T @ b_unit) / f.s, b_unit - f.u @ (f.u.T @ b_unit)
     consistent = np.linalg.norm(leak) <= DEFAULT_EPS * (1.0 + np.linalg.norm(b_unit))
-    cert = program.certificate if consistent else None
-    b, offset = null.T @ b_full, y0 @ b_full
+    cert = problem.certificate if consistent else None
+    b, offset = f.null.T @ b_full, f.y0 @ b_full
     # X, Z and C are D x D matrices, y a vector
     x = z = np.eye(len(c), dtype=c.dtype)
     y, b_norm = np.zeros(b.size), np.linalg.norm(b)
@@ -343,7 +344,7 @@ def solve(
         (point, status, bracket), iterations = measure(x, z, y), 0
         while status is None and iterations < max_iters:
             x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm = point
-            steps, new = _step(x, z, y, rp, rd, flat, schur), None
+            steps, new = _step(x, z, y, rp, rd, flat, f.sides, f.packed), None
             try:
                 _, _, dx, dz, dy, (ep, ed) = next(steps)
                 # the predictor point's values at the edge lengths, forecast as the docstring says
@@ -361,9 +362,9 @@ def solve(
 
     x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm = point
     values = {name: (x[diag, diag].real if real else x[diag, diag]).copy()
-              for name, (_, diag, real) in zip(program.blocks, layout)}
-    x_psd = _vec(x)[index] * scale
-    x_pack = np.concatenate([x_psd, lift @ (b_full - a_psd @ x_psd)])
+              for name, (_, diag, real) in zip(program.blocks, f.layout)}
+    x_psd = _vec(x)[f.index] * f.scale
+    x_pack = np.concatenate([x_psd, f.lift @ (b_full - f.a_psd @ x_psd)])
     return SdpSolution(
         status=status or "max_iterations",
         objective_value=float(program.c @ x_pack),
@@ -397,7 +398,7 @@ def _schur(x, w, sides, packed):
     return packed @ np.concatenate(prods, axis=1).view(float).T
 
 
-def _step(x, z, y, rp, rd, flat, schur):
+def _step(x, z, y, rp, rd, flat, sides, packed):
     """One Mehrotra predictor-corrector step along the HKM direction, as a
     generator of the predictor's, then the corrector's (alpha_p, alpha_d,
     dX, dZ, dy, edge): the point x + alpha_p dX, z + alpha_d dZ, y + alpha_d
@@ -422,7 +423,7 @@ def _step(x, z, y, rp, rd, flat, schur):
     l_inv = np.linalg.inv(np.linalg.cholesky(np.array([x, z])))
     l_invh = l_inv.conj().swapaxes(1, 2)
     w = l_invh[1] @ l_inv[1]    # Z^-1
-    m_schur = _schur(x, w, *schur)
+    m_schur = _schur(x, w, sides, packed)
     # dX = sym(base - X dZ Z^-1) with dZ = rd - A^T dy; the rhs needs no
     # sym, as <A_i, sym(h)> = Re <A_i, h>
     rp_xrw = rp + flat @ _vec(x @ rd @ w)

@@ -38,7 +38,8 @@ def channel_json(ch):
 
 def assert_same_solve(s1, s2):
     """Bit for bit the same solve: every reported number and the last iterate."""
-    fields = ("status", "iterations", "objective_value", "dual_objective", "bracket", "scalar_values")
+    fields = ("status", "iterations", "objective_value", "dual_objective", "primal_residual", "dual_residual",
+              "bracket", "scalar_values")
     assert [getattr(s1, f) for f in fields] == [getattr(s2, f) for f in fields]
     assert s1.block_values.keys() == s2.block_values.keys()
     assert all(np.array_equal(s1.block_values[k], s2.block_values[k]) for k in s1.block_values)

@@ -193,3 +193,60 @@ def test_solver_suite_fails_on_a_planted_residual(monkeypatch):
     result = validation.run_check("solver_suite")
     assert not result.passed
     assert "planted max error inf (allowed 1e-6)" in result.detail
+
+
+# each bound below fails a result planted between it and 1 000 times it
+
+
+def test_noise_dominance_cap_fails_on_a_planted_gap(monkeypatch):
+    recs = tuple(SweepRecord(t=0.1 * k, r_generic=0.25 + 1e-10, r_cd=0.25, trace_distance=0.5) for k in range(3))
+    monkeypatch.setattr(validation, "_figure_records", lambda fig: recs)
+    result = validation.run_check("noise_dominance_cap")
+    assert not result.passed
+    assert result.detail.startswith("max(r_generic - r_cd) = 1.00e-10,")
+
+
+def test_teleportation_curve_fails_on_a_planted_deviation(monkeypatch):
+    # n moves 1e-7 off 3w; its fidelity follows the plateau rule for the moved n
+    fidelity = validation.teleport_fidelity
+
+    def planted(ch):
+        n = fidelity(ch)[0] + 1e-7
+        return n, 2 / 3 if n <= 1 else 0.5 * (1 + n / 3)
+
+    monkeypatch.setattr(validation, "teleport_fidelity", planted)
+    result = validation.run_check("teleportation_curve")
+    assert not result.passed
+    assert result.detail == "max |n - 3w| = 1.00e-07 (allowed 1e-9); plateau switching exact"
+
+
+def test_measure_signs_fails_on_a_planted_normalization(monkeypatch):
+    measure = validation.cp_indivisibility_measure
+
+    def planted(*args):
+        rep = measure(*args)
+        return replace(rep, n_normalized=rep.n_normalized + 1e-10)
+
+    monkeypatch.setattr(validation, "cp_indivisibility_measure", planted)
+    result = validation.run_check("measure_signs")
+    assert not result.passed
+    assert result.detail.endswith("normalization identity broken")
+
+
+@pytest.mark.parametrize(
+    "lp, error, phrase",
+    [(True, 1e-6, "eigenvalue-LP max error 1.00e-06 (allowed 1e-7)"), (False, 1e-5, "planted max error 1.00e-05")],
+    ids=["eigenvalue-lp", "planted"],
+)
+def test_solver_suite_fails_on_a_planted_objective_error(lp, error, phrase, monkeypatch):
+    # only the eigenvalue LPs have the scalar t; the chosen kind's optimum moves by error
+    solve = sdp.solve
+
+    def planted(problem):
+        sol = solve(problem)
+        return replace(sol, objective_value=sol.objective_value + error) if ("t" in sol.scalar_values) is lp else sol
+
+    monkeypatch.setattr(sdp, "solve", planted)
+    result = validation.run_check("solver_suite")
+    assert not result.passed
+    assert phrase in result.detail

@@ -309,8 +309,13 @@ NON_HERMITIAN = np.array([[0.5, 0.1], [0.0, 0.5]])   # with 1 - itself, it sums 
         (lambda: Povm((NON_HERMITIAN, np.eye(2) - NON_HERMITIAN), 2), "Hermitian"),
         (lambda: projective_povm(np.array([[1.0, 1.0], [0.0, 1.0]])), "orthonormal"),
         (lambda: pushforward_povm(identity_channel(2), projective_povm(np.eye(3))), "dimension must match"),
+        (lambda: Channel(-1, -2, np.eye(2, dtype=complex)), "din and dout must be at least 1, got din=-1, dout=-2"),
+        (lambda: Channel(2, 0, np.zeros((0, 0), dtype=complex)), "din and dout must be at least 1"),
+        (lambda: Povm((), 0), "dimension must be at least 1, got 0"),
+        (lambda: Povm((np.eye(2),), -2), "dimension must be at least 1, got -2"),
     ],
-    ids=["channel-shape", "dual-apply-shape", "povm-shape", "povm-hermitian", "basis", "pushforward-dim"],
+    ids=["channel-shape", "dual-apply-shape", "povm-shape", "povm-hermitian", "basis", "pushforward-dim",
+         "channel-negative-dims", "channel-zero-dout", "povm-zero-dim", "povm-negative-dim"],
 )
 def test_rejects_malformed_input(build, phrase):
     with pytest.raises(ValueError, match=phrase):

@@ -207,6 +207,18 @@ def test_choi_dimensions_must_be_json_integers(tmp_path, capsys, spelling):
     assert "din and dout must be integers" in err
 
 
+@pytest.mark.parametrize("din, dout", [(-1, -2), (0, 2), (2, 0)])
+def test_choi_dimensions_below_one_exit_two_naming_the_fields(tmp_path, capsys, din, dout):
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"din": din, "dout": dout, "choi_re": np.eye(2).tolist(),
+                                "choi_im": np.zeros((2, 2)).tolist()}))
+    code, out, err = run_cli(
+        ["sweep", "--family", "custom", "--choi", str(path), "--family2", "identity"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert f"error: --choi: din and dout must be at least 1, got din={din}, dout={dout}" in err
+
+
 def test_choi_file_a_millionth_off_trace_preservation_exits_two(tmp_path, capsys):
     near = np.diag([1.0 + 1e-6, 0.0, 0.0, 1.0])
     path = tmp_path / "near.json"

@@ -275,12 +275,24 @@ class TestCompiledProgram:
         for r in (None, 0.4):
             first, second = (channel_feasibility_problem(*pair, r, noise) for pair in pairs)
             assert first.program is second.program
+            # the certificate is the instance's; only the robustness problem has one
+            assert first.certificate == second.certificate and (first.certificate is None) == (r is not None)
             assert not np.array_equal(first.b, second.b)
             with pytest.raises(TypeError):
                 first.program.blocks["joint"] = (1, True)
         n_in = 2 if noise is GEN else 1
         trace = 0.4 * sdp.pack(np.eye(n_in), False)
         assert np.array_equal(second.b[-2 * trace.size :], np.concatenate([trace, trace]))
+
+    @pytest.mark.parametrize("shape", ["real", "complex"])
+    def test_the_certificate_only_brackets_the_solve(self, shape, rng):
+        # a refined solve without its problem's certificate is the same solve, with no bracket
+        ch1, ch2 = (IDENT, depolarizing_choi(0.7)) if shape == "real" else (random_channel(rng), random_channel(rng))
+        problem = channel_feasibility_problem(ch1, ch2, None, GEN)
+        assert problem.program.blocks["joint"][1] is (shape == "real")
+        with_cert, without = sdp.solve(problem), sdp.solve(replace(problem, certificate=None))
+        assert with_cert.status == "optimal" and with_cert.bracket is not None and without.bracket is None
+        assert_same_solve(replace(with_cert, bracket=None), without)
 
     @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
     @pytest.mark.parametrize("r", [None, 0.3])
@@ -440,6 +452,12 @@ class TestSweep:
             sweep(identity_map(), identity_map(), [-0.1, 0.2], noise="cd")
 
 
+def test_default_t_grid_count_slack():
+    # a span short of 10 steps by half the 1e-9 slack counts 10 steps, one short by 1.5 times it 9
+    assert len(default_t_grid(0.0, 10 - 0.5e-9, 1.0)) == 11
+    assert len(default_t_grid(0.0, 10 - 1.5e-9, 1.0)) == 10
+
+
 @pytest.mark.parametrize(
     "call, phrase",
     [
@@ -493,6 +511,13 @@ class TestRecords:
         # an unconverged point comes back flagged instead of failing dominance
         rec = SweepRecord(t=0.0, r_generic=0.005, r_cd=0.0, trace_distance=0.5, indeterminate=True)
         assert rec.indeterminate
+
+    @pytest.mark.parametrize("end, tol", [(0.0, -1e-12), (1.0, 1e-6)], ids=["lower", "upper"])
+    def test_sweep_record_range_ends(self, end, tol):
+        # an r half the tolerance past an end of [0, 1] passes, one 1.5 times past it is refused
+        assert SweepRecord(t=0.0, r_generic=None, r_cd=end + 0.5 * tol, trace_distance=0.5)
+        with pytest.raises(ValueError, match="outside"):
+            SweepRecord(t=0.0, r_generic=None, r_cd=end + 1.5 * tol, trace_distance=0.5)
 
     def test_sweep_record_column_by_noise_class(self):
         rec = SweepRecord(t=0.0, r_generic=0.25, r_cd=0.5, trace_distance=0.5)
@@ -590,7 +615,7 @@ class TestBracket:
         x0 = np.concatenate([sdp.pack(blk, real) for blk in blocks] + [[r0]])
         assert np.max(np.abs(problem.program.a @ x0 - problem.b)) <= 1e-12
         assert min(np.linalg.eigvalsh(blk)[0] for blk in blocks) >= 1 - 1e-12
-        cert = problem.program.certificate
+        cert = problem.certificate
         n_in = ch1.din if noise is GEN else 1
         assert (cert.trace_bound, cert.interior_value, cert.interior_margin) == (2.0 * (ch1.din + n_in), r0, 1.0)
         # the trace bound holds at the optimum, which lies at r <= 1
@@ -598,7 +623,7 @@ class TestBracket:
         lo, hi = sol.bracket
         assert sol.status == "optimal" and lo <= sol.scalar_values["r"] <= hi <= lo + 1e-7
         assert sum(np.trace(blk).real for blk in sol.block_values.values()) <= cert.trace_bound
-        assert channel_feasibility_problem(ch1, ch2, 0.5, noise).program.certificate is None
+        assert channel_feasibility_problem(ch1, ch2, 0.5, noise).certificate is None
 
     def test_settled_bracket_ends_the_solve(self):
         problem = channel_feasibility_problem(IDENT, IDENT, None, GEN)   # r* = 1/3

@@ -428,9 +428,9 @@ class TestWarmStart:
         problem = replace(first, b=sdp.pack(2 * h, real=True))
         start = sdp.solve(problem, warm=old, max_iters=0)
         program, x_old, z_old, _ = old.iterate
-        norms, (u, s), _, _, flat, _, (_, null, _), _ = program.factored
-        b = null.T @ (u.T @ (problem.b / norms) / s)
-        theta = np.linalg.norm(b - flat @ sdp._vec(x_old)) / (1 + np.linalg.norm(b))
+        f = program.factored
+        b = f.null.T @ (f.u.T @ (problem.b / f.norms) / f.s)
+        theta = np.linalg.norm(b - f.flat @ sdp._vec(x_old)) / (1 + np.linalg.norm(b))
         assert 0 < theta < 1
         eye = np.eye(len(x_old))
         assert np.allclose(start.iterate[1], (1 - theta) * x_old + theta * eye, rtol=0, atol=1e-14)
@@ -464,13 +464,15 @@ class TestSchurComplement:
                 *(isometry_channel(np.linalg.qr(rng.normal(size=(4, 2)))[0]) for _ in range(2)),
                 None, NoiseClass.GENERIC),
         }[program]()
-        _, _, layout, mats, flat, schur, *_ = problem.program.factored
+        f = problem.program.factored
+        # the rows as the (m, D, D) block-diagonal stack whose real buffers flat holds
+        mats = f.flat.view(f.obj.dtype).reshape(-1, *f.obj.shape)
         assert mats.shape[1] == {"four_blocks": 11, "complex_d28": 28, "real_d48": 48}[program]
-        x, z = (_random_pd_blocks(rng, problem, layout, mats.dtype) for _ in range(2))
+        x, z = (_random_pd_blocks(rng, problem, f.layout, mats.dtype) for _ in range(2))
         w = np.linalg.inv(z)
         assert not w[x == 0].any()   # Z^-1 keeps the zero off-diagonal blocks
-        dense = flat @ sdp._vec(x @ mats @ w).T
-        got = sdp._schur(x, w, *schur)
+        dense = f.flat @ sdp._vec(x @ mats @ w).T
+        got = sdp._schur(x, w, f.sides, f.packed)
         assert got.shape == dense.shape == (mats.shape[0],) * 2
         assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
