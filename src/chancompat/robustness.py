@@ -99,10 +99,11 @@ class SweepRecord:
 @lru_cache(maxsize=None)
 def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool):
     """One shape, compiled once and shared by its pairs: (program, index,
-    scale, ones, certificate). Blocks: joint, noise1, noise2. Rows: the two
-    marginal equalities, then the two trace equalities. The robustness
-    program (min_r) has the one scalar r and minimizes it; the margin
-    program has the one scalar q and minimizes -q, with r in b. b is
+    scale, ones, certificate). Each variable (joint, noise1, noise2, then
+    the scalar) gives its terms in the four equalities of the module
+    docstring, in order, and its columns of a are their pack. The
+    robustness program (min_r) has the one scalar r and minimizes it; the
+    margin program has the one scalar q and minimizes -q, with r in b. b is
     choi[index] * scale, then r * ones: the pack of both Choi matrices from
     the float view of the two, raveled and joined, then of r * 1 twice.
 
@@ -114,34 +115,20 @@ def _program(din: int, d1: int, d2: int, n_in: int, real: bool, min_r: bool):
     """
     blocks = {"joint": (din * d1 * d2, real), "noise1": (n_in * d1, real), "noise2": (n_in * d2, real)}
     sdp.check_dim_guard(blocks)   # before any operator is compiled
+    o1, o2, o = (np.zeros((d, d)) for d in (din * d1, din * d2, n_in))   # the absent terms
+    dims, pad = (din, d1, d2), np.eye(din // n_in)                       # N_i enters as pad (x) N_i
 
-    def op(fn, d_in, d_out):
-        return sdp.linear_map_matrix(fn, d_in, d_out, real)
+    def scalar(s):   # r or q; the other is the int 0, so that its terms pack as +0.0
+        r, q = (s.real.item(), 0) if min_r else (0, s.real.item())
+        return [q * d2 * np.eye(din * d1), q * d1 * np.eye(din * d2), -r * np.eye(n_in), -r * np.eye(n_in)]
 
-    def embed(d):  # eta -> 1_(din/n_in) (x) eta; the identity when n_in = din
-        return op(lambda e: np.kron(np.eye(din // n_in), e), n_in * d, din * d)
-
-    def tp(d):
-        return op(lambda x: partial_trace(x, (n_in, d), {0}), n_in * d, n_in)
-
-    dims = (din, d1, d2)
-    t1 = op(lambda x: partial_trace(x, dims, {0, 1}), din * d1 * d2, din * d1)
-    t2 = op(lambda x: partial_trace(x, dims, {0, 2}), din * d1 * d2, din * d2)
-    e1, e2, tp1, tp2 = embed(d1), embed(d2), tp(d1), tp(d2)
-    nj, n1, n2, m1, m2, k = t1.shape[1], e1.shape[1], e2.shape[1], t1.shape[0], t2.shape[0], tp1.shape[0]
-    z = np.zeros
-    if min_r:     # Tr_out N_i - r 1 = 0
-        scalar = np.concatenate([z(m1 + m2), np.tile(sdp.pack(-np.eye(n_in), real), 2)])
-    else:         # the lift q 1 of J on each marginal
-        scalar = np.concatenate([sdp.pack(d2 * np.eye(din * d1), real),
-                                 sdp.pack(d1 * np.eye(din * d2), real), z(2 * k)])
-    a = np.column_stack([np.block([
-        [t1, -e1, z((m1, n2))],
-        [t2, z((m2, n1)), -e2],
-        [z((k, nj)), tp1, z((k, n2))],
-        [z((k, nj)), z((k, n1)), tp2],
-    ]), scalar])
-    c = z(a.shape[1])
+    a = np.column_stack([sdp.linear_map_matrix(fn, d, real) for fn, d in (
+        (lambda j: [partial_trace(j, dims, {0, 1}), partial_trace(j, dims, {0, 2}), o, o], din * d1 * d2),
+        (lambda n: [-np.kron(pad, n), o2, partial_trace(n, (n_in, d1), {0}), o], n_in * d1),
+        (lambda n: [o1, -np.kron(pad, n), o, partial_trace(n, (n_in, d2), {0})], n_in * d2),
+        (scalar, 1),
+    )])
+    c = np.zeros(a.shape[1])
     c[-1] = 1.0 if min_r else -1.0
     (i1, s1), (i2, s2) = (sdp.pack_gather(din * d, [(slice(None), real)]) for d in (d1, d2))
     return (sdp.SdpProgram(blocks, ("r",) if min_r else ("q",), a, c), np.r_[i1, i2 + 2 * (din * d1) ** 2],

@@ -9,10 +9,11 @@ where x stacks the isometric real coordinates of each block (diagonal, then
 sqrt(2) * real and sqrt(2) * imaginary upper-triangular parts; blocks
 declared real use the symmetric restriction), then the scalars. A d x d
 matrix equality thus takes d * d rows, or d(d+1)/2 on real blocks, and
-linear_map_matrix gives the rows of a linear map. A caller maximizes by
-negating c. A program shape (blocks, scalars, a, c) is an SdpProgram,
-compiled and factored once; an SdpProblem pairs it with the b of one
-instance and with the Certificate of its bracket, which may depend on b.
+linear_map_matrix gives a block's columns in a list of such equalities. A
+caller maximizes by negating c. A program shape (blocks, scalars, a, c) is
+an SdpProgram, compiled and factored once; an SdpProblem pairs it with the
+b of one instance and with the Certificate of its bracket, which may
+depend on b.
 
 The solver follows the central path with HKM predictor-corrector steps
 (Helmberg, Rendl, Vanderbei and Wolkowicz; the corrector centred by the
@@ -103,13 +104,12 @@ def pack_gather(d: int, blocks, width: int = 2) -> tuple[np.ndarray, np.ndarray]
     return np.rint(index / scale).astype(np.intp), scale
 
 
-def linear_map_matrix(
-    fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int, real: bool = False
-) -> np.ndarray:
-    """Matrix of a hermiticity-preserving linear map in pack coordinates:
-    column a packs fn of the matrix that unpacks the a-th unit vector."""
+def linear_map_matrix(fn: Callable[[np.ndarray], list[np.ndarray]], d_in: int, real: bool = False) -> np.ndarray:
+    """Matrix of hermiticity-preserving linear maps in pack coordinates, fn
+    giving their images in order: column a joins the packs of fn's images
+    of the matrix that unpacks the a-th unit vector."""
     basis = unpack(np.eye(vec_size(d_in, real)), d_in, real)
-    return np.stack([pack(fn(unit), real) for unit in basis], axis=1)
+    return np.stack([np.concatenate([pack(m, real) for m in fn(unit)]) for unit in basis], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,8 @@ def solve(
     program, f = problem.program, problem.program.factored
     c, c_norm, flat = f.obj, f.obj_norm, f.flat
     b_unit = problem.b / f.norms
-    b_full, leak = (f.u.T @ b_unit) / f.s, b_unit - f.u @ (f.u.T @ b_unit)
+    b_row = f.u.T @ b_unit
+    b_full, leak = b_row / f.s, b_unit - f.u @ b_row
     consistent = np.linalg.norm(leak) <= DEFAULT_EPS * (1.0 + np.linalg.norm(b_unit))
     cert = problem.certificate if consistent else None
     b, offset = f.null.T @ b_full, f.y0 @ b_full

@@ -29,6 +29,7 @@ from chancompat.robustness import (
     DR,
     R_TOL,
     _grid,
+    _program,
     NoiseClass,
     RobustnessResult,
     SweepRecord,
@@ -258,7 +259,58 @@ def test_size_guard_runs_before_compiling(monkeypatch):
             robustness(ch1, ch2, noise)
 
 
+def _block_assembly(din, d1, d2, n_in, real, min_r):
+    """a as six single-output operators placed by hand in a zero-padded
+    block layout, with the scalar's column last: the reference for the
+    compile from the four equalities."""
+    def op(fn, d_in):
+        return sdp.linear_map_matrix(lambda x: [fn(x)], d_in, real)
+
+    def embed(d):
+        return op(lambda e: np.kron(np.eye(din // n_in), e), n_in * d)
+
+    def tp(d):
+        return op(lambda x: partial_trace(x, (n_in, d), {0}), n_in * d)
+
+    dims = (din, d1, d2)
+    t1 = op(lambda x: partial_trace(x, dims, {0, 1}), din * d1 * d2)
+    t2 = op(lambda x: partial_trace(x, dims, {0, 2}), din * d1 * d2)
+    e1, e2, tp1, tp2 = embed(d1), embed(d2), tp(d1), tp(d2)
+    nj, n1, n2, m1, m2, k = t1.shape[1], e1.shape[1], e2.shape[1], t1.shape[0], t2.shape[0], tp1.shape[0]
+    z = np.zeros
+    if min_r:
+        scalar = np.concatenate([z(m1 + m2), np.tile(sdp.pack(-np.eye(n_in), real), 2)])
+    else:
+        scalar = np.concatenate([sdp.pack(d2 * np.eye(din * d1), real),
+                                 sdp.pack(d1 * np.eye(din * d2), real), z(2 * k)])
+    return np.column_stack([np.block([
+        [t1, -e1, z((m1, n2))],
+        [t2, z((m2, n1)), -e2],
+        [z((k, nj)), tp1, z((k, n2))],
+        [z((k, nj)), z((k, n1)), tp2],
+    ]), scalar])
+
+
 class TestCompiledProgram:
+    @pytest.mark.parametrize("min_r", [True, False], ids=["robustness", "margin"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
+    @pytest.mark.parametrize("din", [2, 3])
+    def test_a_is_the_block_assembly_bit_for_bit(self, din, noise, real, min_r):
+        # every shape up to output dimension 4 that DIM_GUARD admits, signed zeros included
+        n_in, compared = (1 if noise is CD else din), 0
+        for d1 in (2, 3, 4):
+            for d2 in (2, 3, 4):
+                if (din * d1 * d2 + n_in * (d1 + d2)) * (1 if real else 2) > sdp.DIM_GUARD:
+                    with pytest.raises(sdp.SdpBuildError, match="exceeds guard"):
+                        _program(din, d1, d2, n_in, real, min_r)
+                    continue
+                got, want = _program(din, d1, d2, n_in, real, min_r)[0].a, _block_assembly(din, d1, d2, n_in, real, min_r)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                compared += 1
+        assert compared >= 1
+
     @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
     @pytest.mark.parametrize("shape", ["real", "complex"])
     def test_each_program_holds_only_its_unknown(self, shape, noise, rng):

@@ -66,11 +66,11 @@ class TestCoordinates:
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_linear_map_matrix_of_identity_is_exact(self, d, real):
-        op = sdp.linear_map_matrix(lambda x: x, d, d, real)
+        op = sdp.linear_map_matrix(lambda x: [x], d, real)
         assert np.array_equal(op, np.eye(sdp.vec_size(d, real)))
 
     def test_linear_map_matrix_partial_trace(self, rng):
-        op = sdp.linear_map_matrix(lambda x: partial_trace(x, (2, 2), {0}), 4, 2)
+        op = sdp.linear_map_matrix(lambda x: [partial_trace(x, (2, 2), {0})], 4)
         h = random_hermitian(rng, 4)
         got = sdp.unpack(op @ sdp.pack(h), 2)
         assert np.max(np.abs(got - partial_trace(h, (2, 2), {0}))) < 1e-12
