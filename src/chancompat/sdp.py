@@ -18,18 +18,18 @@ depend on b.
 The solver follows the central path with HKM predictor-corrector steps
 (Helmberg, Rendl, Vanderbei and Wolkowicz; the corrector centred by the
 predictor's step as in SDPT3, see _step), untuned: a grid value settles in
-about four iterations, or two from the iterate of a nearby program of its
-shape (a warm start), and a refined value runs to tolerance in about ten. Most
-solves end at a predictor point (Mehrotra, SIAM J. Optim. 1992), tested where
-a forecast passes (see solve). Each SdpProgram is factored when it is built:
-an orthonormal row basis with the free scalars eliminated (Anjos and Burer,
-SIAM J. Optim. 2007), and its rows and objective on the PSD blocks alone as
-block-diagonal matrices, so that a solve does only the work that b needs. The
-iterate is one block-diagonal D x D matrix, D the sum of the block dimensions,
-so that each iteration makes one call per numpy.linalg kernel however many
-blocks there are; the Schur complement alone is formed block by block, as
-SDPT3 and SDPA do. It runs on numpy.linalg alone, in a fixed order, so
-identical problems replay bitwise identically.
+about four iterations, or one to three from the iterate of a nearby program of
+its shape (a warm start), and a refined value in five to ten. Most solves end
+at the edge point of a direction of their last step (Mehrotra, SIAM J. Optim.
+1992), tested where a forecast passes (see solve). Each SdpProgram is factored
+when it is built: an orthonormal row basis with the free scalars eliminated
+(Anjos and Burer, SIAM J. Optim. 2007), and its rows and objective on the PSD
+blocks alone as block-diagonal matrices, so that a solve does only the work
+that b needs. The iterate is one block-diagonal D x D matrix, D the sum of the
+block dimensions, so that each iteration makes one call per numpy.linalg
+kernel however many blocks there are; the Schur complement alone is formed
+block by block, as SDPT3 and SDPA do. It runs on numpy.linalg alone, in a
+fixed order, so identical problems replay bitwise identically.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 DEFAULT_MAX_ITERS = 100   # read when solve is called without max_iters
 DEFAULT_EPS = 1e-9        # relative residuals and gap; 1e-10 can break the Schur solve
 BOUNDARY_FRACTION = 0.98  # share of the distance to the cone boundary that a step takes
-EDGE_FRACTION = 0.999     # share at which a step's predictor point is tested (see solve)
+EDGE_FRACTION = 0.999     # share at which a step's two edge points are tested (see solve)
 CENTERING_MU = 1e-6       # below this mu the corrector's exponent is 1 (see _step)
 DIM_GUARD = 64
 
@@ -287,16 +287,16 @@ def solve(
     delta) restores X >= 0. solution.bracket is the last one; when
     settled(lo, hi) holds, the loop ends there with status "bracketed".
 
-    Each step's predictor point is tested too, at the edge lengths of _step,
-    not the iterate's: where the cone limits a step, it keeps 1 -
-    EDGE_FRACTION of a residual instead of 1 - BOUNDARY_FRACTION, and it
-    stays strictly inside the cone, lambda_min(L^-1 X' L^-H) >= 1 -
-    EDGE_FRACTION for its X' and the old X = L L^H, and so for Z. As A dX =
-    R_p and dZ + A^T dy = R_d, its residual norms are (1 - alpha_p) |R_p| and
-    (1 - alpha_d) |R_d| and its objectives pobj + alpha_p <C, dX> and dobj +
-    alpha_d b @ dy. Only a passing forecast has the point formed, measured
-    and tested; a point that passes is returned without the corrector, its
-    step an iteration, and one that fails is dropped.
+    Each direction of a step, the predictor, then the corrector, has its
+    point at the edge lengths of _step tested too: where the cone limits a
+    step, it keeps 1 - EDGE_FRACTION of a residual instead of 1 -
+    BOUNDARY_FRACTION, and it stays strictly inside the cone,
+    lambda_min(L^-1 X' L^-H) >= 1 - EDGE_FRACTION for its X' and the old
+    X = L L^H, and so for Z. As A dX = R_p and dZ + A^T dy = R_d for both,
+    its residual norms are (1 - alpha_p) |R_p| and (1 - alpha_d) |R_d| and
+    its objectives pobj + alpha_p <C, dX> and dobj + alpha_d b @ dy. Only a
+    passing forecast has the point formed, measured and tested; the first
+    that passes is returned, its step an iteration; if none, the corrector steps.
     """
     start = time.perf_counter()
     max_iters = DEFAULT_MAX_ITERS if max_iters is None else max_iters
@@ -307,12 +307,12 @@ def solve(
     b_unit = problem.b / f.norms
     b_row = f.u.T @ b_unit
     b_full, leak = b_row / f.s, b_unit - f.u @ b_row
-    consistent = np.linalg.norm(leak) <= DEFAULT_EPS * (1.0 + np.linalg.norm(b_unit))
+    consistent = math.sqrt(leak @ leak) <= DEFAULT_EPS * (1.0 + math.sqrt(b_unit @ b_unit))
     cert = problem.certificate if consistent else None
     b, offset = f.null.T @ b_full, f.y0 @ b_full
     # X, Z and C are D x D matrices, y a vector
     x = z = np.eye(len(c), dtype=c.dtype)
-    y, b_norm = np.zeros(b.size), np.linalg.norm(b)
+    y, b_norm = np.zeros(b.size), math.sqrt(b @ b)
     if warm is not None and warm.iterate is not None and warm.iterate[0] is program:
         _, x_old, z_old, y = warm.iterate
         theta = min(1.0, np.linalg.norm(b - flat @ _vec(x_old)) / (1.0 + b_norm))
@@ -345,15 +345,15 @@ def solve(
         (point, status, bracket), iterations = measure(x, z, y), 0
         while status is None and iterations < max_iters:
             x, z, y, rd, rp, pobj, dobj, rp_norm, rd_norm = point
-            steps, new = _step(x, z, y, rp, rd, flat, f.sides, f.packed), None
             try:
-                _, _, dx, dz, dy, (ep, ed) = next(steps)
-                # the predictor point's values at the edge lengths, forecast as the docstring says
-                forecast = pobj + ep * np.vdot(c, dx).real, dobj + ed * (b @ dy)
-                if math.isfinite(sum(forecast)) and test(*forecast, (1 - ep) * rp_norm, (1 - ed) * rd_norm)[0]:
-                    new = measure(x + ep * dx, z + ed * dz, y + ed * dy)
-                if new is None or new[1] is None:
-                    ap, ad, dx, dz, dy, _ = next(steps)
+                for ap, ad, dx, dz, dy, (ep, ed) in _step(x, z, y, rp, rd, flat, f.sides, f.packed):
+                    # the direction's point at the edge lengths, forecast as the docstring says
+                    forecast = pobj + ep * np.vdot(c, dx).real, dobj + ed * (b @ dy)
+                    if math.isfinite(sum(forecast)) and test(*forecast, (1 - ep) * rp_norm, (1 - ed) * rd_norm)[0]:
+                        new = measure(x + ep * dx, z + ed * dz, y + ed * dy)
+                        if new[1] is not None:
+                            break
+                else:    # neither edge point ends the solve: move along the corrector
                     new = measure(x + ap * dx, z + ad * dz, y + ad * dy)
                     if not math.isfinite(sum(new[0][-2:])):    # its residual norms
                         break
@@ -371,7 +371,7 @@ def solve(
         objective_value=float(program.c @ x_pack),
         block_values=values,
         scalar_values=dict(zip(program.scalars, map(float, x_pack[x_psd.size :]))),
-        primal_residual=float(np.max(np.abs(program.a @ x_pack - problem.b), initial=0.0)),
+        primal_residual=float(np.abs(program.a @ x_pack - problem.b).max(initial=0.0)),
         dual_residual=float(rd_norm),
         iterations=iterations,
         dual_objective=float(dobj),
@@ -401,9 +401,9 @@ def _schur(x, w, sides, packed):
 
 def _step(x, z, y, rp, rd, flat, sides, packed):
     """One Mehrotra predictor-corrector step along the HKM direction, as a
-    generator of the predictor's, then the corrector's (alpha_p, alpha_d,
-    dX, dZ, dy, edge): the point x + alpha_p dX, z + alpha_d dZ, y + alpha_d
-    dy, and edge the (alpha_p, alpha_d) that go EDGE_FRACTION of the way.
+    generator of the predictor's, then the corrector's (alpha_p, alpha_d, dX,
+    dZ, dy, edge): the point x + alpha_p dX, z + alpha_d dZ, y + alpha_d dy,
+    and edge the lengths, EDGE_FRACTION of the way, at which solve tests both.
 
     Both directions solve the Schur system M dy = r of the operator
     H(S) = sym(X S Z^-1), M = A H A^T: the predictor for sigma = 0, the
@@ -416,9 +416,9 @@ def _step(x, z, y, rp, rd, flat, sides, packed):
     of block-diagonal matrices keep the off-diagonal blocks exactly 0, so
     one Cholesky factor and one inverse of the stacked [X; Z] serve every
     block, and one eigh of the stacked primal and dual directions gives a
-    direction's step lengths: a step ended at its predictor point makes one
-    Schur solve and one eigh, a full step two of each. The Schur matrix, the
-    one product over all m rows, is formed block by block (_schur).
+    direction's step lengths: a step ended at its predictor's edge point
+    makes one Schur solve and one eigh, any other two of each. The Schur
+    matrix, the one product over all m rows, is formed block by block (_schur).
     """
     n = x.shape[0]
     l_inv = np.linalg.inv(np.linalg.cholesky(np.array([x, z])))

@@ -819,6 +819,19 @@ class TestWarmStart:
         settled = robustness(ch1, ch1, GEN)
         assert robustness(ch2, ch2, GEN, warm=settled).solution.iterations < cold.solution.iterations
 
+    @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())
+    def test_warm_value_can_end_at_its_correctors_edge_point(self, noise):
+        # figure 7 at t = 0.31 from t = 0.30: the predictor's edge point does
+        # not settle the value, the corrector's does, so one step ends it (a
+        # test of the predictor's point alone takes two)
+        spec = FIGURES[7]
+        ch1, ch2 = spec.map1.evaluate(0.31), spec.map2.evaluate(0.31)
+        start = robustness(spec.map1.evaluate(0.30), spec.map2.evaluate(0.30), noise)
+        warm, cold = robustness(ch1, ch2, noise, warm=start), robustness(ch1, ch2, noise)
+        assert (warm.solution.status, warm.solution.iterations) == ("bracketed", 1)
+        assert warm.r_star == cold.r_star == 0.005 and not warm.indeterminate
+        np.linalg.cholesky(np.array(warm.solution.iterate[1:3]))
+
     def test_sweep_starts_from_the_previous_settled_result_of_its_class(self, monkeypatch):
         module, solve, results, starts = sys.modules["chancompat.robustness"], sdp.solve, [], []
 
@@ -894,7 +907,7 @@ class TestFigureSolves:
     @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize("fig", sorted(FIGURES))
     def test_every_returned_iterate_is_strictly_inside_the_cone(self, fig, refine):
-        # a solve may end at a predictor point tested near the cone boundary:
+        # a solve may end at an edge point tested near the cone boundary:
         # X and Z must still have a Cholesky factor, as the next warm start needs
         for res in _figure_results(fig, refine)[0]:
             np.linalg.cholesky(np.array(res.solution.iterate[1:3]))
@@ -911,13 +924,14 @@ class TestFigureSolves:
             assert lo <= fine.r_star <= hi and _grid(fine.r_star) == coarse.r_star, (coarse, fine.r_star)
 
     def test_figures_1_and_7_take_few_iterations(self):
-        # most warm grid values settle at the predictor point of their first
-        # step (see sdp.solve): together the two sweeps take at most 680 steps
-        # and 960 eigh calls, where a test at the iterate's own lengths takes 789 and 1198
+        # most warm grid values settle at an edge point of their first step
+        # (see sdp.solve): together the two sweeps take at most 640 steps and
+        # 925 eigh calls, where a test at the iterate's own lengths
+        # (EDGE_FRACTION = 0.98) takes 784 and 1192
         runs = [_figure_results(fig, False) for fig in (1, 7)]
         assert sum(len(results) for results, _ in runs) == 404
-        assert sum(res.solution.iterations for results, _ in runs for res in results) <= 680
-        assert sum(calls for _, calls in runs) <= 960
+        assert sum(res.solution.iterations for results, _ in runs for res in results) <= 640
+        assert sum(calls for _, calls in runs) <= 925
 
 
 class TestRefinedConvergence:

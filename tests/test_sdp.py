@@ -288,8 +288,9 @@ class TestBlockDiagonalIterate:
             assert calls == {"cholesky": sol.iterations, "eigh": 2 * sol.iterations - h,
                              "solve": 2 * sol.iterations - h}
             assert [len(s) - 1 for s in steps] == [2] * (sol.iterations - 1) + [2 - h]
-            # the solve returns the point of the last direction it took: a
-            # predictor's at its edge lengths, a corrector's at its step lengths
+            # the solve returns the point of the last direction it took: here a
+            # predictor's at its edge lengths, or the capped solve's corrector's
+            # at its step lengths (a corrector's edge point may end a solve too)
             (x, z, y), *_, (*full, dx, dz, dy, edge) = steps[-1]
             ap, ad = edge if h else full
             assert np.array_equal(sol.iterate[1], x + ap * dx)
@@ -304,7 +305,7 @@ class TestBlockDiagonalIterate:
                 l_inv = np.linalg.inv(np.linalg.cholesky(old))
                 assert np.linalg.eigvalsh(l_inv @ new @ l_inv.conj().T)[0] >= (1 - sdp.EDGE_FRACTION) * (1 - 1e-4)
             ends.append(h)
-        # converged solves end at a predictor point, a capped one after a corrector
+        # converged solves end at a predictor's edge point, a capped one after a corrector
         assert ends == [1, 1, 0]
 
     def test_sweep_factors_each_shape_once(self, monkeypatch, tmp_path):
