@@ -20,11 +20,6 @@ from .channels import (
     projective_povm,
     pushforward_povm,
 )
-from .linalg import (
-    partial_trace,
-    trace_distance,
-    trace_norm,
-)
 from .robustness import (
     NoiseClass,
     RobustnessResult,

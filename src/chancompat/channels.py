@@ -135,12 +135,10 @@ class DynamicalMap:
         return self.channel_at(t)
 
 
-def depolarizing_map(lam: float, omega: float | None = None) -> DynamicalMap:
-    """w(t) = exp(-lam t), or exp(-lam t) cos^2(omega t) when omega is given."""
-    if omega is None:
-        return DynamicalMap(f"depolarizing(lam={lam:g})", lambda t: depolarizing_choi(math.exp(-lam * t)))
+def depolarizing_map(lam: float, omega: float = 0.0) -> DynamicalMap:
+    """w(t) = exp(-lam t) cos^2(omega t); omega = 0 is the divisible map exp(-lam t)."""
     return DynamicalMap(
-        f"depolarizing(lam={lam:g},omega={omega:g})",
+        f"depolarizing(lam={lam:g}" + (f",omega={omega:g})" if omega else ")"),
         lambda t: depolarizing_choi(math.exp(-lam * t) * math.cos(omega * t) ** 2),
         math.pi / abs(omega) if omega else None,
     )

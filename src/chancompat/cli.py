@@ -133,8 +133,8 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
         Path(path).write_text(text)
 
 
-def _sweep_to_csv(records, noise: str, teleport_columns: bool = False) -> list[str]:
-    r_cols = [f"r_{nc.value}" for nc in NoiseClass if noise in (nc.value, "both")]
+def _sweep_to_csv(records, teleport_columns: bool = False) -> list[str]:
+    r_cols = [f"r_{nc.value}" for nc in NoiseClass if records[0].r(nc) is not None]
     cols = ["t", *r_cols, "trace_distance"]
     lines = [",".join(cols + (["n_value", "f_max"] if teleport_columns else []))]
     for rec in records:
@@ -148,7 +148,7 @@ def _sweep_to_csv(records, noise: str, teleport_columns: bool = False) -> list[s
 def _run_sweep(args, map1, map2, teleport_columns: bool = False) -> int:
     grid = default_t_grid(args.t_min, args.t_max, args.t_step)
     records = sweep(map1, map2, grid, noise=args.noise, refine=args.refine)
-    _write_lines(args.output, _sweep_to_csv(records, args.noise, teleport_columns))
+    _write_lines(args.output, _sweep_to_csv(records, teleport_columns))
     return _report_indeterminate([rec.t for rec in records if rec.indeterminate])
 
 

@@ -103,7 +103,7 @@ def indivisibility_from_curve(
 def cp_indivisibility_measure(
     map_: DynamicalMap,
     t_grid: Sequence[float],
-    reference: DynamicalMap | None = None,
+    reference: DynamicalMap = identity_map(),
     noise: NoiseClass = NoiseClass.GENERIC,
 ) -> IndivisibilityReport:
     """The measure of indivisibility_from_curve on the robustness curve
@@ -116,7 +116,6 @@ def cp_indivisibility_measure(
     """
     if len(t_grid) < 3:
         raise ValueError("t_grid too coarse: need at least 3 points")
-    reference = identity_map() if reference is None else reference
     period = min((m.period for m in (map_, reference) if m.period is not None), default=None)
     if period is not None:
         max_step = max(b - a for a, b in zip(t_grid, t_grid[1:]))

@@ -6,8 +6,11 @@ pyproject.toml, so that pytest imports the copy), runs only its killing
 test node there, and must make that node fail (pytest exit status 1; an
 error, a missing node or a pass do not count). Before any mutant is
 planted, the killing nodes run once together on an unmutated copy and must
-all pass, so that no node kills by failing already. Each exempt mutant is
-only checked to still apply to the source, so that the list follows the code.
+all pass, so that no node kills by failing already. The replays then run
+concurrently, one per CPU, each with OpenBLAS held to one thread so that
+they do not oversubscribe the cores, and print in list order. Each exempt
+mutant is only checked to still apply to the source, so that the list
+follows the code.
 
     python tests/run_mutants.py            # every mutant
     python tests/run_mutants.py ID [ID...] # only these
@@ -18,11 +21,13 @@ Exits 0 when every listed mutant is killed and every entry applies.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,7 +50,8 @@ def _pytest(tree: Path, nodes: list[str], entry: dict | None = None) -> subproce
         path = tree / entry["file"]
         path.write_text(path.read_text().replace(entry["old"], entry["new"]))
     return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
 
 
 def _unmutated(nodes: list[str], tree: Path) -> list[str]:
@@ -57,10 +63,14 @@ def _unmutated(nodes: list[str], tree: Path) -> list[str]:
     return [f"unmutated: {line}" for line in failed] or [f"unmutated: pytest exited {run.returncode}"]
 
 
-def _killed(entry: dict, tree: Path) -> str | None:
-    """Plant entry in a copy at tree and run its node there: why it survived, or None."""
-    status = _pytest(tree, [entry["test"]], entry).returncode
-    return None if status == 1 else f"{entry['test']} exited {status}, not 1"
+def _replay(entry: dict, tree: Path) -> tuple[str | None, float]:
+    """Plant entry in a copy at tree and run its node there: why it survived
+    or cannot apply (None when killed), and the seconds it took."""
+    start, why = time.monotonic(), _applies(entry)
+    if why is None:
+        status = _pytest(tree, [entry["test"]], entry).returncode
+        why = None if status == 1 else f"{entry['test']} exited {status}, not 1"
+    return why, time.monotonic() - start
 
 
 def main(argv: list[str]) -> int:
@@ -73,13 +83,15 @@ def main(argv: list[str]) -> int:
         print(f"unmutated: {len(nodes)} killing nodes, {len(broken) or 'none'} failing"
               f" ({time.monotonic() - start:.1f}s)")
         failures += broken
-        for entry in mutants if not broken else ():    # a node that fails already kills nothing
-            start = time.monotonic()
-            why = _applies(entry) or _killed(entry, Path(scratch) / entry["id"])
-            print(f"{entry['id']}: {'killed' if why is None else 'SURVIVED, ' + why}"
-                  f" ({time.monotonic() - start:.1f}s)")
-            if why is not None:
-                failures.append(f"{entry['id']}: {why}")
+        replayed = mutants if not broken else []    # a node that fails already kills nothing
+        start, workers = time.monotonic(), os.cpu_count() or 1
+        with ThreadPoolExecutor(workers) as pool:   # map yields in list order
+            results = pool.map(_replay, replayed, [Path(scratch) / entry["id"] for entry in replayed])
+            for entry, (why, seconds) in zip(replayed, results):
+                print(f"{entry['id']}: {'killed' if why is None else 'SURVIVED, ' + why} ({seconds:.1f}s)")
+                if why is not None:
+                    failures.append(f"{entry['id']}: {why}")
+        print(f"replays: {len(replayed)} on {workers} workers ({time.monotonic() - start:.1f}s)")
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
     return 1 if failures else 0

@@ -25,6 +25,7 @@ from chancompat.channels import (
     projective_povm,
     pushforward_povm,
 )
+from chancompat.figures import default_t_grid
 from chancompat.linalg import SIGMA_Z, partial_trace
 from conftest import channel_json, random_density, random_hermitian, trine_povm
 
@@ -211,6 +212,13 @@ class TestDynamicalMap:
         assert amplitude_damping_map(0.5, 5 * math.pi).period == pytest.approx(0.2)
         assert depolarizing_map(0.5).period is None
         assert amplitude_damping_map(0.5, 0.0).period is None
+
+    def test_omega_zero_is_the_divisible_map(self):
+        divisible, oscillating = depolarizing_map(0.5), depolarizing_map(0.5, 0.0)
+        for t in default_t_grid():
+            assert oscillating.evaluate(t).choi.tobytes() == divisible.evaluate(t).choi.tobytes()
+        assert oscillating.label == divisible.label == "depolarizing(lam=0.5)"
+        assert oscillating.period is None and divisible.period is None
 
     def test_divisible_family_factorizes(self):
         lam, t, delta = 0.5, 0.3, 0.45

@@ -89,16 +89,21 @@ def test_figure_seven_evaluates_each_map_once_per_time(tmp_path, monkeypatch):
     assert set(path.read_text().splitlines()) <= set(golden.read_text().splitlines())
 
 
-def test_noise_selection_controls_columns(capsys):
+@pytest.mark.parametrize("noise,header", [
+    ("both", "t,r_generic,r_cd,trace_distance"),
+    ("generic", "t,r_generic,trace_distance"),
+    ("cd", "t,r_cd,trace_distance"),
+])
+def test_noise_selection_controls_columns(noise, header, capsys):
     code, out, _ = run_cli(
         [
             "sweep", "--family", "identity", "--family2", "eternal",
-            "--t-step", "1", "--t-max", "1", "--noise", "cd",
+            "--t-step", "1", "--t-max", "1", "--noise", noise,
         ],
         capsys,
     )
     assert code == 0
-    assert out.splitlines()[0] == "t,r_cd,trace_distance"
+    assert out.splitlines()[0] == header
 
 
 def test_nine_significant_digits(capsys):

@@ -33,7 +33,7 @@ DATA = Path(__file__).parent / "data"
 def test_figure_csv_is_byte_identical(fig):
     # figure 7 sweeps the maps of figure 4 and adds its teleportation columns
     records = _figure_records(4 if fig == 7 else fig)
-    text = "\n".join(_sweep_to_csv(records, "both", FIGURES[fig].teleport_columns)) + "\n"
+    text = "\n".join(_sweep_to_csv(records, FIGURES[fig].teleport_columns)) + "\n"
     assert text.encode() == (DATA / f"fig{fig}.csv").read_bytes()
 
 
