@@ -2,14 +2,16 @@
 
 Subcommands:
   figure    reproduce the data series behind one of the built-in figures
-  sweep     robustness/witness sweep for a chosen pair of map families
+  sweep     robustness/witness sweep for a chosen pair of maps
   teleport  teleportation-fidelity curve for one family
   measure   CP-indivisibility measure of a family against a reference
   validate  run the named end-to-end checks
 
 Every named map family is built from figures.FAMILIES at the --lam/--omega/
---alpha flags; `sweep` also takes `custom`, a constant map around the JSON
-channel of --choi (for --family) or --choi2 (for --family2).
+--alpha flags. `sweep` takes each of its two maps as a family (--family,
+--family2) or as the constant map around a JSON channel (--choi, --choi2);
+a map that is missing, given twice or named `custom` is a usage error that
+argparse raises before any file is opened.
 
 CSV output uses 9 significant digits, '\\n' line endings, and a fixed column
 order, so repeated runs with the same configuration are byte-identical. A
@@ -33,10 +35,6 @@ from .validation import run_checks
 from .witness import cp_indivisibility_measure, teleport_fidelity
 
 
-class UsageError(Exception):
-    """Usage error discovered after argparse; mapped to exit code 2."""
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
@@ -46,14 +44,10 @@ def _family_map(name: str, args) -> DynamicalMap:
 
 
 def _sweep_map(args, position: str) -> DynamicalMap:
-    """The map of --family<position>; a custom one reads --choi<position>."""
-    name, path = getattr(args, f"family{position}"), getattr(args, f"choi{position}")
-    if name == "custom" and path is None:
-        raise UsageError(f"--family{position} custom requires a --choi{position} JSON file")
-    if name != "custom" and path is not None:
-        raise UsageError(f"--choi{position} is read only with --family{position} custom")
+    """The map of --family<position>, or the constant map of --choi<position>."""
+    path = getattr(args, f"choi{position}")
     if path is None:
-        return _family_map(name, args)
+        return _family_map(getattr(args, f"family{position}"), args)
     try:
         return constant_map(channel_from_json(Path(path).read_text()))
     except (OSError, ValueError) as exc:    # an input: exit 2, naming its flag
@@ -94,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure)
 
     p_sweep = sub.add_parser("sweep", help="robustness sweep for a chosen map pair")
-    p_sweep.add_argument("--family", choices=[*FAMILIES, "custom"], required=True)
-    p_sweep.add_argument("--family2", choices=[*FAMILIES, "custom"], required=True)
-    p_sweep.add_argument("--choi", help="channel JSON for family=custom")
-    p_sweep.add_argument("--choi2", help="channel JSON for family2=custom")
+    for position in ("", "2"):    # each map is a family or a constant channel, never both
+        one_map = p_sweep.add_mutually_exclusive_group(required=True)
+        one_map.add_argument(f"--family{position}", choices=FAMILIES)
+        one_map.add_argument(f"--choi{position}", help=f"channel JSON of a constant map{position or 1}")
     _add_family_args(p_sweep)
     _add_sweep_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -207,19 +201,16 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     path = getattr(args, "output", None)
     made = path is not None and not Path(path).exists()    # a failed run removes the -o it made
     try:
         if path is not None:
             open(path, "a").close()    # fail before any solve, truncating nothing
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         if made:
             Path(path).unlink(missing_ok=True)
-        if isinstance(exc, UsageError):
-            parser.error(str(exc))
         # an OSError is -o's: _sweep_map reads every input
         code, label = (2, "error") if isinstance(exc, ValueError) else (1, "I/O error")
         print(f"{label}: {exc}", file=sys.stderr)

@@ -36,6 +36,24 @@ def channel_json(ch):
                        "choi_im": ch.choi.imag.tolist()})
 
 
+def superoperator(ch: Channel) -> np.ndarray:
+    """S with vec(L(rho)) = S vec(rho), row-major vec: S[(k, l), (i, j)] =
+    <k|L(|i><j|)|l>, which is the Choi entry [(i, k), (j, l)] (input first)."""
+    return ch.choi.reshape(ch.din, ch.dout, ch.din, ch.dout).transpose(1, 3, 0, 2).reshape(
+        ch.dout**2, ch.din**2)
+
+
+def divisible_on(dmap, t0: float, t1: float) -> bool:
+    """Rivas, Huelga and Plenio: the step t0 -> t1 of a qubit map is
+    CP-divisible when L(t0) is invertible and the intermediate map
+    V = L(t1) o L(t0)^-1 is CP, i.e. its Choi matrix is >= -1e-9."""
+    s0 = superoperator(dmap.evaluate(t0))
+    if np.linalg.svd(s0, compute_uv=False)[-1] < 1e-9:
+        return False
+    v = (superoperator(dmap.evaluate(t1)) @ np.linalg.inv(s0)).reshape(2, 2, 2, 2)
+    return np.linalg.eigvalsh(v.transpose(2, 0, 3, 1).reshape(4, 4))[0] >= -1e-9
+
+
 def assert_same_solve(s1, s2):
     """Bit for bit the same solve: every reported number and the last iterate."""
     fields = ("status", "iterations", "objective_value", "dual_objective", "primal_residual", "dual_residual",

@@ -122,7 +122,7 @@ def test_custom_choi_input(tmp_path, capsys):
     path.write_text(channel_json(amplitude_damping_choi(0.3)))
     code, out, _ = run_cli(
         [
-            "sweep", "--family", "custom", "--choi", str(path),
+            "sweep", "--choi", str(path),
             "--family2", "identity", "--t-step", "1", "--t-max", "1",
         ],
         capsys,
@@ -137,8 +137,7 @@ def test_qutrit_pair_sweeps_its_trace_distance(tmp_path, capsys):
     path.write_text(channel_json(identity_channel(3)))
     code, out, err = run_cli(
         [
-            "sweep", "--family", "custom", "--choi", str(path),
-            "--family2", "custom", "--choi2", str(path), "--t-max", "0",
+            "sweep", "--choi", str(path), "--choi2", str(path), "--t-max", "0",
         ],
         capsys,
     )
@@ -149,8 +148,8 @@ def test_qutrit_pair_sweeps_its_trace_distance(tmp_path, capsys):
 def test_custom_without_choi_is_usage_error(capsys):
     # each position names its own channel file flag
     for argv, phrase in [
-        (["--family", "custom", "--family2", "identity"], "--family custom requires a --choi JSON file"),
-        (["--family", "identity", "--family2", "custom"], "--family2 custom requires a --choi2 JSON file"),
+        (["--family2", "identity"], "one of the arguments --family --choi is required"),
+        (["--family", "identity"], "one of the arguments --family2 --choi2 is required"),
     ]:
         with pytest.raises(SystemExit) as err:
             main(["sweep", *argv])
@@ -160,13 +159,40 @@ def test_custom_without_choi_is_usage_error(capsys):
 
 @pytest.mark.parametrize("position", ["", "2"], ids=["choi", "choi2"])
 def test_stray_choi_is_usage_error(position, capsys):
-    # a channel file that no custom family reads is refused before it is opened
+    # a map given as a family and as a channel file is refused before the file is opened
     argv = ["sweep", "--family", "identity", "--family2", "identity", "--t-max", "0"]
     with pytest.raises(SystemExit) as err:
         main([*argv, f"--choi{position}", "/nonexistent.json"])
     out = capsys.readouterr()
     assert (err.value.code, out.out) == (2, "")
-    assert f"--choi{position} is read only with --family{position} custom" in out.err
+    assert f"argument --choi{position}: not allowed with argument --family{position}" in out.err
+
+
+@pytest.mark.parametrize(
+    "maps, phrase",
+    [
+        (["--family", "custom", "--family2", "identity"], "argument --family: invalid choice: 'custom'"),
+        (["--family", "identity", "--choi", "F", "--family2", "identity"],
+         "argument --choi: not allowed with argument --family"),
+        (["--family", "identity", "--family2", "identity", "--choi2", "F"],
+         "argument --choi2: not allowed with argument --family2"),
+        (["--choi", "F"], "one of the arguments --family2 --choi2 is required"),
+    ],
+    ids=["custom", "family-and-choi", "family2-and-choi2", "missing-map2"],
+)
+def test_map_usage_errors_exit_at_parse_time(maps, phrase, tmp_path, capsys):
+    # argparse refuses each map before any file is opened or -o exists; F is a
+    # readable channel file, so no error can come from reading it
+    channel = tmp_path / "chan.json"
+    channel.write_text(channel_json(identity_channel(2)))
+    path = tmp_path / "new.csv"
+    argv = [str(channel) if arg == "F" else arg for arg in maps]
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", *argv, "--t-max", "0", "-o", str(path)])
+    out = capsys.readouterr()
+    assert (err.value.code, out.out) == (2, "")
+    assert phrase in out.err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -193,7 +219,7 @@ def test_malformed_choi_returns_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"din": 2}))
     code, _, err = run_cli(
-        ["sweep", "--family", "custom", "--choi", str(path), "--family2", "identity"],
+        ["sweep", "--choi", str(path), "--family2", "identity"],
         capsys,
     )
     assert code == 2
@@ -206,7 +232,7 @@ def test_choi_dimensions_must_be_json_integers(tmp_path, capsys, spelling):
     path = tmp_path / "chan.json"
     path.write_text(text)
     code, out, err = run_cli(
-        ["sweep", "--family", "custom", "--choi", str(path), "--family2", "identity"], capsys
+        ["sweep", "--choi", str(path), "--family2", "identity"], capsys
     )
     assert (code, out) == (2, "")
     assert "din and dout must be integers" in err
@@ -218,7 +244,7 @@ def test_choi_dimensions_below_one_exit_two_naming_the_fields(tmp_path, capsys, 
     path.write_text(json.dumps({"din": din, "dout": dout, "choi_re": np.eye(2).tolist(),
                                 "choi_im": np.zeros((2, 2)).tolist()}))
     code, out, err = run_cli(
-        ["sweep", "--family", "custom", "--choi", str(path), "--family2", "identity"], capsys
+        ["sweep", "--choi", str(path), "--family2", "identity"], capsys
     )
     assert (code, out) == (2, "")
     assert f"error: --choi: din and dout must be at least 1, got din={din}, dout={dout}" in err
@@ -229,7 +255,7 @@ def test_choi_file_a_millionth_off_trace_preservation_exits_two(tmp_path, capsys
     path = tmp_path / "near.json"
     path.write_text(json.dumps({"din": 2, "dout": 2, "choi_re": near.tolist(), "choi_im": (0 * near).tolist()}))
     code, out, err = run_cli(
-        ["sweep", "--family", "custom", "--choi", str(path), "--family2", "identity"], capsys
+        ["sweep", "--choi", str(path), "--family2", "identity"], capsys
     )
     assert (code, out) == (2, "")
     assert "not trace preserving" in err
@@ -276,10 +302,10 @@ def test_grid_step_is_not_a_flag(argv, capsys):
         (["teleport", "--t-min=-1e308", "--t-max", "1e308"], 2, "t_step 0.01 over the span inf gives"),
         # an input that cannot be read exits 2 naming its flag, an output that
         # cannot be written exits 1, whatever the OSError
-        (["sweep", "--family", "custom", "--choi", ".", "--family2", "identity"], 2, "error: --choi: [Errno"),
-        (["sweep", "--family", "custom", "--choi", "/nonexistent.json", "--family2", "identity"], 2,
+        (["sweep", "--choi", ".", "--family2", "identity"], 2, "error: --choi: [Errno"),
+        (["sweep", "--choi", "/nonexistent.json", "--family2", "identity"], 2,
          "error: --choi: [Errno"),
-        (["sweep", "--family", "identity", "--family2", "custom", "--choi2", "."], 2, "error: --choi2: [Errno"),
+        (["sweep", "--family", "identity", "--choi2", "."], 2, "error: --choi2: [Errno"),
         (["teleport", "--t-max", "0", "-o", "/nonexistent/dir/x.csv"], 1, "I/O error"),
     ],
     ids=["zero-step", "reversed-range", "negative-alpha", "teleport-to-dir", "figure-to-dir",
@@ -307,29 +333,29 @@ def test_failed_run_keeps_an_existing_output(tmp_path, capsys):
     # the -o check opens for appending: a run that fails later truncates nothing
     path = tmp_path / "x.csv"
     path.write_text("kept\n")
-    argv = ["sweep", "--family", "custom", "--choi", str(tmp_path / "none.json"), "--family2", "identity"]
+    argv = ["sweep", "--choi", str(tmp_path / "none.json"), "--family2", "identity"]
     got, _, err = run_cli(argv + ["-o", str(path)], capsys)
     assert got == 2 and "error: --choi: [Errno" in err
     assert path.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(
-    "family, code, phrase",
+    "map1, code, phrase",
     [
-        (["custom", "--choi", "/nonexistent.json"], 2, "error: --choi: [Errno"),
-        (["custom"], 2, "--family custom requires a --choi JSON file"),
-        (["identity"], 1, "I/O error: [Errno 28] No space left on device"),
+        (["--choi", "/nonexistent.json"], 2, "error: --choi: [Errno"),
+        (["--family", "custom"], 2, "argument --family: invalid choice: 'custom'"),
+        (["--family", "identity"], 1, "I/O error: [Errno 28] No space left on device"),
     ],
     ids=["value-error", "usage-error", "os-error"],
 )
-def test_failed_run_removes_the_output_it_created(family, code, phrase, tmp_path, capsys, monkeypatch):
+def test_failed_run_removes_the_output_it_created(map1, code, phrase, tmp_path, capsys, monkeypatch):
     # -o is created before any solve; a run that then fails takes it away again
     def full_disk(*args):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr("chancompat.cli._write_lines", full_disk)
     path = tmp_path / "new.csv"
-    argv = ["sweep", "--family", *family, "--family2", "identity", "--t-max", "0", "-o", str(path)]
+    argv = ["sweep", *map1, "--family2", "identity", "--t-max", "0", "-o", str(path)]
     try:
         got = main(argv)
     except SystemExit as exc:    # argparse's exit on a usage error

@@ -41,7 +41,7 @@ from chancompat.robustness import (
 )
 from chancompat.validation import _figure_records, random_basis
 from chancompat.witness import indivisibility_from_curve
-from conftest import assert_same_solve, isometry_channel, random_channel, trine_povm
+from conftest import assert_same_solve, divisible_on, isometry_channel, random_channel, trine_povm
 from refine_tail import MAX_ITERATIONS, draw_pairs
 
 CD = NoiseClass.COMPLETELY_DEPOLARIZING
@@ -200,24 +200,6 @@ class TestDataProcessing:
         assert positive >= 50
 
 
-def _superoperator(ch: Channel) -> np.ndarray:
-    """S with vec(L(rho)) = S vec(rho), row-major vec: S[(k, l), (i, j)] =
-    <k|L(|i><j|)|l>, which is the Choi entry [(i, k), (j, l)] (input first)."""
-    return ch.choi.reshape(ch.din, ch.dout, ch.din, ch.dout).transpose(1, 3, 0, 2).reshape(
-        ch.dout**2, ch.din**2)
-
-
-def _divisible_on(dmap, t0: float, t1: float) -> bool:
-    """Rivas, Huelga and Plenio: the step t0 -> t1 of a qubit map is
-    CP-divisible when L(t0) is invertible and the intermediate map
-    V = L(t1) o L(t0)^-1 is CP, i.e. its Choi matrix is >= -1e-9."""
-    s0 = _superoperator(dmap.evaluate(t0))
-    if np.linalg.svd(s0, compute_uv=False)[-1] < 1e-9:
-        return False
-    v = (_superoperator(dmap.evaluate(t1)) @ np.linalg.inv(s0)).reshape(2, 2, 2, 2)
-    return np.linalg.eigvalsh(v.transpose(2, 0, 3, 1).reshape(4, 4))[0] >= -1e-9
-
-
 class TestIntermediateMapOracle:
     """The paper: r can rise only where the pair's maps are CP-indivisible.
     The intermediate-map test marks those intervals of the default grid
@@ -231,7 +213,7 @@ class TestIntermediateMapOracle:
         spec, grid = FIGURES[fig], default_t_grid()
         marked = {
             k for k, (t0, t1) in enumerate(zip(grid, grid[1:]))
-            if not (_divisible_on(spec.map1, t0, t1) and _divisible_on(spec.map2, t0, t1))
+            if not (divisible_on(spec.map1, t0, t1) and divisible_on(spec.map2, t0, t1))
         }
         records = sweep(spec.map1, spec.map2, grid, refine=True)
         assert not any(rec.indeterminate for rec in records)

@@ -1,4 +1,5 @@
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,40 @@ class TestSolve:
         sol = sdp.solve(sdp.SdpProblem(program, b))
         assert sol.status == "optimal"
         assert abs(-sol.objective_value - y @ b) < 1e-6
+
+    def test_optimal_meets_each_relative_tolerance_where_it_binds(self):
+        # |C| = 1e3 and |b| of a few units, both above 1, so that each
+        # denominator 1 + |b|, 1 + |C| and the gap's matters. A row pins
+        # X[2, 2] = 0, so no feasible X is strictly positive, and the
+        # residuals bind: with either residual's denominator 1 - |b| or
+        # 1 - |C| the solve ends 30 or 120 times outside that bound, and with
+        # the gap's 1 + |pobj| - |dobj| it never ends optimal. The rows are
+        # orthonormal, so the residuals that solve tests are the program's own.
+        rng = np.random.default_rng(16)
+        corner = np.diag([0.0, 0.0, 1.0])
+        g = rng.normal(size=(9, 7))
+        g[:, 0] = sdp.pack(corner)
+        a = np.linalg.qr(g)[0].T
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        x_star = (u * rng.uniform(0.5, 2, 3)) @ u.conj().T
+        x_star[2, :] = x_star[:, 2] = 0
+        z_star = (u * rng.uniform(0.5, 2, 3)) @ u.conj().T
+        c = 1e3 * (a.T @ rng.normal(size=7) + sdp.pack(z_star))
+        b = a @ sdp.pack(x_star)
+        assert np.linalg.norm(b) > 1 and np.allclose(a @ a.T, np.eye(7))
+        sol = sdp.solve(sdp.SdpProblem(sdp.SdpProgram(blocks={"x": (3, False)}, scalars=(), a=a, c=c), b))
+        assert sol.status == "optimal"
+        eps = sdp.DEFAULT_EPS
+        assert np.linalg.norm(a @ sdp.pack(sol.block_values["x"]) - b) <= eps * (1 + np.linalg.norm(b))
+        assert sol.dual_residual <= eps * (1 + np.linalg.norm(c))
+        pobj, dobj = sol.objective_value, sol.dual_objective
+        assert abs(pobj - dobj) <= eps * (1 + abs(pobj) + abs(dobj))
+
+    def test_seconds_is_the_wall_time_of_the_call(self, rng):
+        problem = _eigenvalue_lp(random_hermitian(rng, 4), real=False)
+        start = time.perf_counter()
+        sol = sdp.solve(problem)
+        assert 0 < sol.seconds <= time.perf_counter() - start
 
     def test_infeasible_program_runs_out_of_iterations(self):
         # there is no infeasibility exit: a program without a feasible point
