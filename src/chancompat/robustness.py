@@ -266,25 +266,29 @@ def sweep(
 
     The trace-distance column compares map2's images of |0><0| and |1><1|
     (map2 is the map under study), the first two diagonal blocks of its Choi
-    matrix, so map2 needs din >= 2. A grid value starts from the previous
-    time point's settled result of its noise class, as consecutive programs
-    differ only a little in b; the first point and refined values are
-    solved cold, so records do not depend on where a sweep starts.
+    matrix, so map2 needs din >= 2. A grid value starts from the last solved
+    result of its noise class, as consecutive programs differ only a little
+    in b; the first point and refined values are solved cold, so records do
+    not depend on where a sweep starts. CD is solved first: CD noise is
+    generic noise, so a CD bracket ending at or below R_TOL gives the generic 0.
     """
     t_grid = list(t_grid)
     if not t_grid:
         raise ValueError("t_grid must be non-empty")
     if not 0 <= t_grid[0] <= t_grid[-1] < math.inf or any(not b > a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be nonnegative, finite and strictly increasing")
-    classes = tuple(NoiseClass) if noise == "both" else (NoiseClass(noise),)
+    classes = tuple(NoiseClass)[::-1] if noise == "both" else (NoiseClass(noise),)
     records, warm = [], {}
     for t in t_grid:
         ch1, ch2 = map1.evaluate(t), map2.evaluate(t)
         if ch2.din < 2:
             raise ValueError(f"trace distance needs two input states, but map2 has din={ch2.din}")
-        d = ch2.dout
-        results = {nc: robustness(ch1, ch2, nc, refine=refine, warm=warm.get(nc)) for nc in classes}
-        warm = {} if refine else results
+        d, results = ch2.dout, {}
+        for nc in classes:    # CD comes first, so results is nonempty only at a generic solve
+            if results and (hi := results[NoiseClass.COMPLETELY_DEPOLARIZING].bracket[1]) <= R_TOL:
+                results[nc] = RobustnessResult(0.0, bracket=(0.0, hi))
+            else:
+                results[nc] = warm[nc] = robustness(ch1, ch2, nc, refine=refine, warm=None if refine else warm.get(nc))
         gen = results.get(NoiseClass.GENERIC)
         cd = results.get(NoiseClass.COMPLETELY_DEPOLARIZING)
         records.append(SweepRecord(

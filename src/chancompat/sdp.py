@@ -267,10 +267,12 @@ def solve(
     SIAM J. Optim. 2002). Any other warm is ignored. Status "optimal": the
     relative primal and dual residuals and the relative duality gap are all
     at most DEFAULT_EPS, and so is the part of the row-normalized b outside
-    the row space of a, relative to 1 + its norm. Otherwise
-    "max_iterations": the cap was reached, a step came out non-finite and
-    the last finite iterate is returned, or the equalities are
-    inconsistent; a program with no feasible point ends so too.
+    the row space of a, relative to 1 + its norm, and the exit's
+    primal_residual relative to 1 + max |b|. Otherwise "max_iterations":
+    the cap was reached, a step came out non-finite and the last finite
+    iterate is returned, the equalities are inconsistent, or the exit missed
+    them, as x can drift in an unbounded optimal set; a program with no
+    feasible point ends so too.
     objective_value is that of the primal iterate and dual_objective that of
     the dual one.
 
@@ -366,12 +368,15 @@ def solve(
               for name, (_, diag, real) in zip(program.blocks, f.layout)}
     x_psd = _vec(x)[f.index] * f.scale
     x_pack = np.concatenate([x_psd, f.lift @ (b_full - f.a_psd @ x_psd)])
+    residual = float(np.abs(program.a @ x_pack - problem.b).max(initial=0.0))
+    if status == "optimal" and residual > DEFAULT_EPS * (1.0 + np.abs(problem.b).max(initial=0.0)):
+        status = None    # x drifted along a direction that the reduced rows do not see
     return SdpSolution(
         status=status or "max_iterations",
         objective_value=float(program.c @ x_pack),
         block_values=values,
         scalar_values=dict(zip(program.scalars, map(float, x_pack[x_psd.size :]))),
-        primal_residual=float(np.abs(program.a @ x_pack - problem.b).max(initial=0.0)),
+        primal_residual=residual,
         dual_residual=float(rd_norm),
         iterations=iterations,
         dual_objective=float(dobj),

@@ -15,7 +15,8 @@ def test_benchmark_call_sites_fire(tmp_path):
     solve = sdp.solve
     tracer.install()
     try:
-        # 22 solves, so that at least one problem is kept for the replay
+        # 17 solves (2 certified CD zeros skip their generic solve), at least
+        # REPLAY_EVERY = 16, so that at least one problem is kept for the replay
         code = chancompat.cli.main(
             ["figure", "--id", "7", "--t-step", "0.1", "-o", str(tmp_path / "f.csv")]
         )

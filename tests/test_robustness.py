@@ -439,7 +439,7 @@ class TestSweep:
         assert len({r.r_generic for r in recs}) == 1
         assert all(r.trace_distance == 1.0 for r in recs)
 
-    def test_both_solves_generic_then_cd(self, monkeypatch):
+    def test_both_solves_cd_then_generic(self, monkeypatch):
         module = sys.modules["chancompat.robustness"]
         calls = []
 
@@ -449,9 +449,40 @@ class TestSweep:
 
         monkeypatch.setattr(module, "robustness", traced)
         recs = sweep(identity_map(), identity_map(), [0.0, 0.5], noise="both")
-        assert calls == [GEN, CD, GEN, CD]
+        assert calls == [CD, GEN, CD, GEN]
         # the identity pair: generic 1/3 and CD 1/2, each in its own column
         assert [(r.r_generic, r.r_cd) for r in recs] == [pytest.approx((0.335, 0.5))] * 2
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("hi, solved", [(R_TOL, False), (2 * R_TOL, True)], ids=["at-r-tol", "above-r-tol"])
+    def test_only_a_cd_bracket_ending_within_r_tol_skips_the_generic_solve(self, hi, solved, refine, monkeypatch):
+        # figure 2 at t = 0.1 is a certified CD zero; its bracket is moved to
+        # end at hi, so that r_star stays 0 either way
+        module, spec, calls = sys.modules["chancompat.robustness"], FIGURES[2], []
+
+        def moved(ch1, ch2, noise, **kwargs):
+            calls.append(noise)
+            res = robustness(ch1, ch2, noise, **kwargs)
+            return replace(res, bracket=(0.0, hi)) if noise is CD else res
+
+        monkeypatch.setattr(module, "robustness", moved)
+        (rec,) = sweep(spec.map1, spec.map2, [0.1], refine=refine)
+        assert calls == ([CD, GEN] if solved else [CD])
+        assert (rec.r_generic, rec.r_cd, rec.indeterminate) == (0.0, 0.0, False)
+
+    @pytest.mark.parametrize("noise", [GEN, CD], ids=lambda nc: nc.name.lower())
+    def test_a_single_class_sweep_solves_every_point(self, noise, monkeypatch):
+        # figure 2's default grid has 80 certified CD zeros; one class alone skips none
+        module, spec, calls = sys.modules["chancompat.robustness"], FIGURES[2], []
+
+        def traced(ch1, ch2, nc, **kwargs):
+            calls.append(nc)
+            return robustness(ch1, ch2, nc, **kwargs)
+
+        monkeypatch.setattr(module, "robustness", traced)
+        recs = sweep(spec.map1, spec.map2, default_t_grid(), noise=noise)
+        assert calls == [noise] * len(default_t_grid())
+        assert sum(rec.r(noise) == 0 for rec in recs) == 80
 
     def test_single_noise_class_leaves_other_none(self):
         recs = sweep(identity_map(), depolarizing_map(0.5), [0.0, 0.4], noise="cd")
@@ -783,7 +814,7 @@ class TestWarmStart:
         warm = sweep(spec.map1, spec.map2, default_t_grid())
         warm_sum, iterations[:] = sum(iterations), []
         cold = _cold_records(spec.map1, spec.map2, default_t_grid())
-        assert warm == cold and len(iterations) == 202
+        assert warm == cold and len(iterations) == 183
         assert warm_sum <= 0.7 * sum(iterations), (warm_sum, sum(iterations))
 
     def test_indeterminate_result_gives_no_start(self, monkeypatch):
@@ -819,7 +850,7 @@ class TestWarmStart:
 
         def marking(*args, **kwargs):
             res = robustness(*args, **kwargs)
-            if len(results) == 3:    # t = 0.1 comes back unsettled in the CD column
+            if len(results) == 3:    # t = 0.1 comes back unsettled in the generic column
                 res = replace(res, indeterminate=True)
             results.append(res)
             return res
@@ -834,6 +865,22 @@ class TestWarmStart:
         assert starts[:2] == [None, None] and starts[5] is None
         assert all(starts[k] is results[k - 2].solution for k in (2, 3, 4, 6, 7))
 
+    def test_generic_start_after_a_skipped_point_is_the_last_solved_result(self, monkeypatch):
+        # figure 2's grid sweep skips the generic solve at its 80 certified CD
+        # zeros: each generic solve starts from the last generic result that
+        # was solved, not from an inferred 0
+        module, spec, calls = sys.modules["chancompat.robustness"], FIGURES[2], []
+
+        def recording(ch1, ch2, noise, **kwargs):
+            calls.append((noise, kwargs["warm"], robustness(ch1, ch2, noise, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(module, "robustness", recording)
+        sweep(spec.map1, spec.map2, default_t_grid())
+        generic = [(warm, res) for noise, warm, res in calls if noise is GEN]
+        assert len(generic) == len(default_t_grid()) - 80 and generic[0][0] is None
+        assert all(warm is last for (_, last), (warm, _) in zip(generic, generic[1:]))
+
     @pytest.mark.parametrize("pair", ["fig4", "fig6", "phase-gate"])
     def test_split_sweep_gives_the_whole_sweep(self, pair):
         map1, map2 = _phase_gate_pair() if pair == "phase-gate" else (
@@ -846,8 +893,8 @@ class TestWarmStart:
         for k in range(1, len(grid) - 1):
             assert sweep(map1, map2, grid[k:]) == whole[k:], grid[k]
 
-    @pytest.mark.parametrize("pair", ["fig4", "phase-gate"])
-    def test_refined_sweep_is_the_cold_one(self, pair, monkeypatch):
+    @pytest.mark.parametrize("pair, solves", [("fig4", 17), ("phase-gate", 16)], ids=["fig4", "phase-gate"])
+    def test_refined_sweep_is_the_cold_one(self, pair, solves, monkeypatch):
         map1, map2 = _phase_gate_pair() if pair == "phase-gate" else (FIGURES[4].map1, FIGURES[4].map2)
         grid = default_t_grid(t_step=0.1)
         solve, starts = sdp.solve, []
@@ -858,29 +905,39 @@ class TestWarmStart:
 
         monkeypatch.setattr(sdp, "solve", recording)
         refined = sweep(map1, map2, grid, refine=True)
-        assert starts == [None] * 2 * len(grid)
+        # two solves at each of 11 points, less the generic solves that certified CD zeros skip
+        assert starts == [None] * solves
         assert refined == _cold_records(map1, map2, grid, refine=True)
 
 
 @functools.cache
-def _figure_results(fig: int, refine: bool) -> tuple[list[RobustnessResult], int]:
-    """The robustness results of a figure's sweep on the default grid, in
-    solve order, and the eigh calls that their solves made."""
-    module, eigh, results, calls = sys.modules["chancompat.robustness"], np.linalg.eigh, [], [0]
+def _figure_results(fig: int, refine: bool) -> tuple[dict, list[SweepRecord], int]:
+    """The robustness results of a figure's sweep on the default grid, keyed
+    by (t, noise class), its records, and the eigh calls that its solves
+    made. A generic value that the sweep took from a certified CD zero, with
+    no solve, is keyed as that zero: no solution, bracket (0, r_hi of CD)."""
+    module, eigh, solved, calls = sys.modules["chancompat.robustness"], np.linalg.eigh, [], [0]
 
-    def recording(*args, **kwargs):
-        results.append(robustness(*args, **kwargs))
-        return results[-1]
+    def recording(ch1, ch2, noise, **kwargs):
+        solved.append((noise, robustness(ch1, ch2, noise, **kwargs)))
+        return solved[-1][1]
 
     def counting(*args, **kwargs):
         calls[0] += sys._getframe(1).f_globals["__name__"] == sdp.__name__
         return eigh(*args, **kwargs)
 
+    grid = default_t_grid()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "robustness", recording)
         patch.setattr(np.linalg, "eigh", counting)
-        sweep(FIGURES[fig].map1, FIGURES[fig].map2, default_t_grid(), refine=refine)
-    return results, calls[0]
+        records = sweep(FIGURES[fig].map1, FIGURES[fig].map2, grid, refine=refine)
+    # CD is solved first at each point, so each CD solve starts the next t
+    points = np.cumsum([noise is CD for noise, _ in solved]) - 1
+    results = {(grid[k], noise): res for k, (noise, res) in zip(points, solved)}
+    for rec in records:
+        cd_hi = results[rec.t, CD].bracket[1]
+        results.setdefault((rec.t, GEN), RobustnessResult(rec.r_generic, bracket=(0.0, cd_hi)))
+    return results, records, calls[0]
 
 
 class TestFigureSolves:
@@ -891,29 +948,47 @@ class TestFigureSolves:
     def test_every_returned_iterate_is_strictly_inside_the_cone(self, fig, refine):
         # a solve may end at an edge point tested near the cone boundary:
         # X and Z must still have a Cholesky factor, as the next warm start needs
-        for res in _figure_results(fig, refine)[0]:
-            np.linalg.cholesky(np.array(res.solution.iterate[1:3]))
+        for res in _figure_results(fig, refine)[0].values():
+            if res.solution is not None:
+                np.linalg.cholesky(np.array(res.solution.iterate[1:3]))
 
     @pytest.mark.parametrize("fig", sorted(FIGURES))
     def test_grid_brackets_contain_the_refined_values(self, fig):
         # the grid value's certified bracket and the refined value's both hold
         # r*, so they meet, and the refined r* lies in the grid bracket
-        (grid, _), (refined, _) = _figure_results(fig, False), _figure_results(fig, True)
-        assert len(grid) == len(refined) == 2 * len(default_t_grid())
-        for coarse, fine in zip(grid, refined, strict=True):
-            (lo, hi), (fine_lo, fine_hi) = coarse.bracket, fine.bracket
+        (grid, *_), (refined, *_) = _figure_results(fig, False), _figure_results(fig, True)
+        assert grid.keys() == refined.keys() and len(grid) == 2 * len(default_t_grid())
+        for key, coarse in grid.items():
+            (lo, hi), fine = coarse.bracket, refined[key]
+            fine_lo, fine_hi = fine.bracket
             assert not (coarse.indeterminate or fine.indeterminate) and max(lo, fine_lo) <= min(hi, fine_hi)
-            assert lo <= fine.r_star <= hi and _grid(fine.r_star) == coarse.r_star, (coarse, fine.r_star)
+            assert lo <= fine.r_star <= hi and _grid(fine.r_star) == coarse.r_star, (key, coarse, fine.r_star)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("fig, zeros", [(1, 19), (2, 80), (3, 66), (4, 5), (5, 5), (6, 0), (7, 5)])
+    def test_a_certified_cd_zero_gives_the_generic_value_unsolved(self, fig, zeros, refine):
+        # CD noise is generic noise, so r_generic <= r_cd: where CD's bracket
+        # ends at or below R_TOL no generic solve runs, and the generic column
+        # reads what a generic sweep solves for; at every other point it is solved
+        results, records, _ = _figure_results(fig, refine)
+        skipped = [rec.t for rec in records if results[rec.t, CD].bracket[1] <= R_TOL]
+        assert len(skipped) == zeros
+        assert [rec.t for rec in records if results[rec.t, GEN].solution is None] == skipped
+        if skipped:
+            spec = FIGURES[fig]
+            generic = sweep(spec.map1, spec.map2, default_t_grid(), noise="generic", refine=refine)
+            assert [rec.r_generic for rec in records] == [rec.r_generic for rec in generic]
 
     def test_figures_1_and_7_take_few_iterations(self):
         # most warm grid values settle at an edge point of their first step
-        # (see sdp.solve): together the two sweeps take at most 640 steps and
-        # 925 eigh calls, where a test at the iterate's own lengths
-        # (EDGE_FRACTION = 0.98) takes 784 and 1192
+        # (see sdp.solve): together the two sweeps take at most 590 steps and
+        # 840 eigh calls, where a test at the iterate's own lengths
+        # (EDGE_FRACTION = 0.98) takes 706 and 1060
         runs = [_figure_results(fig, False) for fig in (1, 7)]
-        assert sum(len(results) for results, _ in runs) == 404
-        assert sum(res.solution.iterations for results, _ in runs for res in results) <= 640
-        assert sum(calls for _, calls in runs) <= 925
+        solved = [res for results, *_ in runs for res in results.values() if res.solution is not None]
+        assert len(solved) == 380
+        assert sum(res.solution.iterations for res in solved) <= 590
+        assert sum(calls for *_, calls in runs) <= 840
 
 
 class TestRefinedConvergence:

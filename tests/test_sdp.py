@@ -144,6 +144,25 @@ class TestSolve:
         pobj, dobj = sol.objective_value, sol.dual_objective
         assert abs(pobj - dobj) <= eps * (1 + abs(pobj) + abs(dobj))
 
+    def test_optimal_meets_the_callers_own_equalities(self):
+        # three orthonormal rows that all but miss X[1, 1]'s coordinate (their
+        # entries there are 1e-13), and C whose dual slack has a zero last row
+        # and column: the optimal set is unbounded along X[1, 1], which grows
+        # to about 1.9e16 while the reduced rows that the stop test reads stay
+        # within tolerance. The caller's a x = b misses by 1.31 at max |b| =
+        # 3 918, so the solve is not optimal.
+        rng = np.random.default_rng(87)
+        g = rng.normal(size=(4, 3))
+        g[1] = 0
+        a = np.linalg.qr(g)[0].T
+        a[:, 1] = 1e-13 * rng.normal(size=3)
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        b = 1e3 * a @ sdp.pack(h @ h.conj().T)
+        c = a.T @ rng.normal(size=3) + sdp.pack(np.diag([abs(rng.normal()) + 0.1, 0.0]))
+        sol = sdp.solve(sdp.SdpProblem(sdp.SdpProgram(blocks={"x": (2, False)}, scalars=(), a=a, c=c), b))
+        assert sol.primal_residual > 1 and sol.block_values["x"][1, 1].real > 1e15
+        assert sol.status == "max_iterations"
+
     def test_seconds_is_the_wall_time_of_the_call(self, rng):
         problem = _eigenvalue_lp(random_hermitian(rng, 4), real=False)
         start = time.perf_counter()
@@ -179,14 +198,16 @@ class TestSolve:
         # row space by |delta| / (sqrt(2) |row|) after row normalization, here
         # 1e-7 relative to 1 + |b|, 100 times DEFAULT_EPS. The reduced program
         # still converges, but to no feasible point: no status "optimal", and
-        # no bracket, which only feasible programs have
+        # no bracket, which only feasible programs have, though the problem
+        # keeps its certificate
         ident = isometry_channel(np.eye(2))
         prob = channel_feasibility_problem(ident, ident, None, NoiseClass.GENERIC)
         assert sdp.solve(prob).status == "optimal" and sdp.solve(prob).bracket is not None
         a = np.vstack([prob.program.a, prob.program.a[:1]])
         norms = np.linalg.norm(a, axis=1)
         delta = 1e-7 * np.sqrt(2) * norms[0] * (1 + np.linalg.norm(np.append(prob.b, prob.b[0]) / norms))
-        sol = sdp.solve(sdp.SdpProblem(replace(prob.program, a=a), np.append(prob.b, prob.b[0] + delta)))
+        b = np.append(prob.b, prob.b[0] + delta)
+        sol = sdp.solve(sdp.SdpProblem(replace(prob.program, a=a), b, prob.certificate))
         assert sol.status == "max_iterations" and sol.bracket is None
         assert sol.iterations < sdp.DEFAULT_MAX_ITERS
 
@@ -360,8 +381,8 @@ class TestBlockDiagonalIterate:
         sys.modules["chancompat.robustness"]._program.cache_clear()
         out = tmp_path / "f.csv"
         assert chancompat.cli.main(["figure", "--id", "1", "--t-step", "0.1", "-o", str(out)]) == 0
-        # 11 points, one program shape per noise class
-        assert len(solves) == 22
+        # 11 points, one program shape per noise class; 2 certified CD zeros skip their generic solve
+        assert len(solves) == 20
         assert sorted(factored) == sorted(set(solves)) and len(factored) == 2
 
     def test_repeat_solves_factor_nothing(self, rng, monkeypatch):
