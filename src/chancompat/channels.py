@@ -135,22 +135,22 @@ class DynamicalMap:
         return self.channel_at(t)
 
 
+def _enveloped(label: str, rate: float, omega: float, channel_of: Callable[[float], Channel]) -> DynamicalMap:
+    """t -> channel_of(exp(-rate t) cos^2(omega t)), with the envelope's period pi/|omega| (none at omega = 0)."""
+    return DynamicalMap(label, lambda t: channel_of(math.exp(-rate * t) * math.cos(omega * t) ** 2),
+                        math.pi / abs(omega) if omega else None)
+
+
 def depolarizing_map(lam: float, omega: float = 0.0) -> DynamicalMap:
     """w(t) = exp(-lam t) cos^2(omega t); omega = 0 is the divisible map exp(-lam t)."""
-    return DynamicalMap(
-        f"depolarizing(lam={lam:g}" + (f",omega={omega:g})" if omega else ")"),
-        lambda t: depolarizing_choi(math.exp(-lam * t) * math.cos(omega * t) ** 2),
-        math.pi / abs(omega) if omega else None,
-    )
+    label = f"depolarizing(lam={lam:g}" + (f",omega={omega:g})" if omega else ")")
+    return _enveloped(label, lam, omega, depolarizing_choi)
 
 
 def amplitude_damping_map(alpha: float, omega: float) -> DynamicalMap:
     """Decay probability w(t) = 1 - exp(-alpha t) cos^2(omega t)."""
-    return DynamicalMap(
-        f"amplitude_damping(alpha={alpha:g},omega={omega:g})",
-        lambda t: amplitude_damping_choi(1 - math.exp(-alpha * t) * math.cos(omega * t) ** 2),
-        math.pi / abs(omega) if omega else None,
-    )
+    label = f"amplitude_damping(alpha={alpha:g},omega={omega:g})"
+    return _enveloped(label, alpha, omega, lambda e: amplitude_damping_choi(1 - e))
 
 
 def eternal_map() -> DynamicalMap:
@@ -170,7 +170,7 @@ def constant_map(channel: Channel) -> DynamicalMap:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite-outcome measurement: PSD effects summing to the identity."""
+    """Finite-outcome measurement: PSD effects summing to 1, each check at least as tight as Channel's."""
 
     effects: tuple[np.ndarray, ...]
     dimension: int
@@ -183,7 +183,7 @@ class Povm:
         for e in self.effects:
             if e.shape != (self.dimension, self.dimension):
                 raise ValueError(f"effect shape {e.shape} != dimension {self.dimension}")
-            if not is_hermitian(e, 1e-10):
+            if not is_hermitian(e):
                 raise ValueError("POVM effects must be Hermitian")
             if np.linalg.eigvalsh(e)[0] < POVM_EIG_FLOOR:
                 raise ValueError("POVM effects must be PSD")

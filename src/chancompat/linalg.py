@@ -19,9 +19,9 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """Entrywise check of a = a^dagger within tol."""
-    return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - a.conj().T)) <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    """Entrywise check of a = a^dagger within HERMITIAN_TOL, the library's one Hermiticity tolerance."""
+    return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL)
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -65,6 +65,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) ||rho - sigma||_1 for Hermitian unit-trace operators."""
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    if not (is_hermitian(rho, 1e-9) and is_hermitian(sigma, 1e-9)):
+    if not (is_hermitian(rho) and is_hermitian(sigma)):
         raise ValueError("trace_distance requires Hermitian inputs")
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))

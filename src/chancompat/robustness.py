@@ -79,8 +79,8 @@ class SweepRecord:
 
     def __post_init__(self):
         for r in (self.r_generic, self.r_cd):
-            if r is not None and not -1e-12 <= r <= 1 + 1e-6:
-                raise ValueError(f"robustness {r} outside [0, 1 + 1e-6]")
+            if r is not None and not 0 <= r <= MAX_MIXING:
+                raise ValueError(f"robustness {r} outside [0, 1]")
         if self.r_generic is not None and self.r_cd is not None and not self.indeterminate:
             if self.r_generic > self.r_cd + 1e-4:
                 raise ValueError(
@@ -159,11 +159,9 @@ def channel_feasibility_problem(
 
 def measurement_feasibility_problem(m1: Povm, m2: Povm) -> sdp.SdpProblem:
     """Robustness SDP for a measurement pair: the generic-noise channel
-    program on their quantum-classical channels. Dephasing both outputs maps
-    a joint channel and its noise onto a joint POVM and noise POVMs, so the
-    optimum is the measurement robustness."""
-    if m1.dimension != m2.dimension:
-        raise ValueError("measurements must act on the same dimension")
+    program on their quantum-classical channels, which must share the input
+    dimension. Dephasing both outputs maps a joint channel and its noise onto
+    a joint POVM and noise POVMs, so the optimum is the measurement robustness."""
     return channel_feasibility_problem(
         measurement_channel(m1), measurement_channel(m2), None, NoiseClass.GENERIC
     )

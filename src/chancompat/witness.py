@@ -42,14 +42,13 @@ def teleport_fidelity(ch: Channel) -> tuple[float, float]:
     Returns (n_value, f_max): n_value is the trace norm of the 3x3 Pauli
     correlation matrix S_ij = Re Tr[(s_i (x) s_j) C] / 2, equal up to row
     signs to that of the evolved singlet; the optimal teleportation fidelity
-    is (1 + n/3)/2 when n > 1 and the classical 2/3 otherwise.
+    is the larger of (1 + n/3)/2 and the classical 2/3 (they meet at n = 1).
     """
     if ch.din != 2 or ch.dout != 2:
         raise ValueError(f"teleport_fidelity expects a qubit channel, got {ch.din} -> {ch.dout}")
     s = 0.5 * np.trace(ch.choi @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3)
     n_value = trace_norm(s)
-    f_max = 0.5 * (1 + n_value / 3) if n_value > 1 else 2 / 3
-    return n_value, f_max
+    return n_value, max(2 / 3, 0.5 * (1 + n_value / 3))
 
 
 def rising_segments(ts: Sequence[float], values: Sequence[float]) -> list[tuple[float, float]]:

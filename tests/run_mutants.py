@@ -1,14 +1,16 @@
 """Replay the planted mutants of tests/data/mutants.json.
 
 Each listed mutant replaces the one occurrence of its old text with its new
-text in a temporary copy of src/ (next to copies of tests/ and
-pyproject.toml, so that pytest imports the copy), runs only its killing
+text in a temporary copy of src/ (next to copies of tests/, perfbench/
+and pyproject.toml, so that pytest imports the copy), runs only its killing
 test node there, and must make that node fail (pytest exit status 1; an
 error, a missing node or a pass do not count). Before any mutant is
 planted, the killing nodes run once together on an unmutated copy and must
 all pass, so that no node kills by failing already. The replays then run
 concurrently, one per CPU, each with OpenBLAS held to one thread so that
-they do not oversubscribe the cores, and print in list order. Each exempt
+they do not oversubscribe the cores, and print in list order. No
+installed pytest plugin is loaded (the suite uses none, and one can take
+longer to import than a replay takes to run). Each exempt
 mutant is only checked to still apply to the source, so that the list
 follows the code.
 
@@ -42,8 +44,8 @@ def _applies(entry: dict) -> str | None:
 
 def _pytest(tree: Path, nodes: list[str], entry: dict | None = None) -> subprocess.CompletedProcess:
     """Copy the source and tests to tree, plant entry if given, and run nodes there."""
-    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
-    for name in ("src", "tests"):
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", "out")
+    for name in ("src", "tests", "perfbench"):   # Tier-1's benchmark contract test imports perfbench
         shutil.copytree(ROOT / name, tree / name, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", tree)
     if entry is not None:
@@ -51,7 +53,7 @@ def _pytest(tree: Path, nodes: list[str], entry: dict | None = None) -> subproce
         path.write_text(path.read_text().replace(entry["old"], entry["new"]))
     return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
                           cwd=tree, capture_output=True, text=True,
-                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"})
 
 
 def _unmutated(nodes: list[str], tree: Path) -> list[str]:

@@ -26,7 +26,7 @@ from chancompat.channels import (
     pushforward_povm,
 )
 from chancompat.figures import default_t_grid
-from chancompat.linalg import SIGMA_Z, partial_trace
+from chancompat.linalg import HERMITIAN_TOL, SIGMA_Z, partial_trace
 from conftest import channel_json, random_density, random_hermitian, trine_povm
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -379,7 +379,13 @@ class TestInputCheckBoundaries:
             skew = np.array([[0.0, d], [0.0, 0.0]])
             return Povm((np.eye(2) / 2 + skew, np.eye(2) / 2 - skew), 2)
 
-        _rejected_past_and_accepted_inside(build, 1e-10, "Hermitian")
+        _rejected_past_and_accepted_inside(build, HERMITIAN_TOL, "Hermitian")
+
+    def test_povm_whose_channel_is_not_hermitian_is_refused(self):
+        # 5e-11 off Hermitian, which the Channel of measurement_channel refuses
+        skew = np.array([[0.0, 5e-11], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="POVM effects must be Hermitian"):
+            Povm((np.eye(2) / 2 + skew, np.eye(2) / 2 - skew), 2)
 
     def test_projective_basis_orthonormality(self):
         # basis^H basis misses the identity by 2s + s^2 on one diagonal entry

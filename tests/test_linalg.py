@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chancompat.linalg import (
+    HERMITIAN_TOL,
     is_hermitian,
     partial_trace,
     trace_distance,
@@ -141,9 +142,10 @@ class TestHermiticityBoundaries:
         assert not is_hermitian(_skewed(1.5e-12)) and is_hermitian(_skewed(0.5e-12))
 
     def test_trace_distance_tolerance(self):
+        past, inside = 1.5 * HERMITIAN_TOL, 0.5 * HERMITIAN_TOL
         with pytest.raises(ValueError, match="Hermitian"):
-            trace_distance(_skewed(1.5e-9), np.eye(2) / 2)
+            trace_distance(_skewed(past), np.eye(2) / 2)
         with pytest.raises(ValueError, match="Hermitian"):
-            trace_distance(np.eye(2) / 2, _skewed(1.5e-9))
-        assert abs(trace_distance(_skewed(0.5e-9), np.eye(2) / 2) - 0.5) <= 1e-12
-        assert abs(trace_distance(np.eye(2) / 2, _skewed(0.5e-9)) - 0.5) <= 1e-12
+            trace_distance(np.eye(2) / 2, _skewed(past))
+        assert abs(trace_distance(_skewed(inside), np.eye(2) / 2) - 0.5) <= 1e-12
+        assert abs(trace_distance(np.eye(2) / 2, _skewed(inside)) - 0.5) <= 1e-12

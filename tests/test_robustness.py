@@ -23,7 +23,7 @@ from chancompat.channels import (
     measurement_channel,
     projective_povm,
 )
-from chancompat.linalg import partial_trace
+from chancompat.linalg import HERMITIAN_TOL, partial_trace
 from chancompat.figures import FIGURES, LAM, OMEGA, default_t_grid
 from chancompat.robustness import (
     DR,
@@ -398,6 +398,16 @@ X = projective_povm(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 Y = projective_povm(np.array([[1, 1], [1j, -1j]]) / np.sqrt(2))
 
 
+def _accepts(build) -> bool:
+    """Whether build() passes, where the only refusal allowed is one for Hermiticity."""
+    try:
+        build()
+    except ValueError as exc:
+        assert "Hermitian" in str(exc)
+        return False
+    return True
+
+
 class TestMeasurementRobustness:
     def test_self_compatible(self):
         m = projective_povm(np.eye(2))
@@ -426,8 +436,26 @@ class TestMeasurementRobustness:
     def test_dimension_mismatch(self):
         m2 = projective_povm(np.eye(2))
         m3 = projective_povm(np.eye(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="share the input dimension"):
             measurement_robustness(m2, m3)
+
+    def test_every_accepted_povm_is_an_accepted_channel(self):
+        # Povm and the Channel of its measurement_channel accept the same
+        # skews, and an accepted Povm then has a robustness
+        accepted = []
+        for skew in np.geomspace(0.1, 10, 9) * HERMITIAN_TOL:
+            off = np.array([[0.0, skew], [0.0, 0.0]])
+            effects = (np.diag([1.0, 0.0]) + off, np.diag([0.0, 1.0]) - off)
+            unchecked = object.__new__(Povm)   # the same fields, without Povm's checks
+            object.__setattr__(unchecked, "effects", tuple(e.astype(complex) for e in effects))
+            object.__setattr__(unchecked, "dimension", 2)
+            ok = _accepts(lambda: Povm(effects, 2))
+            assert _accepts(lambda: measurement_channel(unchecked)) == ok, skew
+            if ok:
+                res = measurement_robustness(Povm(effects, 2), X)
+                assert not res.indeterminate and abs(res.r_star - (3 - 2 * math.sqrt(2))) < 2e-4
+            accepted.append(ok)
+        assert True in accepted and False in accepted
 
 
 class TestSweep:
@@ -515,6 +543,8 @@ class TestSweep:
             sweep(identity_map(), identity_map(), [0.3, 0.2], noise="cd")
         with pytest.raises(ValueError):
             sweep(identity_map(), identity_map(), [-0.1, 0.2], noise="cd")
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep(identity_map(), identity_map(), [0.2, 0.2], noise="cd")
 
 
 def test_default_t_grid_count_slack():
@@ -577,12 +607,12 @@ class TestRecords:
         rec = SweepRecord(t=0.0, r_generic=0.005, r_cd=0.0, trace_distance=0.5, indeterminate=True)
         assert rec.indeterminate
 
-    @pytest.mark.parametrize("end, tol", [(0.0, -1e-12), (1.0, 1e-6)], ids=["lower", "upper"])
-    def test_sweep_record_range_ends(self, end, tol):
-        # an r half the tolerance past an end of [0, 1] passes, one 1.5 times past it is refused
-        assert SweepRecord(t=0.0, r_generic=None, r_cd=end + 0.5 * tol, trace_distance=0.5)
+    @pytest.mark.parametrize("end, past", [(0.0, -math.inf), (1.0, math.inf)], ids=["lower", "upper"])
+    def test_sweep_record_range_ends(self, end, past):
+        # each end of RobustnessResult's [0, 1] passes, and the next float beyond it is refused
+        assert SweepRecord(t=0.0, r_generic=None, r_cd=end, trace_distance=0.5)
         with pytest.raises(ValueError, match="outside"):
-            SweepRecord(t=0.0, r_generic=None, r_cd=end + 1.5 * tol, trace_distance=0.5)
+            SweepRecord(t=0.0, r_generic=None, r_cd=math.nextafter(end, past), trace_distance=0.5)
 
     def test_sweep_record_column_by_noise_class(self):
         rec = SweepRecord(t=0.0, r_generic=0.25, r_cd=0.5, trace_distance=0.5)
@@ -757,6 +787,20 @@ class TestBracket:
         monkeypatch.setattr(sdp, "solve", widened)
         res = robustness(IDENT, IDENT, GEN, refine=True)   # r* = 1/3
         assert res.indeterminate is indeterminate and abs(res.r_star - 1 / 3) <= 1e-8
+
+    def test_refined_rules_include_r_tol_itself(self, monkeypatch):
+        # a refined solve is settled once r_hi <= R_TOL, an r of R_TOL is
+        # reported as 0, and a bracket exactly R_TOL wide settles its value
+        solve, asked = sdp.solve, []
+
+        def at_r_tol(problem, settled, **kwargs):
+            asked.append((settled(0.0, R_TOL), settled(0.0, math.nextafter(R_TOL, 1.0))))
+            return replace(solve(problem, **kwargs), scalar_values={"r": R_TOL}, bracket=(0.0, R_TOL))
+
+        monkeypatch.setattr(sdp, "solve", at_r_tol)
+        res = robustness(IDENT, IDENT, GEN, refine=True)
+        assert asked == [(True, False)]
+        assert res.r_star == 0.0 and not res.indeterminate
 
     @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize("noise", [CD, GEN], ids=lambda nc: nc.name.lower())

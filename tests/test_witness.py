@@ -14,6 +14,7 @@ from chancompat.channels import (
 from chancompat.figures import ALPHA, OMEGA, default_t_grid
 from chancompat.robustness import sweep
 from chancompat.witness import (
+    DEAD_BAND,
     cp_indivisibility_measure,
     indivisibility_from_curve,
     rising_segments,
@@ -137,6 +138,12 @@ class TestRisingSegments:
     def test_trailing_plateau_not_included(self):
         assert rising_segments([0, 1, 2, 3], [0.0, 0.5, 0.5, 0.2]) == [(0, 1)]
 
+    def test_moves_of_exactly_the_dead_band_neither_open_nor_close(self):
+        # each step below is exact in floating point: a rise of DEAD_BAND opens
+        # no segment, and a fall of DEAD_BAND closes none
+        assert rising_segments([0, 1], [0.0, DEAD_BAND]) == []
+        assert rising_segments([0, 1, 2, 3], [-1.0, DEAD_BAND, 0.0, 1.0]) == [(0, 3)]
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rising_segments([0, 1], [1.0])
@@ -158,6 +165,11 @@ class TestIndivisibilityMeasure:
         assert abs(rep.n_raw - want) < 1e-12
         assert abs(rep.n_normalized - want / (1 + want)) < 1e-12
         assert rep.rising_segments == ((0.0, 1.0), (2.0, 3.0))
+
+    def test_from_curve_counts_only_rises_past_the_dead_band(self):
+        # a rise of exactly DEAD_BAND adds nothing; one past it adds its trapezoid
+        assert indivisibility_from_curve([0.0, 1.0], [0.0, DEAD_BAND]).n_raw == 0.0
+        assert indivisibility_from_curve([0.0, 1.0], [0.0, 2 * DEAD_BAND]).n_raw == DEAD_BAND
 
     def test_from_curve_length_mismatch(self):
         # a short curve is rejected before the integral indexes past its end
